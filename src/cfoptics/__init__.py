@@ -6,13 +6,8 @@ and its chained generalization, analyzes the induced binary channel
 (success probabilities, mutual information, capacity, balanced coupling
 angles), and implements two classical relay analogs with per-leg carrier
 auditing.
-
-The propagation inner loop runs on a compiled extension when available and
-falls back to a pure-Python kernel otherwise; ``kernel_backend()`` reports
-which one is active.
 """
 
-from . import kernel
 from .analysis import (
     ChannelModel,
     InputPrior,
@@ -77,8 +72,12 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Name of the propagation kernel selected at import ("cython" or "python")."""
-    return kernel.BACKEND
+    """Name of the propagation kernel, always ``"python"``.
+
+    There is a single pure-Python kernel; the function is kept for callers
+    that record the backend alongside their results.
+    """
+    return "python"
 
 
 __all__ = [

@@ -19,6 +19,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from .core import _is_finite
 from .errors import BracketError, DomainError
 from .protocols import NestedConfig, run_protocol
 
@@ -75,7 +76,7 @@ class InputPrior:
     p0: float
 
     def __post_init__(self):
-        if not math.isfinite(self.p0) or not 0.0 <= self.p0 <= 1.0:
+        if not _is_finite(self.p0) or not 0.0 <= self.p0 <= 1.0:
             raise DomainError(f"prior p0 must lie in [0, 1], got {self.p0!r}")
 
     @property

@@ -15,6 +15,7 @@ radians everywhere.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Tuple, Union
@@ -22,7 +23,7 @@ from typing import Dict, NamedTuple, Tuple, Union
 import numpy as np
 
 from . import kernel
-from ._kernel_py import OP_ABSORB, OP_SNAPSHOT, OP_SPLIT
+from .kernel import OP_ABSORB, OP_SNAPSHOT, OP_SPLIT
 from .errors import InvalidNetworkError
 
 __all__ = [
@@ -82,7 +83,7 @@ class ModeState:
     Parameters
     ----------
     amplitudes : sequence of complex
-        One amplitude per mode; copied into a complex128 vector.
+        One finite amplitude per mode; copied into a complex128 vector.
     absorbed : mapping str -> float, optional
         Probability already absorbed, keyed by absorber label.
     """
@@ -90,14 +91,19 @@ class ModeState:
     __slots__ = ("amplitudes", "absorbed")
 
     def __init__(self, amplitudes, absorbed=None):
-        amps = np.array(amplitudes, dtype=np.complex128)
+        try:
+            amps = np.array(amplitudes, dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise InvalidNetworkError("amplitudes must be complex numbers") from None
         if amps.ndim != 1 or amps.size == 0:
             raise InvalidNetworkError("amplitudes must be a non-empty vector")
+        if not all(map(cmath.isfinite, amps.tolist())):
+            raise InvalidNetworkError("amplitudes must be finite")
         ledger = dict(absorbed) if absorbed else {}
         for label, value in ledger.items():
             if not isinstance(label, str):
                 raise InvalidNetworkError("absorber labels must be strings")
-            if not math.isfinite(value) or value < 0.0:
+            if not _is_finite(value) or value < 0.0:
                 raise InvalidNetworkError(
                     f"absorbed[{label!r}] must be a finite non-negative probability"
                 )
@@ -121,6 +127,14 @@ class ModeState:
         return f"ModeState(amplitudes={self.amplitudes!r}, absorbed={self.absorbed!r})"
 
 
+def _is_finite(value):
+    """``math.isfinite`` that answers False for non-numbers instead of raising."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _check_mode(index, mode_count, what):
     if not isinstance(index, int) or isinstance(index, bool):
         raise InvalidNetworkError(f"{what} must be an integer mode index")
@@ -136,8 +150,8 @@ def _validate_element(element, mode_count, seen_checkpoints):
         _check_mode(element.mode_b, mode_count, "beam-splitter mode_b")
         if element.mode_a == element.mode_b:
             raise InvalidNetworkError("beam splitter needs two distinct modes")
-        if not math.isfinite(element.theta):
-            raise InvalidNetworkError("beam-splitter angle must be finite")
+        if not _is_finite(element.theta):
+            raise InvalidNetworkError("beam-splitter angle must be a finite real number")
     elif isinstance(element, (Blocker, Discard)):
         _check_mode(element.mode, mode_count, "absorber mode")
         if not isinstance(element.label, str) or not element.label:
@@ -171,7 +185,7 @@ class Network:
 
 
 class _Plan(NamedTuple):
-    """Flat element arrays consumed by the propagation kernels."""
+    """Flat element arrays consumed by the propagation kernel."""
 
     ops: np.ndarray
     arg_a: np.ndarray
@@ -218,8 +232,8 @@ def apply_beam_splitter(state: ModeState, mode_a: int, mode_b: int, theta: float
     _check_mode(mode_b, n, "mode_b")
     if mode_a == mode_b:
         raise InvalidNetworkError("beam splitter needs two distinct modes")
-    if not math.isfinite(theta):
-        raise InvalidNetworkError("beam-splitter angle must be finite")
+    if not _is_finite(theta):
+        raise InvalidNetworkError("beam-splitter angle must be a finite real number")
     c = math.cos(theta)
     s = math.sin(theta)
     amps = state.amplitudes.copy()

@@ -1,26 +1,42 @@
-"""Propagation-kernel backend selection.
+"""Propagation kernel.
 
-At import time the compiled Cython extension is preferred; when it is not
-built (source checkout without a compiler, unsupported platform) the
-pure-Python kernel takes over with identical semantics.
+Executes the element plan produced by ``cfoptics.core``: flat
+opcode/argument arrays over a complex amplitude vector, a per-label
+absorption accumulator, and a snapshot matrix.
 """
 
-from . import _kernel_py
+import math
 
-try:  # pragma: no cover - exercised indirectly via the selected backend
-    from . import _kernel_cy  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover
-    _kernel_cy = None
-
-_impl = _kernel_cy if _kernel_cy is not None else _kernel_py
-
-run_plan = _impl.run_plan
-BACKEND = _impl.BACKEND
+# Opcodes (kept as plain ints so the plan arrays stay dtype=int32).
+OP_SPLIT = 0  # two-mode coupler: args = (mode_a, mode_b), angle = theta
+OP_ABSORB = 1  # perfect absorber: args = (mode, ledger_slot)
+OP_SNAPSHOT = 2  # amplitude snapshot: args = (snapshot_row, unused)
 
 
-def available_backends():
-    """Map backend name to its ``run_plan`` callable, for benchmarks/tests."""
-    backends = {"python": _kernel_py.run_plan}
-    if _kernel_cy is not None:
-        backends["cython"] = _kernel_cy.run_plan
-    return backends
+def run_plan(ops, arg_a, arg_b, theta, amps, absorbed, snaps):
+    """Execute a compiled element plan in place.
+
+    ``amps`` (complex128 vector), ``absorbed`` (float64 vector, one slot per
+    absorber label) and ``snaps`` (complex128 matrix, one row per snapshot)
+    are mutated; the plan arrays are read-only.
+    """
+    local = list(amps)  # scalar complex arithmetic is much faster than
+    n = len(ops)        # per-element ndarray indexing
+    for k in range(n):
+        code = ops[k]
+        a = arg_a[k]
+        if code == OP_SPLIT:
+            b = arg_b[k]
+            c = math.cos(theta[k])
+            s = math.sin(theta[k])
+            za = local[a]
+            zb = local[b]
+            local[a] = c * za + 1j * s * zb
+            local[b] = 1j * s * za + c * zb
+        elif code == OP_ABSORB:
+            za = local[a]
+            absorbed[arg_b[k]] += za.real * za.real + za.imag * za.imag
+            local[a] = 0j
+        else:
+            snaps[a, :] = local
+    amps[:] = local

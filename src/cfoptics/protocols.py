@@ -29,6 +29,7 @@ from .core import (
     Discard,
     ModeState,
     Network,
+    _is_finite,
     propagate,
 )
 from .errors import DomainError, MalformedOutcomeError, UndecidableDecodingError
@@ -91,8 +92,8 @@ class NestedConfig:
     def __post_init__(self):
         object.__setattr__(self, "theta1", _validate_angle("theta1", self.theta1))
         object.__setattr__(self, "theta2", _validate_angle("theta2", self.theta2))
-        if not math.isfinite(self.inner_offset):
-            raise DomainError("inner_offset must be finite")
+        if not _is_finite(self.inner_offset):
+            raise DomainError("inner_offset must be a finite real number")
 
     @property
     def inner_angle(self) -> float:

@@ -89,12 +89,26 @@ def random_config_angles(rng):
 
 def fold_elements(state, elements):
     """Sequentially apply beam splitters / blockers with the standalone ops;
-    dual route against the kernel-based propagate."""
-    from cfoptics import BeamSplitter, Blocker, Discard, apply_beam_splitter, apply_blocker
+    dual route against the kernel-based propagate.
 
+    Returns ``(final, checkpoints)`` like ``propagate``: ``checkpoints`` maps
+    each checkpoint name to a copy of the amplitudes at its position.
+    """
+    from cfoptics import (
+        BeamSplitter,
+        Blocker,
+        Checkpoint,
+        Discard,
+        apply_beam_splitter,
+        apply_blocker,
+    )
+
+    checkpoints = {}
     for element in elements:
         if isinstance(element, BeamSplitter):
             state = apply_beam_splitter(state, element.mode_a, element.mode_b, element.theta)
         elif isinstance(element, (Blocker, Discard)):
             state = apply_blocker(state, element.mode, element.label)
-    return state
+        elif isinstance(element, Checkpoint):
+            checkpoints[element.name] = state.amplitudes.copy()
+    return state, checkpoints

@@ -94,6 +94,13 @@ class TestSuccessProbabilities:
         assert success_probabilities(channel) == (1.0, 1.0)
 
 
+class TestInputPrior:
+    def test_rejects_bad_p0(self):
+        for p0 in (-0.1, 1.1, math.nan, "x"):
+            with pytest.raises(DomainError):
+                InputPrior(p0)
+
+
 class TestMutualInformation:
     def test_identical_rows_carry_nothing(self):
         rows = random_channel_rows(RNG)

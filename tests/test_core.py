@@ -8,6 +8,7 @@ import pytest
 from cfoptics import (
     BeamSplitter,
     Blocker,
+    ChainConfig,
     Checkpoint,
     Discard,
     InvalidNetworkError,
@@ -15,6 +16,7 @@ from cfoptics import (
     Network,
     apply_beam_splitter,
     apply_blocker,
+    build_chain_network,
     propagate,
     total_probability,
 )
@@ -140,15 +142,22 @@ class TestPropagate:
             assert total_probability(final) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_sequential_element_application(self):
-        """Kernel route equals folding the standalone operations."""
-        for _ in range(100):
-            network = random_network(RNG)
-            final, _ = propagate(network, ModeState.single_photon(4))
-            folded = fold_elements(ModeState.single_photon(4), network.elements)
-            np.testing.assert_allclose(final.amplitudes, folded.amplitudes, atol=1e-12)
+        """Kernel route equals folding the standalone operations, final state
+        and every checkpoint snapshot; long chains included."""
+        cases = [(random_network(RNG), 1e-12) for _ in range(100)]
+        cases += [(build_chain_network(ChainConfig(6, 40), bit), 1e-14) for bit in (0, 1)]
+        for network, atol in cases:
+            state = ModeState.single_photon(network.mode_count)
+            final, checkpoints = propagate(network, state)
+            folded, folded_checkpoints = fold_elements(state, network.elements)
+            np.testing.assert_allclose(final.amplitudes, folded.amplitudes, atol=atol)
             assert set(final.absorbed) == set(folded.absorbed)
             for label, value in folded.absorbed.items():
-                assert final.absorbed[label] == pytest.approx(value, abs=1e-12)
+                assert final.absorbed[label] == pytest.approx(value, abs=atol)
+            assert list(checkpoints) == list(folded_checkpoints)
+            for name, snapshot in folded_checkpoints.items():
+                np.testing.assert_allclose(checkpoints[name], snapshot, atol=atol)
+            assert total_probability(final) == pytest.approx(1.0, abs=1e-12)
 
     def test_linearity(self):
         """Propagating c*psi scales amplitudes by c and the ledger by |c|^2."""
@@ -203,8 +212,11 @@ class TestNetworkValidation:
             Network(3, (BeamSplitter(2, 2, 0.1),))
 
     def test_non_finite_angle(self):
+        for theta in (math.nan, "0.1", None, 10**400):
+            with pytest.raises(InvalidNetworkError):
+                Network(2, (BeamSplitter(0, 1, theta),))
         with pytest.raises(InvalidNetworkError):
-            Network(2, (BeamSplitter(0, 1, math.nan),))
+            apply_beam_splitter(ModeState.single_photon(2), 0, 1, "x")
 
     def test_bad_mode_count(self):
         with pytest.raises(InvalidNetworkError):
@@ -213,8 +225,12 @@ class TestNetworkValidation:
 
 class TestModeState:
     def test_negative_absorbed_rejected(self):
-        with pytest.raises(InvalidNetworkError):
-            ModeState([1.0], absorbed={"x": -0.1})
+        for value in (-0.1, "a"):
+            with pytest.raises(InvalidNetworkError):
+                ModeState([1.0], absorbed={"x": value})
+        for amplitudes in ([math.nan], [1.0, complex(0.0, math.inf)], ["x"]):
+            with pytest.raises(InvalidNetworkError):
+                ModeState(amplitudes)
 
     def test_total_probability_fresh_input(self):
         assert total_probability(ModeState.single_photon(3)) == 1.0

@@ -62,6 +62,8 @@ class TestNetworkStructure:
             NestedConfig(math.nan, 0.1)
         with pytest.raises(DomainError):
             NestedConfig(0.1, 3.5)  # outside (-pi, pi]
+        with pytest.raises(DomainError):
+            NestedConfig(0.25, 0.7, "x")  # non-numeric inner_offset
 
 
 class TestRunProtocol:
