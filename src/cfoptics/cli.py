@@ -458,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--theta1", type=float, default=None)
     cap.add_argument("--theta2", type=float, default=None)
     cap.add_argument("--balanced", action="store_const", const=True, default=None)
+    cap.add_argument("--tol", type=float, default=None, help="capacity search tolerance (default 1e-10)")
 
     classical = sub.add_parser("classical", parents=[common], help="run both classical relays over a bit string")
     classical.add_argument("--bits", type=str, default=None, help="bit string, e.g. 0110")

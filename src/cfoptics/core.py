@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -144,24 +144,46 @@ def _check_mode(index, mode_count, what):
         )
 
 
+_ELEMENT_TYPES = (BeamSplitter, Blocker, Discard, Checkpoint)
+
+
+def _element_base(element):
+    """Element class whose rules apply to an instance of a subclass: the
+    first of ``_ELEMENT_TYPES`` it is an instance of, or None.  Callers test
+    the exact type first, the common case."""
+    for base in _ELEMENT_TYPES:
+        if isinstance(element, base):
+            return base
+    return None
+
+
 def _validate_element(element, mode_count, seen_checkpoints):
-    if isinstance(element, BeamSplitter):
-        _check_mode(element.mode_a, mode_count, "beam-splitter mode_a")
-        _check_mode(element.mode_b, mode_count, "beam-splitter mode_b")
-        if element.mode_a == element.mode_b:
+    kind = type(element)
+    if kind not in _ELEMENT_TYPES:
+        kind = _element_base(element)
+    if kind is BeamSplitter:
+        mode_a, mode_b = element.mode_a, element.mode_b
+        if type(mode_a) is not int or not 0 <= mode_a < mode_count:
+            _check_mode(mode_a, mode_count, "beam-splitter mode_a")
+        if type(mode_b) is not int or not 0 <= mode_b < mode_count:
+            _check_mode(mode_b, mode_count, "beam-splitter mode_b")
+        if mode_a == mode_b:
             raise InvalidNetworkError("beam splitter needs two distinct modes")
         if not _is_finite(element.theta):
             raise InvalidNetworkError("beam-splitter angle must be a finite real number")
-    elif isinstance(element, (Blocker, Discard)):
-        _check_mode(element.mode, mode_count, "absorber mode")
+    elif kind is Checkpoint:
+        name = element.name
+        if not isinstance(name, str) or not name:
+            raise InvalidNetworkError("checkpoint name must be a non-empty string")
+        if name in seen_checkpoints:
+            raise InvalidNetworkError(f"duplicate checkpoint name {name!r}")
+        seen_checkpoints.add(name)
+    elif kind is not None:
+        mode = element.mode
+        if type(mode) is not int or not 0 <= mode < mode_count:
+            _check_mode(mode, mode_count, "absorber mode")
         if not isinstance(element.label, str) or not element.label:
             raise InvalidNetworkError("absorber label must be a non-empty string")
-    elif isinstance(element, Checkpoint):
-        if not isinstance(element.name, str) or not element.name:
-            raise InvalidNetworkError("checkpoint name must be a non-empty string")
-        if element.name in seen_checkpoints:
-            raise InvalidNetworkError(f"duplicate checkpoint name {element.name!r}")
-        seen_checkpoints.add(element.name)
     else:
         raise InvalidNetworkError(f"unknown element type {type(element).__name__}")
 
@@ -185,39 +207,41 @@ class Network:
 
 
 class _Plan(NamedTuple):
-    """Flat element arrays consumed by the propagation kernel."""
+    """Element plan consumed by the propagation kernel.
 
-    ops: np.ndarray
-    arg_a: np.ndarray
-    arg_b: np.ndarray
-    theta: np.ndarray
+    ``ops``, ``arg_a``, ``arg_b`` and ``theta`` are parallel lists of
+    Python numbers, one entry per element; ``theta`` is 0.0 except for
+    beam splitters.  Snapshot rows are numbered in plan order.
+    """
+
+    ops: List[int]
+    arg_a: List[int]
+    arg_b: List[int]
+    theta: List[float]
     ledger_labels: Tuple[str, ...]
     checkpoint_names: Tuple[str, ...]
 
 
 def compile_network(network: Network) -> _Plan:
-    """Lower a validated network to the kernel's array representation."""
-    count = len(network.elements)
-    ops = np.zeros(count, dtype=np.int32)
-    arg_a = np.zeros(count, dtype=np.int32)
-    arg_b = np.zeros(count, dtype=np.int32)
-    theta = np.zeros(count, dtype=np.float64)
+    """Lower a validated network to the kernel's plan in one pass."""
     slots: Dict[str, int] = {}
     checkpoint_names = []
-    for k, element in enumerate(network.elements):
-        if isinstance(element, BeamSplitter):
-            ops[k] = OP_SPLIT
-            arg_a[k] = element.mode_a
-            arg_b[k] = element.mode_b
-            theta[k] = element.theta
-        elif isinstance(element, (Blocker, Discard)):
-            ops[k] = OP_ABSORB
-            arg_a[k] = element.mode
-            arg_b[k] = slots.setdefault(element.label, len(slots))
-        else:
-            ops[k] = OP_SNAPSHOT
-            arg_a[k] = len(checkpoint_names)
+    ops, arg_a, arg_b, theta = [], [], [], []
+    for element in network.elements:
+        kind = type(element)
+        if kind not in _ELEMENT_TYPES:
+            kind = _element_base(element)
+        if kind is Checkpoint:
+            op, a, b, t = OP_SNAPSHOT, len(checkpoint_names), 0, 0.0
             checkpoint_names.append(element.name)
+        elif kind is BeamSplitter:
+            op, a, b, t = OP_SPLIT, element.mode_a, element.mode_b, element.theta
+        else:
+            op, a, b, t = OP_ABSORB, element.mode, slots.setdefault(element.label, len(slots)), 0.0
+        ops.append(op)
+        arg_a.append(a)
+        arg_b.append(b)
+        theta.append(t)
     return _Plan(ops, arg_a, arg_b, theta, tuple(slots), tuple(checkpoint_names))
 
 
@@ -262,8 +286,9 @@ def propagate(network: Network, state: ModeState):
     -------
     (final, checkpoints)
         ``final`` is the output :class:`ModeState` (input ledger carried
-        over and extended); ``checkpoints`` maps each checkpoint name to a
-        copy of the full amplitude vector at its position.
+        over and extended); ``checkpoints`` maps each checkpoint name to
+        the full amplitude vector at its position, a row of a snapshot
+        matrix owned by this call alone.
     """
     if state.mode_count != network.mode_count:
         raise InvalidNetworkError(
@@ -277,7 +302,7 @@ def propagate(network: Network, state: ModeState):
     ledger = dict(state.absorbed)
     for slot, label in enumerate(plan.ledger_labels):
         ledger[label] = ledger.get(label, 0.0) + float(absorbed[slot])
-    checkpoints = {name: snaps[row].copy() for row, name in enumerate(plan.checkpoint_names)}
+    checkpoints = dict(zip(plan.checkpoint_names, snaps))
     return ModeState(amps, ledger), checkpoints
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .core import (
     BeamSplitter,
@@ -262,19 +262,24 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     amplitudes stay inspectable at any depth.
     """
     bit = _validate_bit(bit)
+    # Elements are frozen, so one instance serves every cycle; only the
+    # checkpoints, whose names carry the cycle index, are built per cycle.
+    outer = BeamSplitter(0, 1, chain.outer_angle)
+    inner = BeamSplitter(1, 2, chain.inner_angle)
+    blocked = (Blocker(2, "bob"),) if bit == 0 else ()
+    discard = Discard(2, "discard")
     elements = []
     for k in range(1, chain.outer_cycles + 1):
-        elements.append(BeamSplitter(0, 1, chain.outer_angle))
-        elements.append(Checkpoint(f"alice_to_charlie[{k}]"))
+        elements += (outer, Checkpoint(f"alice_to_charlie[{k}]"))
         for j in range(1, chain.inner_cycles + 1):
-            elements.append(BeamSplitter(1, 2, chain.inner_angle))
-            elements.append(Checkpoint(f"charlie_to_bob[{k}.{j}]"))
-            if bit == 0:
-                elements.append(Blocker(2, "bob"))
-            elements.append(Checkpoint(f"bob_to_charlie[{k}.{j}]"))
-        elements.append(BeamSplitter(1, 2, chain.inner_angle))
-        elements.append(Checkpoint(f"charlie_to_alice[{k}]"))
-        elements.append(Discard(2, "discard"))
+            step = f"[{k}.{j}]"
+            elements += (
+                inner,
+                Checkpoint("charlie_to_bob" + step),
+                *blocked,
+                Checkpoint("bob_to_charlie" + step),
+            )
+        elements += (inner, Checkpoint(f"charlie_to_alice[{k}]"), discard)
     elements.append(BeamSplitter(0, 1, chain.final_angle))
     return Network(3, tuple(elements))
 
@@ -289,10 +294,14 @@ def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
     """
     network = build_chain_network(chain, bit)
     final, checkpoints = propagate(network, ModeState.single_photon(3))
-    peaks: Dict[str, float] = {name: 0.0 for name in LEG_NAMES}
+    amplitudes: Dict[str, List[complex]] = {name: [] for name in LEG_NAMES}
     for name, vector in checkpoints.items():
-        leg = name.split("[", 1)[0]
-        peaks[leg] = max(peaks[leg], float(abs(vector[_LEG_MODE[leg]]) ** 2))
+        leg = name.partition("[")[0]
+        amplitudes[leg].append(vector.item(_LEG_MODE[leg]))
+    peaks = {
+        leg: max([abs(z) ** 2 for z in values], default=0.0)
+        for leg, values in amplitudes.items()
+    }
     absorbed = {
         "bob": final.absorbed.get("bob", 0.0),
         "discard": final.absorbed.get("discard", 0.0),

@@ -11,9 +11,11 @@ from cfoptics import (
     ChainConfig,
     Discard,
     DomainError,
+    ModeState,
     NestedConfig,
     build_chain_network,
     build_nested_network,
+    propagate,
     run_chain,
     run_protocol,
 )
@@ -105,6 +107,29 @@ class TestChainWitnesses:
     def test_open_arm_return_leg_stays_dark(self):
         outcome = run_chain(ChainConfig(4, 6), 1)
         assert outcome.leg_peaks["charlie_to_alice"] < 1e-24
+
+    def test_leg_peaks_are_the_largest_checkpoint_probabilities(self):
+        """Per leg family, the peak equals the maximum of |amplitude|^2 over
+        its checkpoints, bit for bit."""
+        leg_mode = {
+            "alice_to_charlie": 1,
+            "charlie_to_bob": 2,
+            "bob_to_charlie": 2,
+            "charlie_to_alice": 1,
+        }
+        chains = (
+            ChainConfig(6, 40),
+            ChainConfig(3, 7, outer_angle=0.21, inner_angle=-2.9, final_angle=0.45),
+        )
+        for chain in chains:
+            for bit in (0, 1):
+                network = build_chain_network(chain, bit)
+                _, checkpoints = propagate(network, ModeState.single_photon(3))
+                expected = dict.fromkeys(leg_mode, 0.0)
+                for name, vector in checkpoints.items():
+                    leg = name.split("[")[0]
+                    expected[leg] = max(expected[leg], float(abs(vector[leg_mode[leg]]) ** 2))
+                assert run_chain(chain, bit).leg_peaks == expected
 
     def test_conservation(self):
         for bit in (0, 1):

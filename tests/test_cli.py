@@ -1,5 +1,6 @@
 """Command-line contract: parameters, documents, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -171,6 +172,31 @@ class TestClassicalAndCapacity:
         assert sum(results["channel"]["b0"]) == pytest.approx(1.0, abs=1e-12)
 
 
+    def test_tol_flag_and_config_key_agree(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"theta1": 0.25, "balanced": True, "tol": 1e-4}))
+        _, from_flag, _ = run_cli(
+            capsys, "capacity", "--theta1", "0.25", "--balanced", "--tol", "1e-4"
+        )
+        _, from_config, _ = run_cli(capsys, "capacity", "--config", str(config))
+        assert from_flag == from_config
+        assert json.loads(from_flag)["spec"]["tol"] == 1e-4
+
+    def test_tol_flag_overrides_config(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"theta1": 0.25, "balanced": True, "tol": 1e-4}))
+        doc = run_json(capsys, "capacity", "--config", str(config), "--tol", "1e-3")
+        assert doc["spec"]["tol"] == 1e-3
+
+    def test_bad_tol_rejected(self, capsys):
+        for tol in ("0", "-1e-3", "nan"):
+            code, _, err = run_cli(
+                capsys, "capacity", "--theta1", "0.25", "--balanced", f"--tol={tol}"
+            )
+            assert code == 2
+            assert "tol" in err
+
+
 class TestRendering:
     def test_csv_sweep_is_tabular(self, capsys):
         code, out, _ = run_cli(
@@ -206,6 +232,46 @@ class TestRendering:
         code, out, _ = run_cli(capsys, "simulate", "--theta1", "0.25", "--balanced", "--bit", "1")
         assert code == 0
         assert '"p_d1": 0.533113967523' in out
+
+
+# SHA-256 of the document each README command-line example writes, as
+# released.  Any changed byte, including a last digit, fails the test.
+README_DOCUMENTS = {
+    "simulate": (
+        ("simulate", "--theta1", "0.25", "--balanced", "--bit", "1"),
+        "05fbf6ef1eb2b5ab7d8ac679e0cda1c87c4eaf3ddfe36415ef72d7b0e27cda5f",
+    ),
+    "sweep": (
+        ("sweep", "--theta1", "0.05:1.0", "--balanced", "--steps", "20", "--format", "csv"),
+        "a00b1a3b6d3645caaa4a505bf8c3f38b5bbe9ffcaff944cf4f82318b1ca84e7f",
+    ),
+    "optimize": (
+        ("optimize", "--objective", "min-success", "--grid", "24", "--refine", "200"),
+        "9dc53f4941d527896c7e464705ee40c6174efafce4cef3c2fa0d8bcd45a3ecc7",
+    ),
+    "capacity": (
+        ("capacity", "--theta1", "0.25", "--balanced"),
+        "60ae3d74feffd2333c4af6398ffbd93775084e959c8058344ce61c0b2a48824e",
+    ),
+    "classical": (
+        ("classical", "--bits", "0110"),
+        "715e1578137d4bd6cccbdd6e21a4b8283c4b6a02f3a5cbbaf4f7632f2b9172fc",
+    ),
+    "chain": (
+        ("chain", "--outer", "2,5,10", "--inner", "4,25,100"),
+        "5275038e5de164f61564aac598cd239f0b68a05a359538e6fe66034478b65d61",
+    ),
+}
+
+
+class TestReadmeDocuments:
+    @pytest.mark.parametrize("name", sorted(README_DOCUMENTS))
+    def test_document_matches_release_digest(self, name, capsys, tmp_path):
+        argv, digest = README_DOCUMENTS[name]
+        path = tmp_path / f"{name}.out"
+        code, _, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0, err
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestSubprocessContract:

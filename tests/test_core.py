@@ -159,6 +159,23 @@ class TestPropagate:
                 np.testing.assert_allclose(checkpoints[name], snapshot, atol=atol)
             assert total_probability(final) == pytest.approx(1.0, abs=1e-12)
 
+    def test_matches_sequential_element_application_exactly(self):
+        """The kernel evaluates the same expressions in the same order as the
+        standalone operations, so final amplitudes, every checkpoint and the
+        ledger agree bit for bit, not just to a tolerance."""
+        rng = np.random.default_rng(20261017)
+        networks = [random_network(rng) for _ in range(300)]
+        networks += [build_chain_network(ChainConfig(6, 40), bit) for bit in (0, 1)]
+        for network in networks:
+            state = ModeState.single_photon(network.mode_count)
+            final, checkpoints = propagate(network, state)
+            folded, folded_checkpoints = fold_elements(state, network.elements)
+            assert np.array_equal(final.amplitudes, folded.amplitudes)
+            assert final.absorbed == folded.absorbed
+            assert list(checkpoints) == list(folded_checkpoints)
+            for name, snapshot in folded_checkpoints.items():
+                assert np.array_equal(checkpoints[name], snapshot)
+
     def test_linearity(self):
         """Propagating c*psi scales amplitudes by c and the ledger by |c|^2."""
         network = random_network(RNG)
@@ -221,6 +238,63 @@ class TestNetworkValidation:
     def test_bad_mode_count(self):
         with pytest.raises(InvalidNetworkError):
             Network(0)
+
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            (BeamSplitter(True, 1, 0.1), "beam-splitter mode_a must be an integer mode index"),
+            (BeamSplitter(0, 1.0, 0.1), "beam-splitter mode_b must be an integer mode index"),
+            (Blocker(False, "x"), "absorber mode must be an integer mode index"),
+            (Discard(1.0, "x"), "absorber mode must be an integer mode index"),
+            (Blocker(0, ""), "absorber label must be a non-empty string"),
+            (Discard(0, ""), "absorber label must be a non-empty string"),
+            (Blocker(0, None), "absorber label must be a non-empty string"),
+            (Checkpoint(""), "checkpoint name must be a non-empty string"),
+            (Checkpoint(7), "checkpoint name must be a non-empty string"),
+            ((0, 1, 0.1), "unknown element type tuple"),
+            (object(), "unknown element type object"),
+        ],
+    )
+    def test_rejected_element_messages(self, element, message):
+        with pytest.raises(InvalidNetworkError) as excinfo:
+            Network(2, (element,))
+        assert str(excinfo.value) == message
+
+    def test_element_subclass_accepted(self):
+        """A subclass of an element type is validated and propagated exactly
+        like its base class."""
+
+        class TaggedSplitter(BeamSplitter):
+            pass
+
+        class TaggedBlocker(Blocker):
+            pass
+
+        class TaggedCheckpoint(Checkpoint):
+            pass
+
+        network = Network(
+            3,
+            (
+                TaggedSplitter(0, 1, 0.7),
+                TaggedCheckpoint("mid"),
+                TaggedBlocker(1, "x"),
+                TaggedSplitter(0, 2, -1.1),
+            ),
+        )
+        reference = Network(
+            3,
+            (BeamSplitter(0, 1, 0.7), Checkpoint("mid"), Blocker(1, "x"), BeamSplitter(0, 2, -1.1)),
+        )
+        state = ModeState.single_photon(3)
+        final, checkpoints = propagate(network, state)
+        expected, expected_checkpoints = propagate(reference, state)
+        assert np.array_equal(final.amplitudes, expected.amplitudes)
+        assert final.absorbed == expected.absorbed
+        assert np.array_equal(checkpoints["mid"], expected_checkpoints["mid"])
+        with pytest.raises(InvalidNetworkError) as excinfo:
+            Network(3, (TaggedSplitter(0, 0, 0.7),))
+        assert str(excinfo.value) == "beam splitter needs two distinct modes"
 
 
 class TestModeState:
