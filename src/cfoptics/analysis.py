@@ -61,11 +61,16 @@ class ChannelModel:
         entries = rows[0] + rows[1]
         if not all(map(math.isfinite, entries)):
             raise DomainError("channel entries must be finite")
-        if min(entries) < -_ROW_TOL or max(entries) > 1 + _ROW_TOL:
+        low, high = min(entries), max(entries)
+        if low < -_ROW_TOL or high > 1 + _ROW_TOL:
             raise DomainError("channel entries must be probabilities in [0, 1]")
         if any(abs(sum(row) - 1.0) > _ROW_TOL for row in rows):
             raise DomainError(f"channel rows must sum to 1, got {matrix.sum(axis=1)}")
-        object.__setattr__(self, "p_given_b", np.clip(matrix, 0.0, 1.0))
+        # ``matrix`` is this instance's own copy: clip it in place, entry by
+        # entry as np.clip does (-0.0 stays -0.0), when an entry needs it.
+        if low < 0.0 or high > 1.0:
+            matrix[:] = [[0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in row] for row in rows]
+        object.__setattr__(self, "p_given_b", matrix)
 
     def row(self, bit: int) -> np.ndarray:
         return self.p_given_b[bit]
@@ -103,7 +108,7 @@ def channel_from_protocol(config: NestedConfig) -> ChannelModel:
         rows.append(
             (outcome.p_d1, outcome.p_d2, max(0.0, 1.0 - outcome.p_d1 - outcome.p_d2))
         )
-    return ChannelModel(np.array(rows))
+    return ChannelModel(rows)
 
 
 def success_probabilities(channel: ChannelModel) -> Tuple[float, float]:
@@ -122,11 +127,13 @@ def _entropy_bits(distribution: Sequence[float]) -> float:
 
 def mutual_information(channel: ChannelModel, prior: InputPrior) -> float:
     """I(B; outcome) in bits, via H(outcome) - H(outcome | B)."""
+    # Plain floats: three-entry ndarray arithmetic costs more than the sums.
     weights = (prior.p0, prior.p1)
-    marginal = weights[0] * channel.p_given_b[0] + weights[1] * channel.p_given_b[1]
+    rows = channel.p_given_b.tolist()
+    marginal = [weights[0] * p + weights[1] * q for p, q in zip(rows[0], rows[1])]
     info = _entropy_bits(marginal)
     for bit in (0, 1):
-        info -= weights[bit] * _entropy_bits(channel.p_given_b[bit])
+        info -= weights[bit] * _entropy_bits(rows[bit])
     return float(min(1.0, max(0.0, info)))
 
 

@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -179,17 +180,24 @@ def _as_float(value, name: str) -> float:
 
 
 def _as_int(value, name: str) -> int:
-    if isinstance(value, bool):
-        raise CliUsageError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
+    """Integer parameter from a flag or config value.  A string, as every
+    flag value is, counts as the JSON number it spells, so ``--bit 1.0``
+    and ``{"bit": 1.0}`` are accepted or rejected alike."""
+    number = value
     if isinstance(value, str):
         try:
             return int(value, 10)
         except ValueError:
-            pass
+            try:
+                number = float(value)
+            except ValueError:
+                pass
+    if isinstance(number, bool):
+        raise CliUsageError(f"{name} must be an integer, got {value!r}")
+    if isinstance(number, int):
+        return number
+    if isinstance(number, float) and number.is_integer():
+        return int(number)
     raise CliUsageError(f"{name} must be an integer, got {value!r}")
 
 
@@ -378,26 +386,27 @@ def _cmd_chain(spec: Dict[str, object]) -> dict:
         "bob_to_charlie_peak",
         "charlie_to_alice_peak",
     )
+    # Every pair is validated, work budget included, before any run.
+    configs = [ChainConfig(cycles_outer, cycles_inner) for cycles_outer in outer
+               for cycles_inner in inner]
     rows = []
-    for cycles_outer in outer:
-        for cycles_inner in inner:
-            config = ChainConfig(cycles_outer, cycles_inner)
-            for bit in (0, 1):
-                outcome = run_chain(config, bit)
-                loss = outcome.absorbed["bob"] + outcome.absorbed["discard"]
-                rows.append(
-                    [
-                        cycles_outer,
-                        cycles_inner,
-                        bit,
-                        outcome.p_d1,
-                        outcome.p_d2,
-                        outcome.p_correct,
-                        loss,
-                        outcome.leg_peaks["bob_to_charlie"],
-                        outcome.leg_peaks["charlie_to_alice"],
-                    ]
-                )
+    for config in configs:
+        for bit in (0, 1):
+            outcome = run_chain(config, bit)
+            loss = outcome.absorbed["bob"] + outcome.absorbed["discard"]
+            rows.append(
+                [
+                    config.outer_cycles,
+                    config.inner_cycles,
+                    bit,
+                    outcome.p_d1,
+                    outcome.p_d2,
+                    outcome.p_correct,
+                    loss,
+                    outcome.leg_peaks["bob_to_charlie"],
+                    outcome.leg_peaks["charlie_to_alice"],
+                ]
+            )
     echo = {"outer": outer, "inner": inner}
     return {
         "command": "chain",
@@ -441,18 +450,18 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--theta1", type=float, default=None, help="opening outer-coupler angle (radians)")
     simulate.add_argument("--theta2", type=float, default=None, help="closing outer-coupler angle (radians)")
     simulate.add_argument("--balanced", action="store_const", const=True, default=None, help="derive theta2 from theta1 via the balance condition")
-    simulate.add_argument("--bit", type=int, default=None, help="sender bit (0 blocks the emitter arm, 1 leaves it open)")
+    simulate.add_argument("--bit", default=None, help="sender bit (0 blocks the emitter arm, 1 leaves it open)")
 
     sweep = sub.add_parser("sweep", parents=[common], help="tabulate the channel over a theta1 range")
     sweep.add_argument("--theta1", type=str, default=None, metavar="START:STOP", help="theta1 range")
     sweep.add_argument("--theta2", type=float, default=None, help="fixed theta2 rule")
     sweep.add_argument("--balanced", action="store_const", const=True, default=None, help="balanced theta2 rule")
-    sweep.add_argument("--steps", type=int, default=None, help="number of rows (default 20)")
+    sweep.add_argument("--steps", default=None, help="number of rows (default 20)")
 
     optimize = sub.add_parser("optimize", parents=[common], help="search for optimal coupling angles")
     optimize.add_argument("--objective", choices=("min-success", "mutual-info-uniform"), default=None)
-    optimize.add_argument("--grid", type=int, default=None, help="grid points per axis (default 32)")
-    optimize.add_argument("--refine", type=int, default=None, help="refinement iterations (default 200)")
+    optimize.add_argument("--grid", default=None, help="grid points per axis (default 32)")
+    optimize.add_argument("--refine", default=None, help="refinement iterations (default 200)")
 
     cap = sub.add_parser("capacity", parents=[common], help="capacity of the induced channel at fixed angles")
     cap.add_argument("--theta1", type=float, default=None)
@@ -470,9 +479,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call.  Parsing leaves a
+    parser unchanged, so one instance serves every call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         spec = _resolve(args, _COMMAND_KEYS[args.command] + _IO_KEYS)

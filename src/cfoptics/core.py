@@ -97,18 +97,20 @@ class ModeState:
             raise InvalidNetworkError("amplitudes must be complex numbers") from None
         if amps.ndim != 1 or amps.size == 0:
             raise InvalidNetworkError("amplitudes must be a non-empty vector")
-        if not all(map(cmath.isfinite, amps.tolist())):
-            raise InvalidNetworkError("amplitudes must be finite")
         ledger = dict(absorbed) if absorbed else {}
-        for label, value in ledger.items():
-            if not isinstance(label, str):
-                raise InvalidNetworkError("absorber labels must be strings")
-            if not _is_finite(value) or value < 0.0:
-                raise InvalidNetworkError(
-                    f"absorbed[{label!r}] must be a finite non-negative probability"
-                )
+        _check_contents(amps.tolist(), ledger)
         self.amplitudes = amps
         self.absorbed = ledger
+
+    @classmethod
+    def _adopt(cls, amps: np.ndarray, ledger: Dict[str, float]) -> "ModeState":
+        """State over a complex128 vector and a ledger that the caller owns
+        and hands over uncopied; the constructor's value checks still run."""
+        _check_contents(amps.tolist(), ledger)
+        state = cls.__new__(cls)
+        state.amplitudes = amps
+        state.absorbed = ledger
+        return state
 
     @classmethod
     def single_photon(cls, mode_count: int, mode: int = 0) -> "ModeState":
@@ -125,6 +127,20 @@ class ModeState:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"ModeState(amplitudes={self.amplitudes!r}, absorbed={self.absorbed!r})"
+
+
+def _check_contents(amplitudes, ledger):
+    """Reject non-finite amplitudes (Python complex) and ledger entries that
+    are not finite non-negative probabilities keyed by strings."""
+    if not all(map(cmath.isfinite, amplitudes)):
+        raise InvalidNetworkError("amplitudes must be finite")
+    for label, value in ledger.items():
+        if not isinstance(label, str):
+            raise InvalidNetworkError("absorber labels must be strings")
+        if not _is_finite(value) or value < 0.0:
+            raise InvalidNetworkError(
+                f"absorbed[{label!r}] must be a finite non-negative probability"
+            )
 
 
 def _is_finite(value):
@@ -300,10 +316,10 @@ def propagate(network: Network, state: ModeState):
     snaps = np.zeros((len(plan.checkpoint_names), network.mode_count), dtype=np.complex128)
     kernel.run_plan(plan.ops, plan.arg_a, plan.arg_b, plan.theta, amps, absorbed, snaps)
     ledger = dict(state.absorbed)
-    for slot, label in enumerate(plan.ledger_labels):
-        ledger[label] = ledger.get(label, 0.0) + float(absorbed[slot])
+    for label, value in zip(plan.ledger_labels, absorbed.tolist()):
+        ledger[label] = ledger.get(label, 0.0) + value
     checkpoints = dict(zip(plan.checkpoint_names, snaps))
-    return ModeState(amps, ledger), checkpoints
+    return ModeState._adopt(amps, ledger), checkpoints
 
 
 def total_probability(state: ModeState) -> float:

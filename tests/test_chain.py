@@ -19,6 +19,7 @@ from cfoptics import (
     run_chain,
     run_protocol,
 )
+from cfoptics.protocols import MAX_CHAIN_ELEMENTS, _chain_element_count
 from helpers import chain_matrix_oracle
 
 SCHEDULE = ((2, 4), (5, 25), (10, 100))
@@ -46,6 +47,25 @@ class TestChainConfig:
             ChainConfig(0, 1)
         with pytest.raises(DomainError):
             ChainConfig(1, -3)
+
+    def test_element_count_matches_built_network(self):
+        for outer, inner in ((1, 1), (2, 3), (5, 25)):
+            for bit in (0, 1):
+                network = build_chain_network(ChainConfig(outer, inner), bit)
+                assert len(network.elements) == _chain_element_count(outer, inner, bit)
+
+    def test_element_budget(self):
+        """One outer cycle of m inner cycles takes 4m + 6 elements at b = 0:
+        m = 124998 fits the budget exactly and m = 124999 does not.  Neither
+        network is built."""
+        assert _chain_element_count(20, 400, 0) * 10 < MAX_CHAIN_ELEMENTS
+        assert _chain_element_count(1, 124998, 0) <= MAX_CHAIN_ELEMENTS
+        ChainConfig(1, 124998)
+        assert _chain_element_count(1, 124999, 0) > MAX_CHAIN_ELEMENTS
+        for outer, inner in ((1, 124999), (100000, 100000)):
+            with pytest.raises(DomainError) as excinfo:
+                ChainConfig(outer, inner)
+            assert f"budget of {MAX_CHAIN_ELEMENTS}" in str(excinfo.value)
 
 
 class TestReduction:

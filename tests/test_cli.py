@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from cfoptics import NestedConfig, run_protocol
+from cfoptics import NestedConfig, cli, run_protocol
 from cfoptics.analysis import balanced_theta2
 from cfoptics.cli import main
 
@@ -152,6 +154,23 @@ class TestChain:
         code, _, _ = run_cli(capsys, "chain", "--outer", "1,x", "--inner", "1")
         assert code != 0
 
+    def test_over_budget_table_fails_fast(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "chain", "--outer", "100000", "--inner", "100000")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert "budget of 500000" in err
+
+    def test_budget_checked_before_any_run(self, capsys, monkeypatch):
+        def no_runs(*args):
+            raise AssertionError("a chain ran before every pair was checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_runs)
+        code, _, err = run_cli(capsys, "chain", "--outer", "2,100000", "--inner", "4")
+        assert code == 2
+        assert "budget" in err
+
 
 class TestClassicalAndCapacity:
     def test_classical_document(self, capsys):
@@ -234,6 +253,44 @@ class TestRendering:
         assert '"p_d1": 0.533113967523' in out
 
 
+class TestIntegerParameters:
+    """An integer flag and its config key accept and reject the same values:
+    a flag's text counts as the JSON number it spells."""
+
+    CASES = {
+        "bit": (("simulate", "--theta1", "0.25", "--balanced"), {"theta1": 0.25, "balanced": True}),
+        "steps": (("sweep", "--theta1", "0.1:0.5", "--balanced"), {"theta1": "0.1:0.5", "balanced": True}),
+        "grid": (("optimize", "--objective", "min-success", "--refine", "2"),
+                 {"objective": "min-success", "refine": 2}),
+        "refine": (("optimize", "--objective", "min-success", "--grid", "8"),
+                   {"objective": "min-success", "grid": 8}),
+    }
+    VALUES = {
+        "bit": ("1", "1.0", "1e0", "0.0", "1.5", "2", "true", "1e400"),
+        "steps": ("3", "3.0", "3e0", "2.5", "1", "false", "NaN"),
+        "grid": ("8", "8.0", "0.8e1", "8.5", "7", "true"),
+        "refine": ("2", "2.0", "2e0", "0", "2.5", "-1", "true"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(CASES))
+    def test_flag_and_config_key_agree(self, key, capsys, tmp_path):
+        argv, base = self.CASES[key]
+        config = tmp_path / "run.json"
+        accepted = {}  # value -> document; 2, 2.0 and 2e0 share a key
+        for text in self.VALUES[key]:
+            value = json.loads(text)
+            config.write_text(json.dumps(dict(base, **{key: value})))
+            flag_code, flag_out, flag_err = run_cli(capsys, *argv, f"--{key}", text)
+            config_code, config_out, config_err = run_cli(capsys, argv[0], "--config", str(config))
+            assert (flag_code, flag_out) == (config_code, config_out), text
+            if flag_code == 0:
+                assert accepted.setdefault(value, flag_out) == flag_out, text
+            else:
+                assert flag_code == 2
+                assert key in flag_err and key in config_err
+        assert 0 < len(accepted) < len(self.VALUES[key])
+
+
 # SHA-256 of the document each README command-line example writes, as
 # released.  Any changed byte, including a last digit, fails the test.
 README_DOCUMENTS = {
@@ -284,6 +341,37 @@ class TestSubprocessContract:
         assert completed.returncode == 0
         doc = json.loads(completed.stdout)
         assert doc["results"]["pulse_relay"]["decoded"] == "10"
+
+    def test_repeated_in_process_calls_match_a_fresh_process(self, capsys, monkeypatch):
+        """``main`` reuses one parser; every call, including those after a
+        diagnostic and an argparse exit, writes what a fresh process does."""
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to this width
+        calls = [
+            ("simulate", "--theta1", "0.25", "--balanced", "--bit", "1"),
+            ("simulate", "--theta1", "0.25", "--balanced", "--bit", "7"),
+            ("simulate", "--theta1", "0.25", "--frobnicate"),
+            ("simulate", "--format", "xml"),
+            ("sweep", "--theta1", "0.1:0.5", "--balanced", "--steps", "3", "--format", "csv"),
+            ("chain",),
+            ("simulate", "--theta1", "0.25", "--balanced", "--bit", "1"),
+        ]
+
+        def timing_masked(text):
+            return re.sub(r" in [0-9.]+s$", " in <t>s", text, flags=re.MULTILINE)
+
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "cfoptics", *argv], capture_output=True, text=True
+            )
+            for _ in range(2):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                assert code == fresh.returncode, argv
+                assert captured.out == fresh.stdout, argv
+                assert timing_masked(captured.err) == timing_masked(fresh.stderr), argv
 
     def test_usage_error_exit_code(self):
         completed = subprocess.run(

@@ -212,6 +212,33 @@ class TestPropagate:
         with pytest.raises(InvalidNetworkError):
             propagate(Network(3), ModeState.single_photon(2))
 
+    def test_overflowing_absorption_rejected(self):
+        """|1e200|^2 overflows the ledger entry; the output state is refused
+        with the same message a constructed state gets."""
+        with pytest.raises(InvalidNetworkError) as excinfo:
+            propagate(Network(1, (Blocker(0, "x"),)), ModeState([1e200]))
+        assert str(excinfo.value) == "absorbed['x'] must be a finite non-negative probability"
+
+    def test_overflowing_amplitudes_rejected(self):
+        network = Network(2, (BeamSplitter(0, 1, math.pi / 4),))
+        with pytest.raises(InvalidNetworkError) as excinfo:
+            propagate(network, ModeState([1.5e308, -1.5e308j]))
+        assert str(excinfo.value) == "amplitudes must be finite"
+
+    def test_input_state_untouched(self):
+        for _ in range(50):
+            network = random_network(RNG)
+            amplitudes = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+            state = ModeState(amplitudes, absorbed={"x": 0.5, "earlier": 0.25})
+            before = (state.amplitudes.copy(), dict(state.absorbed))
+            final, checkpoints = propagate(network, state)
+            assert np.array_equal(state.amplitudes, before[0])
+            assert state.absorbed == before[1]
+            assert not np.shares_memory(final.amplitudes, state.amplitudes)
+            assert final.absorbed is not state.absorbed
+            for snapshot in checkpoints.values():
+                assert not np.shares_memory(snapshot, state.amplitudes)
+
 
 class TestNetworkValidation:
     def test_duplicate_checkpoint_names(self):

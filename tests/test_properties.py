@@ -7,6 +7,7 @@ inputs and the suite stays deterministic and fast.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,16 +15,21 @@ from cfoptics import (
     BeamSplitter,
     Blocker,
     ChainConfig,
+    ChannelModel,
     Checkpoint,
     Discard,
+    InputPrior,
     ModeState,
     NestedConfig,
     Network,
+    capacity,
+    mutual_information,
     propagate,
     run_chain,
     run_protocol,
     total_probability,
 )
+from cfoptics import analysis
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -111,3 +117,79 @@ def test_open_arm_returns_nothing_to_alice(theta1, theta2):
     rounding is left."""
     leg = run_protocol(NestedConfig(theta1, theta2), 1).legs["charlie_to_alice"]
     assert abs(leg) ** 2 < 1e-30
+
+
+# Channel entries on and just past the edges of [0, 1], inside the 1e-12
+# tolerance ChannelModel accepts.
+EDGES = (-1e-13, -0.0, 0.0, 1.0 + 1e-13)
+edge_or_probability = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0))
+priors = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def channel_rows(draw):
+    rows = []
+    for _ in range(2):
+        first = draw(edge_or_probability)
+        second = draw(st.one_of(st.sampled_from(EDGES), st.floats(0.0, max(0.0, 1.0 - first))))
+        rows.append(draw(st.permutations((first, second, 1.0 - first - second))))
+    return rows
+
+
+def valid_channel(rows):
+    return all(-1e-12 <= p <= 1.0 + 1e-12 for row in rows for p in row)
+
+
+def bits_of(value):
+    return np.float64(value).tobytes()
+
+
+def reference_entropy_bits(distribution):
+    total = 0.0
+    for p in distribution:
+        if p > 0.0:
+            total -= p * math.log2(p)
+    return total
+
+
+def reference_mutual_information(channel, prior):
+    """H(outcome) - H(outcome | B) with the rows and the marginal as
+    ndarrays: the formula the float-native version must reproduce."""
+    weights = (prior.p0, prior.p1)
+    marginal = weights[0] * channel.p_given_b[0] + weights[1] * channel.p_given_b[1]
+    info = reference_entropy_bits(marginal)
+    for bit in (0, 1):
+        info -= weights[bit] * reference_entropy_bits(channel.p_given_b[bit])
+    return float(min(1.0, max(0.0, info)))
+
+
+@PROPERTY
+@given(channel_rows().filter(valid_channel))
+def test_channel_clip_is_numpy_clip(rows):
+    expected = np.clip(np.array(rows, dtype=np.float64), 0.0, 1.0)
+    matrix = ChannelModel(rows).p_given_b
+    assert matrix.dtype == expected.dtype and matrix.shape == expected.shape
+    assert matrix.tobytes() == expected.tobytes()
+
+
+@PROPERTY
+@given(channel_rows().filter(valid_channel), priors)
+def test_mutual_information_is_the_ndarray_formula(rows, p0):
+    channel, prior = ChannelModel(rows), InputPrior(p0)
+    assert bits_of(mutual_information(channel, prior)) == bits_of(
+        reference_mutual_information(channel, prior)
+    )
+
+
+@PROPERTY
+@given(channel_rows().filter(valid_channel), st.sampled_from((1e-10, 1e-6, 1e-3)))
+def test_capacity_is_the_ndarray_formula(rows, tol):
+    """The same search over the reference formula finds the same optimum,
+    bit for bit."""
+    channel = ChannelModel(rows)
+    bits, prior = capacity(channel, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "mutual_information", reference_mutual_information)
+        expected_bits, expected_prior = capacity(channel, tol)
+    assert bits_of(bits) == bits_of(expected_bits)
+    assert bits_of(prior.p0) == bits_of(expected_prior.p0)

@@ -67,6 +67,16 @@ class TestNetworkStructure:
 
 
 class TestRunProtocol:
+    def test_consecutive_runs_are_identical(self):
+        """Runs share their input state and constant elements; nothing one
+        run does may show in the next."""
+        for theta1, theta2 in ((THETA1, THETA2), (0.9, -0.4)):
+            for bit in (0, 1):
+                config = NestedConfig(theta1, theta2)
+                first, second = run_protocol(config, bit), run_protocol(config, bit)
+                assert first == second
+                assert repr(first) == repr(second)
+
     def test_matches_closed_forms_on_random_configs(self):
         for _ in range(300):
             theta1, theta2 = random_config_angles(RNG)
