@@ -27,6 +27,7 @@ __all__ = [
     "OUTCOME_LABELS",
     "ChannelModel",
     "InputPrior",
+    "MAX_OPTIMIZE_EVALUATIONS",
     "OptimizationResult",
     "balance_root_solve",
     "balanced_theta2",
@@ -311,6 +312,12 @@ def _simplex_max(f, x0, step, max_iter):
 
 _OBJECTIVE_NAMES = ("min-success", "mutual-info-uniform")
 
+# Work budget of one optimization, in channel evaluations.  An evaluation
+# (two protocol runs and the objective) takes about 100 us on an Intel Xeon,
+# so the budget holds ``optimize_angles`` to about 1.5 s.  It is 11 times
+# the 1,379 evaluations that grid 24 with 200 refinement steps may use.
+MAX_OPTIMIZE_EVALUATIONS = 15_000
+
 
 def optimize_angles(
     objective: str, grid_points: int = 32, refine_iters: int = 200
@@ -322,6 +329,11 @@ def optimize_angles(
     ``"mutual-info-uniform"`` (maximize I at the uniform prior).  With
     ``refine_iters = 0`` the best grid point is returned unrefined.  The
     result is never below the best grid value.
+
+    The search may use up to ``grid_points**2 + 3 + 4 * refine_iters``
+    channel evaluations (the grid, the initial simplex, and at most four
+    per refinement step); settings that allow more than
+    :data:`MAX_OPTIMIZE_EVALUATIONS` are rejected before the first one.
     """
     if objective not in _OBJECTIVE_NAMES:
         raise DomainError(
@@ -331,6 +343,12 @@ def optimize_angles(
         raise DomainError(f"grid_points must be an integer >= 8, got {grid_points!r}")
     if not isinstance(refine_iters, int) or isinstance(refine_iters, bool) or refine_iters < 0:
         raise DomainError(f"refine_iters must be a non-negative integer, got {refine_iters!r}")
+    allowed = grid_points * grid_points + 3 + 4 * refine_iters
+    if allowed > MAX_OPTIMIZE_EVALUATIONS:
+        raise DomainError(
+            f"grid_points={grid_points} and refine_iters={refine_iters} allow {allowed} "
+            f"channel evaluations, above the budget of {MAX_OPTIMIZE_EVALUATIONS}"
+        )
 
     evaluations = 0
 

