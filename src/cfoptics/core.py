@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -34,6 +35,7 @@ __all__ = [
     "Element",
     "ModeState",
     "Network",
+    "Snapshots",
     "apply_beam_splitter",
     "apply_blocker",
     "propagate",
@@ -164,19 +166,17 @@ _ELEMENT_TYPES = (BeamSplitter, Blocker, Discard, Checkpoint)
 
 
 def _element_base(element):
-    """Element class whose rules apply to an instance of a subclass: the
-    first of ``_ELEMENT_TYPES`` it is an instance of, or None.  Callers test
-    the exact type first, the common case."""
+    """First of ``_ELEMENT_TYPES`` that a subclass instance is an instance
+    of, whose rules then apply to it; None for any other object."""
     for base in _ELEMENT_TYPES:
         if isinstance(element, base):
             return base
     return None
 
 
-def _validate_element(element, mode_count, seen_checkpoints):
-    kind = type(element)
-    if kind not in _ELEMENT_TYPES:
-        kind = _element_base(element)
+def _lower_element(element, kind, mode_count, slots):
+    """Validate a coupler or absorber by the rules of ``kind``; return its plan
+    entry ``(op, a, b, coeff)``, giving a new absorber label its slot."""
     if kind is BeamSplitter:
         mode_a, mode_b = element.mode_a, element.mode_b
         if type(mode_a) is not int or not 0 <= mode_a < mode_count:
@@ -185,41 +185,18 @@ def _validate_element(element, mode_count, seen_checkpoints):
             _check_mode(mode_b, mode_count, "beam-splitter mode_b")
         if mode_a == mode_b:
             raise InvalidNetworkError("beam splitter needs two distinct modes")
-        if not _is_finite(element.theta):
+        theta = element.theta
+        if not _is_finite(theta):
             raise InvalidNetworkError("beam-splitter angle must be a finite real number")
-    elif kind is Checkpoint:
-        name = element.name
-        if not isinstance(name, str) or not name:
-            raise InvalidNetworkError("checkpoint name must be a non-empty string")
-        if name in seen_checkpoints:
-            raise InvalidNetworkError(f"duplicate checkpoint name {name!r}")
-        seen_checkpoints.add(name)
-    elif kind is not None:
-        mode = element.mode
-        if type(mode) is not int or not 0 <= mode < mode_count:
-            _check_mode(mode, mode_count, "absorber mode")
-        if not isinstance(element.label, str) or not element.label:
-            raise InvalidNetworkError("absorber label must be a non-empty string")
-    else:
+        return OP_SPLIT, mode_a, mode_b, (math.cos(theta), 1j * math.sin(theta))
+    if kind is None:
         raise InvalidNetworkError(f"unknown element type {type(element).__name__}")
-
-
-@dataclass(frozen=True)
-class Network:
-    """Ordered element list over a fixed mode count, validated on construction."""
-
-    mode_count: int
-    elements: Tuple[Element, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not isinstance(self.mode_count, int) or isinstance(self.mode_count, bool):
-            raise InvalidNetworkError("mode_count must be an integer")
-        if self.mode_count < 1:
-            raise InvalidNetworkError("mode_count must be positive")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        seen = set()
-        for element in self.elements:
-            _validate_element(element, self.mode_count, seen)
+    mode, label = element.mode, element.label
+    if type(mode) is not int or not 0 <= mode < mode_count:
+        _check_mode(mode, mode_count, "absorber mode")
+    if not isinstance(label, str) or not label:
+        raise InvalidNetworkError("absorber label must be a non-empty string")
+    return OP_ABSORB, mode, slots.setdefault(label, len(slots)), None
 
 
 class _Plan(NamedTuple):
@@ -227,9 +204,9 @@ class _Plan(NamedTuple):
 
     ``ops``, ``arg_a``, ``arg_b`` and ``coeff`` are parallel lists, one
     entry per element.  ``coeff`` holds each coupler's kernel coefficients
-    ``(cos theta, 1j * sin theta)`` and None for every other element;
-    consecutive uses of one coupler object share one pair.  Snapshot rows
-    are numbered in plan order.
+    ``(cos theta, 1j * sin theta)`` and None for every other element; every
+    use of one coupler object shares one pair.  Ledger slots and snapshot
+    rows (``checkpoint_rows``: name -> row) are numbered in plan order.
     """
 
     ops: List[int]
@@ -237,39 +214,83 @@ class _Plan(NamedTuple):
     arg_b: List[int]
     coeff: List[Optional[Tuple[float, complex]]]
     ledger_labels: Tuple[str, ...]
-    checkpoint_names: Tuple[str, ...]
+    checkpoint_rows: Dict[str, int]
+
+
+@dataclass(frozen=True)
+class Network:
+    """Ordered element list over a fixed mode count, validated in order and
+    lowered to the kernel's plan in one pass on construction.  Each
+    checkpoint takes the next snapshot row; any other exact-type element is
+    handled once per object (a chain repeats a few couplers, blockers and
+    discards over thousands of positions), a subclass instance everywhere.
+    """
+
+    mode_count: int
+    elements: Tuple[Element, ...] = field(default_factory=tuple)
+    _plan: _Plan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.mode_count, int) or isinstance(self.mode_count, bool):
+            raise InvalidNetworkError("mode_count must be an integer")
+        if self.mode_count < 1:
+            raise InvalidNetworkError("mode_count must be positive")
+        elements = tuple(self.elements)
+        slots, rows, lowered = {}, {}, {}  # label -> slot, name -> row, id -> entry
+        ops, arg_a, arg_b, coeff = [], [], [], []
+        for element in elements:
+            kind = type(element)
+            if kind is not Checkpoint and kind not in _ELEMENT_TYPES:
+                kind = _element_base(element)
+            if kind is Checkpoint:
+                name = element.name
+                if not isinstance(name, str) or not name:
+                    raise InvalidNetworkError("checkpoint name must be a non-empty string")
+                if name in rows:
+                    raise InvalidNetworkError(f"duplicate checkpoint name {name!r}")
+                rows[name] = row = len(rows)
+                ops.append(OP_SNAPSHOT)
+                arg_a.append(row)
+                arg_b.append(0)
+                coeff.append(None)
+                continue
+            entry = lowered.get(id(element))
+            if entry is None:
+                entry = _lower_element(element, kind, self.mode_count, slots)
+                if kind is type(element):
+                    lowered[id(element)] = entry
+            op, a, b, k = entry
+            ops.append(op)
+            arg_a.append(a)
+            arg_b.append(b)
+            coeff.append(k)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_plan", _Plan(ops, arg_a, arg_b, coeff, tuple(slots), rows))
 
 
 def compile_network(network: Network) -> _Plan:
-    """Lower a validated network to the kernel's plan in one pass.
+    """The kernel plan of ``network``, lowered when the network was built."""
+    return network._plan
 
-    A coupler's coefficients are computed once per run of the same coupler
-    object: a chain repeats one instance between its checkpoints, so a
-    one-entry identity memo spares the cos/sin of every repeat.
-    """
-    slots: Dict[str, int] = {}
-    checkpoint_names = []
-    ops, arg_a, arg_b, coeff = [], [], [], []
-    last_split = pair = None
-    for element in network.elements:
-        kind = type(element)
-        if kind not in _ELEMENT_TYPES:
-            kind = _element_base(element)
-        if kind is Checkpoint:
-            op, a, b, k = OP_SNAPSHOT, len(checkpoint_names), 0, None
-            checkpoint_names.append(element.name)
-        elif kind is BeamSplitter:
-            if element is not last_split:
-                last_split = element
-                pair = (math.cos(element.theta), 1j * math.sin(element.theta))
-            op, a, b, k = OP_SPLIT, element.mode_a, element.mode_b, pair
-        else:
-            op, a, b, k = OP_ABSORB, element.mode, slots.setdefault(element.label, len(slots)), None
-        ops.append(op)
-        arg_a.append(a)
-        arg_b.append(b)
-        coeff.append(k)
-    return _Plan(ops, arg_a, arg_b, coeff, tuple(slots), tuple(checkpoint_names))
+
+class Snapshots(Mapping):
+    """Read-only mapping from checkpoint name, in plan order, to its amplitude
+    vector: a row of ``matrix``, one propagation's snapshot matrix."""
+
+    __slots__ = ("_rows", "matrix")
+
+    def __init__(self, rows: Dict[str, int], matrix: np.ndarray):
+        self._rows = rows
+        self.matrix = matrix
+
+    def __getitem__(self, name):
+        return self.matrix[self._rows[name]]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
 
 
 def apply_beam_splitter(state: ModeState, mode_a: int, mode_b: int, theta: float) -> ModeState:
@@ -307,16 +328,17 @@ def apply_blocker(state: ModeState, mode: int, label: str) -> ModeState:
 
 
 def propagate(network: Network, state: ModeState):
-    """Apply all elements in order.
+    """Apply all elements in order: run the plan lowered at construction.
 
     Returns
     -------
     (final, checkpoints)
         ``final`` is the output :class:`ModeState` (input ledger carried
-        over and extended); ``checkpoints`` maps each checkpoint name, in
-        plan order, to the full amplitude vector at its position: a row of
-        one snapshot matrix owned by this call alone, which is the
-        ``base`` of every row.
+        over and extended); ``checkpoints`` is a read-only
+        :class:`Snapshots` mapping each checkpoint name, in plan order, to
+        the full amplitude vector at its position.  Its ``matrix`` holds
+        one row per checkpoint, owned by this call alone, and every value
+        is a row of it.
     """
     if state.mode_count != network.mode_count:
         raise InvalidNetworkError(
@@ -325,13 +347,12 @@ def propagate(network: Network, state: ModeState):
     plan = compile_network(network)
     amps = state.amplitudes.copy()
     absorbed = np.zeros(len(plan.ledger_labels), dtype=np.float64)
-    snaps = np.zeros((len(plan.checkpoint_names), network.mode_count), dtype=np.complex128)
+    snaps = np.zeros((len(plan.checkpoint_rows), network.mode_count), dtype=np.complex128)
     kernel.run_plan(plan.ops, plan.arg_a, plan.arg_b, plan.coeff, amps, absorbed, snaps)
     ledger = dict(state.absorbed)
     for label, value in zip(plan.ledger_labels, absorbed.tolist()):
         ledger[label] = ledger.get(label, 0.0) + value
-    checkpoints = dict(zip(plan.checkpoint_names, snaps))
-    return ModeState._adopt(amps, ledger), checkpoints
+    return ModeState._adopt(amps, ledger), Snapshots(plan.checkpoint_rows, snaps)
 
 
 def total_probability(state: ModeState) -> float:

@@ -5,7 +5,8 @@ opcode/argument/coefficient sequences of Python objects over a complex
 amplitude vector, a per-label absorption accumulator, and a snapshot matrix.
 """
 
-# Opcodes.
+# Opcodes.  A network is lowered to its plan once, when it is built; a
+# coupler's coeff is computed once per distinct coupler object.
 OP_SPLIT = 0  # two-mode coupler: args = (mode_a, mode_b), coeff = (cos theta, 1j * sin theta)
 OP_ABSORB = 1  # perfect absorber: args = (mode, ledger_slot), coeff unused
 OP_SNAPSHOT = 2  # amplitude snapshot: args = (snapshot_row, unused), coeff unused
@@ -21,7 +22,8 @@ def run_plan(ops, arg_a, arg_b, coeff, amps, absorbed, snaps):
     ``(1j*s)*zb``.  ``amps`` (complex128 vector), ``absorbed`` (float64
     vector, one slot per absorber label) and ``snaps`` (C-contiguous
     complex128 matrix, one row per snapshot, filled in plan order) are
-    mutated; the plan sequences are read-only.
+    mutated; the plan sequences are read-only, so one plan serves every
+    propagation of its network.
     """
     # Python complex and float scalars are much faster than per-element
     # ndarray indexing; the arrays are read once and written back once.

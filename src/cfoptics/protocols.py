@@ -167,7 +167,9 @@ def run_protocol(config: NestedConfig, bit: int) -> ProtocolOutcome:
     """Propagate a single excitation and collect detector/leg statistics."""
     network = build_nested_network(config, bit)
     final, checkpoints = propagate(network, _SINGLE_PHOTON)
-    legs = {name: checkpoints[name].item(_LEG_MODE[name]) for name in LEG_NAMES}
+    # The layout's only checkpoints are its legs, in LEG_NAMES order (rows 0-3).
+    snaps = checkpoints.matrix
+    legs = {name: snaps.item(row, _LEG_MODE[name]) for row, name in enumerate(LEG_NAMES)}
     absorbed = {
         "bob": final.absorbed.get("bob", 0.0),
         "discard": final.absorbed.get("discard", 0.0),
@@ -375,15 +377,6 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     return Network(3, tuple(elements))
 
 
-def _peak_probability(amplitudes) -> float:
-    """Largest ``abs(z) ** 2`` over a complex array, bit for bit as Python
-    computes it: ``np.hypot`` calls the C library's ``hypot`` as Python's
-    complex ``abs`` does (``np.abs`` may take a vectorized route that
-    differs in the last bit), and squaring is monotone, so the largest
-    modulus is squared once."""
-    return float(np.hypot(amplitudes.real, amplitudes.imag).max()) ** 2
-
-
 def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
     """Propagate one excitation through the chained network.
 
@@ -394,18 +387,20 @@ def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
     """
     network = build_chain_network(chain, bit)
     final, checkpoints = propagate(network, _SINGLE_PHOTON)
-    # The checkpoint rows are views of one snapshot matrix in plan order:
-    # per outer cycle, alice_to_charlie, then charlie_to_bob and
-    # bob_to_charlie per inner cycle, then charlie_to_alice.
-    snaps = next(iter(checkpoints.values())).base
-    rows = snaps.reshape(chain.outer_cycles, 2 * chain.inner_cycles + 2, 3)
+    # The snapshot matrix has one row per checkpoint in plan order: per
+    # outer cycle, alice_to_charlie, then charlie_to_bob and bob_to_charlie
+    # per inner cycle, then charlie_to_alice.
+    rows = checkpoints.matrix.reshape(chain.outer_cycles, 2 * chain.inner_cycles + 2, 3)
     columns = {
         "alice_to_charlie": rows[:, 0, _LEG_MODE["alice_to_charlie"]],
         "charlie_to_bob": rows[:, 1:-1:2, _LEG_MODE["charlie_to_bob"]],
         "bob_to_charlie": rows[:, 2:-1:2, _LEG_MODE["bob_to_charlie"]],
         "charlie_to_alice": rows[:, -1, _LEG_MODE["charlie_to_alice"]],
     }
-    peaks = {leg: _peak_probability(column) for leg, column in columns.items()}
+    # Largest abs(z) ** 2 bit for bit as Python computes it: np.hypot calls
+    # the C library hypot as complex abs does (np.abs may differ in the last
+    # bit), and squaring is monotone, so each largest modulus is squared once.
+    peaks = {leg: float(np.hypot(z.real, z.imag).max()) ** 2 for leg, z in columns.items()}
     absorbed = {
         "bob": final.absorbed.get("bob", 0.0),
         "discard": final.absorbed.get("discard", 0.0),

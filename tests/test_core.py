@@ -1,6 +1,7 @@
 """Element-level behavior of the propagation core."""
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cfoptics import (
     propagate,
     total_probability,
 )
+from cfoptics.core import compile_network
 from helpers import fold_elements
 
 RNG = np.random.default_rng(20240917)
@@ -240,6 +242,66 @@ class TestPropagate:
                 assert not np.shares_memory(snapshot, state.amplitudes)
 
 
+class TestCheckpointMapping:
+    def network(self):
+        coupler = BeamSplitter(0, 1, 0.4)
+        return Network(
+            3,
+            (
+                Checkpoint("c"),
+                coupler,
+                Checkpoint("a"),
+                Blocker(1, "x"),
+                coupler,
+                Checkpoint("b"),
+                BeamSplitter(1, 2, -0.9),
+            ),
+        )
+
+    def test_read_only_mapping_in_plan_order(self):
+        state = ModeState([0.6, 0.8j, 0.0])
+        _, checkpoints = propagate(self.network(), state)
+        assert isinstance(checkpoints, Mapping)
+        assert list(checkpoints) == ["c", "a", "b"]
+        assert len(checkpoints) == 3
+        assert "a" in checkpoints and "missing" not in checkpoints
+        assert np.array_equal(checkpoints.get("b"), checkpoints["b"])
+        assert checkpoints.get("missing") is None
+        with pytest.raises(KeyError):
+            checkpoints["missing"]
+        with pytest.raises(TypeError):
+            checkpoints["a"] = np.zeros(3)
+        np.testing.assert_array_equal(checkpoints["c"], state.amplitudes)
+        assert propagate(Network(2, (BeamSplitter(0, 1, 0.1),)), ModeState.single_photon(2))[1] == {}
+
+    def test_rows_share_one_matrix_of_their_own(self):
+        state = ModeState([0.6, 0.8j, 0.0])
+        _, checkpoints = propagate(self.network(), state)
+        rows = list(checkpoints.values())
+        assert all(row.base is rows[0].base for row in rows)
+        assert rows[0].base is checkpoints.matrix
+        assert checkpoints.matrix.shape == (3, 3)
+        for row in rows:
+            assert not np.shares_memory(row, state.amplitudes)
+
+    def test_repeated_propagation_reuses_an_unchanged_plan(self):
+        """Two propagations of one network return independent matrices and
+        identical results, so the kernel leaves the stored plan alone."""
+        network = self.network()
+        plan = compile_network(network)
+        before = [list(column) for column in plan[:4]], plan.ledger_labels, dict(plan.checkpoint_rows)
+        state = ModeState([0.6, 0.8j, 0.0])
+        first, first_checkpoints = propagate(network, state)
+        second, second_checkpoints = propagate(network, state)
+        assert compile_network(network) is plan
+        assert ([list(column) for column in plan[:4]], plan.ledger_labels, dict(plan.checkpoint_rows)) == before
+        assert not np.shares_memory(first_checkpoints.matrix, second_checkpoints.matrix)
+        assert not np.shares_memory(first.amplitudes, second.amplitudes)
+        assert np.array_equal(first.amplitudes, second.amplitudes)
+        assert first.absorbed == second.absorbed
+        assert np.array_equal(first_checkpoints.matrix, second_checkpoints.matrix)
+
+
 class TestNetworkValidation:
     def test_duplicate_checkpoint_names(self):
         with pytest.raises(InvalidNetworkError):
@@ -286,6 +348,56 @@ class TestNetworkValidation:
         with pytest.raises(InvalidNetworkError) as excinfo:
             Network(2, (element,))
         assert str(excinfo.value) == message
+
+    def test_first_rejection_wins_with_shared_objects(self):
+        """Elements are checked in position order and the first invalid one
+        names the error, however often valid or invalid objects repeat."""
+
+        class TaggedCheckpoint(Checkpoint):
+            pass
+
+        coupler = BeamSplitter(0, 1, 0.3)
+        far_blocker = Blocker(5, "x")
+        mark, tagged = Checkpoint("x"), TaggedCheckpoint("t")
+        cases = [
+            ((coupler, far_blocker, coupler, far_blocker), "absorber mode 5 out of range for 2 modes"),
+            (
+                (coupler, coupler, Checkpoint("a"), coupler, Blocker(0, ""), Checkpoint("")),
+                "absorber label must be a non-empty string",
+            ),
+            ((mark, coupler, mark), "duplicate checkpoint name 'x'"),
+            ((coupler, mark, Blocker(0, "y"), mark, far_blocker), "duplicate checkpoint name 'x'"),
+            ((TaggedCheckpoint("x"), coupler, TaggedCheckpoint("x")), "duplicate checkpoint name 'x'"),
+            ((Checkpoint("x"), TaggedCheckpoint("x")), "duplicate checkpoint name 'x'"),
+            ((TaggedCheckpoint("x"), Checkpoint("x")), "duplicate checkpoint name 'x'"),
+            ((tagged, coupler, tagged), "duplicate checkpoint name 't'"),
+        ]
+        for elements, message in cases:
+            with pytest.raises(InvalidNetworkError) as excinfo:
+                Network(2, elements)
+            assert str(excinfo.value) == message
+
+    def test_subclass_instance_is_read_at_every_position(self):
+        """Only exact element types are lowered once per object; a subclass
+        instance, whose attributes may be computed, is read at each of its
+        positions, as a position-by-position walk would."""
+
+        class DriftingSplitter(BeamSplitter):
+            reads = 0
+
+            @property
+            def theta(self):
+                DriftingSplitter.reads += 1
+                return 0.25 * DriftingSplitter.reads
+
+            @theta.setter
+            def theta(self, value):
+                pass
+
+        drifting = DriftingSplitter(0, 1, 0.0)
+        plan = compile_network(Network(2, (drifting, Checkpoint("mid"), drifting)))
+        assert plan.coeff[0] == (math.cos(0.25), 1j * math.sin(0.25))
+        assert plan.coeff[2] == (math.cos(0.5), 1j * math.sin(0.5))
 
     def test_element_subclass_accepted(self):
         """A subclass of an element type is validated and propagated exactly

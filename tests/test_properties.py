@@ -31,7 +31,8 @@ from cfoptics import (
     run_protocol,
     total_probability,
 )
-from cfoptics import analysis
+from cfoptics import analysis, core
+from cfoptics.kernel import OP_ABSORB, OP_SNAPSHOT, OP_SPLIT
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -224,3 +225,79 @@ def test_capacity_is_the_ndarray_formula(rows, tol):
         expected_bits, expected_prior = capacity(channel, tol)
     assert bits_of(bits) == bits_of(expected_bits)
     assert bits_of(prior.p0) == bits_of(expected_prior.p0)
+
+
+class TaggedSplitter(BeamSplitter):
+    pass
+
+
+class TaggedBlocker(Blocker):
+    pass
+
+
+class TaggedDiscard(Discard):
+    pass
+
+
+class TaggedCheckpoint(Checkpoint):
+    pass
+
+
+@st.composite
+def shared_element_networks(draw):
+    """Networks over a small pool of element objects placed at several
+    positions each: exact types and subclasses, distinct absorbers that
+    share a label, and fresh checkpoints of both kinds between them."""
+    mode_count = draw(st.integers(min_value=2, max_value=5))
+    modes = st.integers(0, mode_count - 1)
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from((BeamSplitter, TaggedSplitter, Blocker, TaggedBlocker, Discard, TaggedDiscard)))
+        if issubclass(kind, BeamSplitter):
+            mode_a, mode_b = draw(st.lists(modes, min_size=2, max_size=2, unique=True))
+            pool.append(kind(mode_a, mode_b, draw(angles)))
+        else:
+            pool.append(kind(draw(modes), draw(st.sampled_from("xy"))))
+    elements = []
+    for k in range(draw(st.integers(min_value=0, max_value=24))):
+        if draw(st.booleans()):
+            elements.append(draw(st.sampled_from(pool)))
+        else:
+            elements.append(draw(st.sampled_from((Checkpoint, TaggedCheckpoint)))(f"cp{k}"))
+    return Network(mode_count, tuple(elements))
+
+
+def reference_lowering(elements):
+    """Element-by-element lowering to the kernel's plan: couplers carry
+    ``(cos theta, 1j * sin theta)``, absorbers their label's ledger slot and
+    checkpoints their snapshot row, slots and rows in first-seen order."""
+    ops, arg_a, arg_b, coeff, labels, rows = [], [], [], [], [], {}
+    for element in elements:
+        if isinstance(element, BeamSplitter):
+            theta = element.theta
+            entry = (OP_SPLIT, element.mode_a, element.mode_b, (math.cos(theta), 1j * math.sin(theta)))
+        elif isinstance(element, Checkpoint):
+            entry = (OP_SNAPSHOT, len(rows), 0, None)
+            rows[element.name] = len(rows)
+        else:
+            if element.label not in labels:
+                labels.append(element.label)
+            entry = (OP_ABSORB, element.mode, labels.index(element.label), None)
+        for column, value in zip((ops, arg_a, arg_b, coeff), entry):
+            column.append(value)
+    return ops, arg_a, arg_b, coeff, tuple(labels), rows
+
+
+@PROPERTY
+@given(shared_element_networks())
+def test_plan_is_the_element_by_element_lowering(network):
+    """The plan stored at construction, lowered once per distinct element
+    object, equals lowering every position on its own."""
+    plan = core.compile_network(network)
+    ops, arg_a, arg_b, coeff, labels, rows = reference_lowering(network.elements)
+    assert list(plan.ops) == ops
+    assert list(plan.arg_a) == arg_a
+    assert list(plan.arg_b) == arg_b
+    assert list(plan.coeff) == coeff
+    assert plan.ledger_labels == labels
+    assert list(plan.checkpoint_rows.items()) == list(rows.items())

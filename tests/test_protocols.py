@@ -7,6 +7,7 @@ import pytest
 
 from cfoptics import (
     BeamSplitter,
+    ChainConfig,
     Blocker,
     DomainError,
     MalformedOutcomeError,
@@ -16,9 +17,11 @@ from cfoptics import (
     build_nested_network,
     counterfactual_witness,
     run_bright_pulse,
+    run_chain,
     run_protocol,
 )
-from cfoptics.analysis import balanced_theta2
+from cfoptics import core, kernel, protocols
+from cfoptics.analysis import balanced_theta2, channel_from_protocol
 from helpers import closed_form_final, random_config_angles
 
 RNG = np.random.default_rng(421)
@@ -203,3 +206,36 @@ class TestBrightPulse:
             run_bright_pulse(NestedConfig(0.2, 0.3), 0, 0.0)
         with pytest.raises(DomainError):
             run_bright_pulse(NestedConfig(0.2, 0.3), 0, -2.0)
+
+
+class TestTracingHooks:
+    def test_one_compile_and_one_kernel_run_per_propagation(self, monkeypatch):
+        """Tracing tools replace ``core.compile_network`` and
+        ``kernel.run_plan`` by attribute and count their calls; each
+        propagation must make exactly one of each, over one plan entry per
+        element of the propagated network."""
+        propagated, compiled, executed = [], [], []
+        original_propagate = protocols.propagate
+        original_compile = core.compile_network
+        original_run_plan = kernel.run_plan
+
+        def counting_propagate(network, state):
+            propagated.append(network)
+            return original_propagate(network, state)
+
+        def counting_compile(network):
+            compiled.append(network)
+            return original_compile(network)
+
+        def counting_run_plan(ops, *args):
+            executed.append(len(ops))
+            return original_run_plan(ops, *args)
+
+        monkeypatch.setattr(protocols, "propagate", counting_propagate)
+        monkeypatch.setattr(core, "compile_network", counting_compile)
+        monkeypatch.setattr(kernel, "run_plan", counting_run_plan)
+        run_chain(ChainConfig(2, 3), 0)
+        channel_from_protocol(NestedConfig(0.3, 0.7))
+        assert len(propagated) == 3
+        assert all(a is b for a, b in zip(compiled, propagated)) and len(compiled) == 3
+        assert executed == [len(network.elements) for network in propagated]
