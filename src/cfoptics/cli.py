@@ -170,7 +170,11 @@ def _require(spec: Dict[str, object], key: str):
 
 
 def _as_float(value, name: str) -> float:
+    """Real parameter from a flag's text or a config value; a JSON boolean
+    is not a number here, although ``float(True)`` is 1.0."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         result = float(value)
     except (TypeError, ValueError):
         raise CliUsageError(f"{name} must be a number, got {value!r}") from None
@@ -235,16 +239,23 @@ def _parse_int_list(value, name: str) -> List[int]:
     return [_as_int(part, name) for part in parts]
 
 
-def _resolve_theta2(spec: Dict[str, object], theta1: float) -> Tuple[float, bool]:
-    balanced = bool(spec.get("balanced"))
-    theta2 = spec.get("theta2")
+def _theta2_rule(spec: Dict[str, object]) -> Tuple[bool, Optional[float]]:
+    """``(balanced, fixed theta2)`` from exactly one of the two rules.  The
+    switch is on by its flag or JSON ``true``, off by ``false`` or ``null``;
+    any other value, the string ``"false"`` included, is refused."""
+    balanced, theta2 = spec.get("balanced"), spec.get("theta2")
+    if balanced is not None and not isinstance(balanced, bool):
+        raise CliUsageError(f"balanced must be true or false, got {balanced!r}")
     if balanced and theta2 is not None:
         raise CliUsageError("--balanced and --theta2 are mutually exclusive")
-    if balanced:
-        return balanced_theta2(theta1), True
-    if theta2 is None:
+    if not balanced and theta2 is None:
         raise CliUsageError("either --theta2 or --balanced is required")
-    return _as_float(theta2, "theta2"), False
+    return bool(balanced), None if balanced else _as_float(theta2, "theta2")
+
+
+def _resolve_theta2(spec: Dict[str, object], theta1: float) -> Tuple[float, bool]:
+    balanced, theta2 = _theta2_rule(spec)
+    return (balanced_theta2(theta1) if balanced else theta2), balanced
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +285,9 @@ def _cmd_simulate(spec: Dict[str, object]) -> dict:
     return {"command": "simulate", "spec": echo, "version": __version__, "results": results}
 
 
-# Work budget of one sweep, in rows.  A row (two protocol runs, the
-# channel measures and its rendering) takes about 130 us on an Intel Xeon,
-# so the budget holds a sweep to about 1.3 s.
+# Work budget of one sweep, in rows.  A row (two protocol runs, the channel
+# measures and its rendering) takes about 85 us on an Intel Xeon (best of 7
+# ``sweep --theta1 0.05:1.0 --balanced --steps 2000``), so ~0.85 s in all.
 MAX_SWEEP_STEPS = 10_000
 
 
@@ -287,14 +298,7 @@ def _cmd_sweep(spec: Dict[str, object]) -> dict:
         raise CliUsageError(f"steps must be >= 2, got {steps}")
     if steps > MAX_SWEEP_STEPS:
         raise CliUsageError(f"steps {steps} is above the budget of {MAX_SWEEP_STEPS} rows")
-    balanced = bool(spec.get("balanced"))
-    fixed_theta2 = spec.get("theta2")
-    if balanced and fixed_theta2 is not None:
-        raise CliUsageError("--balanced and --theta2 are mutually exclusive")
-    if not balanced and fixed_theta2 is None:
-        raise CliUsageError("either --theta2 (fixed rule) or --balanced is required")
-    if fixed_theta2 is not None:
-        fixed_theta2 = _as_float(fixed_theta2, "theta2")
+    balanced, fixed_theta2 = _theta2_rule(spec)
     columns = ("theta1", "theta2", "p00", "p11", "loss", "mi_uniform")
     rows = []
     for index in range(steps):
@@ -455,14 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser("simulate", parents=[common], help="one protocol run at fixed angles and sender bit")
-    simulate.add_argument("--theta1", type=float, default=None, help="opening outer-coupler angle (radians)")
-    simulate.add_argument("--theta2", type=float, default=None, help="closing outer-coupler angle (radians)")
+    simulate.add_argument("--theta1", default=None, help="opening outer-coupler angle (radians)")
+    simulate.add_argument("--theta2", default=None, help="closing outer-coupler angle (radians)")
     simulate.add_argument("--balanced", action="store_const", const=True, default=None, help="derive theta2 from theta1 via the balance condition")
     simulate.add_argument("--bit", default=None, help="sender bit (0 blocks the emitter arm, 1 leaves it open)")
 
     sweep = sub.add_parser("sweep", parents=[common], help="tabulate the channel over a theta1 range")
     sweep.add_argument("--theta1", type=str, default=None, metavar="START:STOP", help="theta1 range")
-    sweep.add_argument("--theta2", type=float, default=None, help="fixed theta2 rule")
+    sweep.add_argument("--theta2", default=None, help="fixed theta2 rule")
     sweep.add_argument("--balanced", action="store_const", const=True, default=None, help="balanced theta2 rule")
     sweep.add_argument("--steps", default=None, help="number of rows (default 20)")
 
@@ -472,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--refine", default=None, help="refinement iterations (default 200)")
 
     cap = sub.add_parser("capacity", parents=[common], help="capacity of the induced channel at fixed angles")
-    cap.add_argument("--theta1", type=float, default=None)
-    cap.add_argument("--theta2", type=float, default=None)
+    cap.add_argument("--theta1", default=None)
+    cap.add_argument("--theta2", default=None)
     cap.add_argument("--balanced", action="store_const", const=True, default=None)
-    cap.add_argument("--tol", type=float, default=None, help="capacity search tolerance (default 1e-10)")
+    cap.add_argument("--tol", default=None, help="capacity search tolerance (default 1e-10)")
 
     classical = sub.add_parser("classical", parents=[common], help="run both classical relays over a bit string")
     classical.add_argument("--bits", type=str, default=None, help="bit string, e.g. 0110")

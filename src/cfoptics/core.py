@@ -105,16 +105,6 @@ class ModeState:
         self.absorbed = ledger
 
     @classmethod
-    def _adopt(cls, amps: np.ndarray, ledger: Dict[str, float]) -> "ModeState":
-        """State over a complex128 vector and a ledger that the caller owns
-        and hands over uncopied; the constructor's value checks still run."""
-        _check_contents(amps.tolist(), ledger)
-        state = cls.__new__(cls)
-        state.amplitudes = amps
-        state.absorbed = ledger
-        return state
-
-    @classmethod
     def single_photon(cls, mode_count: int, mode: int = 0) -> "ModeState":
         """Unit amplitude in one mode, vacuum elsewhere, empty ledger."""
         if mode_count < 1 or not 0 <= mode < mode_count:
@@ -345,14 +335,19 @@ def propagate(network: Network, state: ModeState):
             f"state has {state.mode_count} modes, network expects {network.mode_count}"
         )
     plan = compile_network(network)
-    amps = state.amplitudes.copy()
-    absorbed = np.zeros(len(plan.ledger_labels), dtype=np.float64)
+    amps = state.amplitudes.tolist()
+    absorbed = [0.0] * len(plan.ledger_labels)
     snaps = np.zeros((len(plan.checkpoint_rows), network.mode_count), dtype=np.complex128)
     kernel.run_plan(plan.ops, plan.arg_a, plan.arg_b, plan.coeff, amps, absorbed, snaps)
     ledger = dict(state.absorbed)
-    for label, value in zip(plan.ledger_labels, absorbed.tolist()):
+    for label, value in zip(plan.ledger_labels, absorbed):
         ledger[label] = ledger.get(label, 0.0) + value
-    return ModeState._adopt(amps, ledger), Snapshots(plan.checkpoint_rows, snaps)
+    # A constructed state's checks, on the lists the kernel filled.
+    _check_contents(amps, ledger)
+    final = ModeState.__new__(ModeState)
+    final.amplitudes = np.array(amps, dtype=np.complex128)
+    final.absorbed = ledger
+    return final, Snapshots(plan.checkpoint_rows, snaps)
 
 
 def total_probability(state: ModeState) -> float:

@@ -1,8 +1,8 @@
 """Propagation kernel.
 
-Executes the element plan produced by ``cfoptics.core``: parallel
-opcode/argument/coefficient sequences of Python objects over a complex
-amplitude vector, a per-label absorption accumulator, and a snapshot matrix.
+Executes the element plan produced by ``cfoptics.core`` in place, lists in
+and one array out: the amplitudes (Python complex) and the per-label
+absorbed probabilities are lists, the checkpoint snapshots one matrix.
 """
 
 # Opcodes.  A network is lowered to its plan once, when it is built; a
@@ -19,31 +19,27 @@ def run_plan(ops, arg_a, arg_b, coeff, amps, absorbed, snaps):
     ``c = cos(theta)`` and ``js = 1j * sin(theta)``; a coupler maps
     ``(za, zb)`` to ``(c*za + js*zb, js*za + c*zb)``, the same operations in
     the same order as ``c*za + 1j*s*zb``, which Python groups as
-    ``(1j*s)*zb``.  ``amps`` (complex128 vector), ``absorbed`` (float64
-    vector, one slot per absorber label) and ``snaps`` (C-contiguous
-    complex128 matrix, one row per snapshot, filled in plan order) are
-    mutated; the plan sequences are read-only, so one plan serves every
-    propagation of its network.
+    ``(1j*s)*zb``.  ``amps`` (list of Python complex, one per mode) and
+    ``absorbed`` (list of Python float, one slot per absorber label) are
+    updated in place; ``snaps`` (C-contiguous complex128 matrix, one row per
+    snapshot) is filled in plan order, once, at the end.  The plan sequences
+    are read-only, so one plan serves every propagation of its network.
     """
     # Python complex and float scalars are much faster than per-element
-    # ndarray indexing; the arrays are read once and written back once.
-    local = amps.tolist()
-    ledger = absorbed.tolist()
+    # ndarray indexing, so the only array written is the snapshot matrix.
     taken = []
     for code, a, b, k in zip(ops, arg_a, arg_b, coeff):
         if code == OP_SPLIT:
             c, js = k
-            za = local[a]
-            zb = local[b]
-            local[a] = c * za + js * zb
-            local[b] = js * za + c * zb
+            za = amps[a]
+            zb = amps[b]
+            amps[a] = c * za + js * zb
+            amps[b] = js * za + c * zb
         elif code == OP_SNAPSHOT:
-            taken += local
+            taken += amps
         else:
-            za = local[a]
-            ledger[b] += za.real * za.real + za.imag * za.imag
-            local[a] = 0j
-    amps[:] = local
-    absorbed[:] = ledger
+            za = amps[a]
+            absorbed[b] += za.real * za.real + za.imag * za.imag
+            amps[a] = 0j
     if taken:
         snaps.reshape(-1)[:] = taken

@@ -182,6 +182,12 @@ def run_protocol(config: NestedConfig, bit: int) -> ProtocolOutcome:
     )
 
 
+def _detector_probabilities(config: NestedConfig, bit: int) -> Tuple[float, float]:
+    """``run_protocol(config, bit)``'s ``(p_d1, p_d2)``, without its legs and ledger."""
+    amps = propagate(build_nested_network(config, bit), _SINGLE_PHOTON)[0].amplitudes
+    return abs(amps.item(0)) ** 2, abs(amps.item(1)) ** 2
+
+
 def counterfactual_witness(outcome: ProtocolOutcome, bit: int) -> Tuple[float, float]:
     """Probabilities on the two emitter-receiver legs of ``outcome``.
 
@@ -207,9 +213,9 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
         raise DomainError("intensity must be a positive number")
     if not math.isfinite(intensity) or intensity <= 0:
         raise DomainError(f"intensity must be positive and finite, got {intensity!r}")
-    outcome = run_protocol(config, bit)
-    i_d1 = intensity * outcome.p_d1
-    i_d2 = intensity * outcome.p_d2
+    p_d1, p_d2 = _detector_probabilities(config, bit)
+    i_d1 = intensity * p_d1
+    i_d2 = intensity * p_d2
     if i_d1 > i_d2:
         decoded = 1
     elif i_d2 > i_d1:
@@ -222,10 +228,10 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 
 
 # Work budget of one chained network, in elements.  A run's memory and time
-# grow linearly with its element count: run_chain on a 50 x 2000 chain
-# (400,251 elements) takes 1.2 s and 104 MB on an Intel Xeon, so the budget
-# holds one network to about 1.5 s and 130 MB.  It is 15 times the 32,101
-# elements of a 20 x 400 chain.
+# grow linearly with its element count: run_chain(ChainConfig(50, 2000), b),
+# 400,251 elements at b = 0, takes 0.64-0.75 s in a process of 109-113 MB peak
+# RSS on an Intel Xeon, so the budget holds one network to about 0.95 s and
+# 135 MB.  It is 15 times the 32,101 elements of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
 
 

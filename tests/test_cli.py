@@ -316,6 +316,77 @@ class TestIntegerParameters:
         assert 0 < len(accepted) < len(self.VALUES[key])
 
 
+class TestRealParameters:
+    """A real flag and its config key accept and reject the same values: a
+    flag's text counts as the JSON value it spells, and a JSON boolean is
+    not a number.  A theta1 range flag ``START:STOP`` is the config list
+    ``[START, STOP]``."""
+
+    CASES = {
+        "theta1": (("simulate", "--balanced", "--bit", "1"), {"balanced": True, "bit": 1}),
+        "theta2": (("simulate", "--theta1", "0.25", "--bit", "1"), {"theta1": 0.25, "bit": 1}),
+        "tol": (("capacity", "--theta1", "0.25", "--balanced"), {"theta1": 0.25, "balanced": True}),
+        "theta1-range": (("sweep", "--balanced", "--steps", "3"), {"balanced": True, "steps": 3}),
+    }
+    VALUES = {
+        "theta1": ("0.25", "2.5e-1", "1", "true", "false", "NaN", "1e400"),
+        "theta2": ("0.3", "3e-1", "0", "true", "false", "-Infinity"),
+        "tol": ("1e-3", "0.001", "1", "true", "false", "0", "NaN"),
+        "theta1-range": ("0.1:0.5", "1e-1:5e-1", "true:0.5", "0.1:true", "0.1:false", "0.5:0.1", "NaN:0.5"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flag_and_config_key_agree(self, case, capsys, tmp_path):
+        argv, base = self.CASES[case]
+        key = case.split("-")[0]
+        config = tmp_path / "run.json"
+        accepted = {}  # value -> document; 0.25 and 2.5e-1 share a key
+        for text in self.VALUES[case]:
+            if case == "theta1-range":
+                value = [json.loads(part) for part in text.split(":")]
+            else:
+                value = json.loads(text)
+            config.write_text(json.dumps(dict(base, **{key: value})))
+            flag_code, flag_out, flag_err = run_cli(capsys, *argv, f"--{key}={text}")
+            config_code, config_out, config_err = run_cli(capsys, argv[0], "--config", str(config))
+            assert (flag_code, flag_out) == (config_code, config_out), text
+            if flag_code == 0:
+                assert accepted.setdefault(json.dumps(value), flag_out) == flag_out, text
+            else:
+                assert flag_code == 2
+                assert key in flag_err and key in config_err
+        assert 0 < len(accepted) < len(self.VALUES[case])
+
+
+class TestSwitchParameters:
+    """The config key ``balanced`` is the ``--balanced`` flag when JSON
+    true, its absence when false or null, and any other value exits 2."""
+
+    COMMANDS = {
+        "simulate": (("--theta1", "0.25", "--bit", "1"), {"theta1": 0.25, "bit": 1}),
+        "sweep": (("--theta1", "0.1:0.5", "--steps", "3"), {"theta1": "0.1:0.5", "steps": 3}),
+        "capacity": (("--theta1", "0.25"), {"theta1": 0.25}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flag_and_config_key_agree(self, command, capsys, tmp_path):
+        argv, base = self.COMMANDS[command]
+        config = tmp_path / "run.json"
+        succeeded = 0
+        for fixed in ((), ("--theta2", "0.3")):
+            for value in (True, False, None, "false", "true", 0, 1):
+                document = dict(base, balanced=value, **({"theta2": 0.3} if fixed else {}))
+                config.write_text(json.dumps(document))
+                code, out, err = run_cli(capsys, command, "--config", str(config))
+                if value is None or isinstance(value, bool):
+                    switch = ("--balanced",) if value else ()
+                    assert (code, out) == run_cli(capsys, command, *argv, *fixed, *switch)[:2]
+                    succeeded += code == 0
+                else:
+                    assert code == 2 and "balanced" in err, value
+        assert succeeded == 3  # balanced without theta2, and theta2 not balanced (false, null)
+
+
 # SHA-256 of the document each README command-line example writes, as
 # released.  Any changed byte, including a last digit, fails the test.
 README_DOCUMENTS = {

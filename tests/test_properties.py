@@ -27,6 +27,7 @@ from cfoptics import (
     capacity,
     mutual_information,
     propagate,
+    run_bright_pulse,
     run_chain,
     run_protocol,
     total_probability,
@@ -149,6 +150,30 @@ def test_open_arm_returns_nothing_to_alice(theta1, theta2):
     rounding is left."""
     leg = run_protocol(NestedConfig(theta1, theta2), 1).legs["charlie_to_alice"]
     assert abs(leg) ** 2 < 1e-30
+
+
+# Inner-coupler detuning: exact 50-50 couplers and detuned ones.
+offsets = st.one_of(st.just(0.0), st.floats(min_value=-0.5, max_value=0.5))
+
+
+@PROPERTY
+@given(angles, angles, offsets, st.floats(min_value=1e-3, max_value=1e9))
+def test_detector_only_runs_are_run_protocol(theta1, theta2, offset, intensity):
+    """Channel rows and bright-pulse intensities read only the detectors;
+    they equal what the full ``run_protocol`` outcome gives, bit for bit."""
+    config = NestedConfig(theta1, theta2, inner_offset=offset)
+    expected = []
+    for bit in (0, 1):
+        outcome = run_protocol(config, bit)
+        p_d1, p_d2 = outcome.p_d1, outcome.p_d2
+        expected.append((p_d1, p_d2, max(0.0, 1.0 - p_d1 - p_d2)))
+        i_d1, i_d2 = intensity * p_d1, intensity * p_d2
+        if i_d1 != i_d2:  # an exact tie is refused, not read
+            reading = run_bright_pulse(config, bit, intensity)
+            assert (reading.i_d1, reading.i_d2) == (i_d1, i_d2)
+    # ChannelModel clips the expected rows as it clips the computed ones.
+    channel = analysis.channel_from_protocol(config)
+    assert channel.p_given_b.tolist() == ChannelModel(expected).p_given_b.tolist()
 
 
 # Channel entries on and just past the edges of [0, 1], inside the 1e-12

@@ -20,7 +20,7 @@ from cfoptics import (
     run_chain,
     run_protocol,
 )
-from cfoptics import core, kernel, protocols
+from cfoptics import analysis, core, kernel, protocols
 from cfoptics.analysis import balanced_theta2, channel_from_protocol
 from helpers import closed_form_final, random_config_angles
 
@@ -194,10 +194,10 @@ class TestBrightPulse:
 
     def test_exact_tie_is_refused(self, monkeypatch):
         # exact float ties only arise on measure-zero configs, so inject one
-        tied = ProtocolOutcome(
-            p_d1=0.25, p_d2=0.25, absorbed={"bob": 0.0, "discard": 0.5}, legs={}
+        # at the detector probabilities the pulse reading scales
+        monkeypatch.setattr(
+            "cfoptics.protocols._detector_probabilities", lambda config, bit: (0.25, 0.25)
         )
-        monkeypatch.setattr("cfoptics.protocols.run_protocol", lambda config, bit: tied)
         with pytest.raises(UndecidableDecodingError):
             run_bright_pulse(NestedConfig(0.2, 0.3), 1, 1e3)
 
@@ -239,3 +239,45 @@ class TestTracingHooks:
         assert len(propagated) == 3
         assert all(a is b for a, b in zip(compiled, propagated)) and len(compiled) == 3
         assert executed == [len(network.elements) for network in propagated]
+
+    @pytest.mark.parametrize("run", ["channel", "bright-pulse", "bisection"])
+    def test_detector_only_runs_keep_the_traced_counts(self, run, monkeypatch):
+        """Channel rows and pulse readings skip ``run_protocol`` but still
+        build, propagate, compile and execute through the attributes that
+        tracing tools replace: one of each per run, and a channel
+        evaluation executes the 19 plan entries of its two networks."""
+        calls = {"build": [], "propagate": [], "compile": [], "run_plan": [], "channel": []}
+
+        def count(module, attribute, key):
+            original = getattr(module, attribute)
+
+            def counting(*args, **kwargs):
+                result = original(*args, **kwargs)
+                calls[key].append(result if key == "build" else args[0])
+                return result
+
+            monkeypatch.setattr(module, attribute, counting)
+
+        count(protocols, "build_nested_network", "build")
+        count(protocols, "propagate", "propagate")
+        count(core, "compile_network", "compile")
+        count(kernel, "run_plan", "run_plan")
+        count(analysis, "channel_from_protocol", "channel")
+        config = NestedConfig(0.3, 0.7, inner_offset=0.01)
+        if run == "channel":
+            analysis.channel_from_protocol(config)
+        elif run == "bright-pulse":
+            for bit in (0, 1):
+                protocols.run_bright_pulse(config, bit, 1e3)
+        else:
+            analysis.balance_root_solve(0.25)
+        built = calls["build"]
+        assert len(built) == len(calls["propagate"]) == len(calls["compile"]) == len(calls["run_plan"])
+        assert all(a is b for a, b in zip(built, calls["propagate"]))
+        assert all(a is b for a, b in zip(built, calls["compile"]))
+        executed = sum(len(ops) for ops in calls["run_plan"])
+        assert executed == sum(len(network.elements) for network in built)
+        # The two pulse runs, one per bit, are one channel evaluation's work.
+        evaluations = len(calls["channel"]) if run != "bright-pulse" else 1
+        assert len(built) == 2 * evaluations and executed == 19 * evaluations
+        assert run != "bisection" or evaluations > 2
