@@ -81,60 +81,22 @@ def kernel_backend() -> str:
 
 
 __all__ = [
-    "__version__",
-    "kernel_backend",
+    "__version__", "kernel_backend",
     # core
-    "BeamSplitter",
-    "Blocker",
-    "Checkpoint",
-    "Discard",
-    "ModeState",
-    "Network",
-    "apply_beam_splitter",
-    "apply_blocker",
-    "propagate",
-    "total_probability",
+    "BeamSplitter", "Blocker", "Checkpoint", "Discard", "ModeState", "Network",
+    "apply_beam_splitter", "apply_blocker", "propagate", "total_probability",
     # protocols
-    "LEG_NAMES",
-    "BrightPulseReading",
-    "ChainConfig",
-    "ChainOutcome",
-    "NestedConfig",
-    "ProtocolOutcome",
-    "build_chain_network",
-    "build_nested_network",
-    "counterfactual_witness",
-    "run_bright_pulse",
-    "run_chain",
-    "run_protocol",
+    "LEG_NAMES", "BrightPulseReading", "ChainConfig", "ChainOutcome", "NestedConfig",
+    "ProtocolOutcome", "build_chain_network", "build_nested_network",
+    "counterfactual_witness", "run_bright_pulse", "run_chain", "run_protocol",
     # analysis
-    "ChannelModel",
-    "InputPrior",
-    "OptimizationResult",
-    "balance_root_solve",
-    "balanced_theta2",
-    "capacity",
-    "channel_from_protocol",
-    "mutual_information",
-    "optimize_angles",
-    "success_probabilities",
+    "ChannelModel", "InputPrior", "OptimizationResult", "balance_root_solve",
+    "balanced_theta2", "capacity", "channel_from_protocol", "mutual_information",
+    "optimize_angles", "success_probabilities",
     # classical analogs
-    "BilliardRun",
-    "CarrierLog",
-    "LegRecord",
-    "PulseRelayRun",
-    "PulseSymbol",
-    "Token",
-    "carrier_span_audit",
-    "decode_billiard",
-    "run_billiard",
-    "run_pulse_relay",
+    "BilliardRun", "CarrierLog", "LegRecord", "PulseRelayRun", "PulseSymbol", "Token",
+    "carrier_span_audit", "decode_billiard", "run_billiard", "run_pulse_relay",
     # errors
-    "AuditError",
-    "BracketError",
-    "CfOpticsError",
-    "DomainError",
-    "InvalidNetworkError",
-    "MalformedOutcomeError",
-    "UndecidableDecodingError",
+    "AuditError", "BracketError", "CfOpticsError", "DomainError", "InvalidNetworkError",
+    "MalformedOutcomeError", "UndecidableDecodingError",
 ]

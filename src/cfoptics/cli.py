@@ -286,8 +286,8 @@ def _cmd_simulate(spec: Dict[str, object]) -> dict:
 
 
 # Work budget of one sweep, in rows.  A row (two protocol runs, the channel
-# measures and its rendering) takes about 85 us on an Intel Xeon (best of 7
-# ``sweep --theta1 0.05:1.0 --balanced --steps 2000``), so ~0.85 s in all.
+# measures and its rendering) takes about 70 us on an Intel Xeon (best of 7
+# ``sweep --theta1 0.05:1.0 --balanced --steps 2000``), so ~0.7 s in all.
 MAX_SWEEP_STEPS = 10_000
 
 
@@ -387,17 +387,8 @@ def _cmd_classical(spec: Dict[str, object]) -> dict:
 def _cmd_chain(spec: Dict[str, object]) -> dict:
     outer = _parse_int_list(_require(spec, "outer"), "outer")
     inner = _parse_int_list(_require(spec, "inner"), "inner")
-    columns = (
-        "outer_cycles",
-        "inner_cycles",
-        "bit",
-        "p_d1",
-        "p_d2",
-        "p_correct",
-        "loss",
-        "bob_to_charlie_peak",
-        "charlie_to_alice_peak",
-    )
+    columns = ("outer_cycles", "inner_cycles", "bit", "p_d1", "p_d2", "p_correct", "loss",
+               "bob_to_charlie_peak", "charlie_to_alice_peak")
     # Every pair is validated, work budget included, before any run.
     configs = [ChainConfig(cycles_outer, cycles_inner) for cycles_outer in outer
                for cycles_inner in inner]
@@ -406,19 +397,9 @@ def _cmd_chain(spec: Dict[str, object]) -> dict:
         for bit in (0, 1):
             outcome = run_chain(config, bit)
             loss = outcome.absorbed["bob"] + outcome.absorbed["discard"]
-            rows.append(
-                [
-                    config.outer_cycles,
-                    config.inner_cycles,
-                    bit,
-                    outcome.p_d1,
-                    outcome.p_d2,
-                    outcome.p_correct,
-                    loss,
-                    outcome.leg_peaks["bob_to_charlie"],
-                    outcome.leg_peaks["charlie_to_alice"],
-                ]
-            )
+            peaks = outcome.leg_peaks
+            rows.append([config.outer_cycles, config.inner_cycles, bit, outcome.p_d1, outcome.p_d2,
+                         outcome.p_correct, loss, peaks["bob_to_charlie"], peaks["charlie_to_alice"]])
     echo = {"outer": outer, "inner": inner}
     return {
         "command": "chain",

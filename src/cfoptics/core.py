@@ -18,7 +18,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from itertools import compress, count
+from operator import is_not
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -194,9 +196,11 @@ class _Plan(NamedTuple):
 
     ``ops``, ``arg_a``, ``arg_b`` and ``coeff`` are parallel lists, one
     entry per element.  ``coeff`` holds each coupler's kernel coefficients
-    ``(cos theta, 1j * sin theta)`` and None for every other element; every
-    use of one coupler object shares one pair.  Ledger slots and snapshot
-    rows (``checkpoint_rows``: name -> row) are numbered in plan order.
+    ``(cos theta, 1j * sin theta)`` and None for every other element; the
+    uses of one coupler object share one pair (in a plan from ``_relower``,
+    those with no other replacement between them).  Ledger slots and
+    snapshot rows (``checkpoint_rows``: name -> row) are numbered in plan
+    order.
     """
 
     ops: List[int]
@@ -214,48 +218,90 @@ class Network:
     checkpoint takes the next snapshot row; any other exact-type element is
     handled once per object (a chain repeats a few couplers, blockers and
     discards over thousands of positions), a subclass instance everywhere.
+
+    ``like`` (keyword only, not a field) names a template network whose plan
+    may be reused; it never changes the result.  When ``elements`` has the
+    template's length and mode count and every position holds either the
+    template's own object or an exact :class:`BeamSplitter` replacing an
+    exact one on the same modes, the template's plan lists are shared
+    read-only and only the replacements are lowered, by the same rules and
+    with the same errors.  Any other difference lowers every element.
     """
 
     mode_count: int
     elements: Tuple[Element, ...] = field(default_factory=tuple)
     _plan: _Plan = field(init=False, repr=False, compare=False)
+    like: InitVar[Optional["Network"]] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, like):
         if not isinstance(self.mode_count, int) or isinstance(self.mode_count, bool):
             raise InvalidNetworkError("mode_count must be an integer")
         if self.mode_count < 1:
             raise InvalidNetworkError("mode_count must be positive")
         elements = tuple(self.elements)
-        slots, rows, lowered = {}, {}, {}  # label -> slot, name -> row, id -> entry
-        ops, arg_a, arg_b, coeff = [], [], [], []
-        for element in elements:
-            kind = type(element)
-            if kind is not Checkpoint and kind not in _ELEMENT_TYPES:
-                kind = _element_base(element)
-            if kind is Checkpoint:
-                name = element.name
-                if not isinstance(name, str) or not name:
-                    raise InvalidNetworkError("checkpoint name must be a non-empty string")
-                if name in rows:
-                    raise InvalidNetworkError(f"duplicate checkpoint name {name!r}")
-                rows[name] = row = len(rows)
-                ops.append(OP_SNAPSHOT)
-                arg_a.append(row)
-                arg_b.append(0)
-                coeff.append(None)
-                continue
-            entry = lowered.get(id(element))
-            if entry is None:
-                entry = _lower_element(element, kind, self.mode_count, slots)
-                if kind is type(element):
-                    lowered[id(element)] = entry
-            op, a, b, k = entry
-            ops.append(op)
-            arg_a.append(a)
-            arg_b.append(b)
-            coeff.append(k)
+        plan = None
+        if (isinstance(like, Network) and like.mode_count == self.mode_count
+                and len(like.elements) == len(elements)):
+            plan = _relower(like, elements)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_plan", _Plan(ops, arg_a, arg_b, coeff, tuple(slots), rows))
+        object.__setattr__(self, "_plan", plan or _lower(elements, self.mode_count))
+
+
+def _lower(elements, mode_count):
+    """Validate ``elements`` in order and lower them to a plan."""
+    slots, rows, lowered = {}, {}, {}  # label -> slot, name -> row, id -> entry
+    ops, arg_a, arg_b, coeff = [], [], [], []
+    for element in elements:
+        kind = type(element)
+        if kind is not Checkpoint and kind not in _ELEMENT_TYPES:
+            kind = _element_base(element)
+        if kind is Checkpoint:
+            name = element.name
+            if not isinstance(name, str) or not name:
+                raise InvalidNetworkError("checkpoint name must be a non-empty string")
+            if name in rows:
+                raise InvalidNetworkError(f"duplicate checkpoint name {name!r}")
+            rows[name] = row = len(rows)
+            ops.append(OP_SNAPSHOT)
+            arg_a.append(row)
+            arg_b.append(0)
+            coeff.append(None)
+            continue
+        entry = lowered.get(id(element))
+        if entry is None:
+            entry = _lower_element(element, kind, mode_count, slots)
+            if kind is type(element):
+                lowered[id(element)] = entry
+        op, a, b, k = entry
+        ops.append(op)
+        arg_a.append(a)
+        arg_b.append(b)
+        coeff.append(k)
+    return _Plan(ops, arg_a, arg_b, coeff, tuple(slots), rows)
+
+
+def _relower(template, elements):
+    """``template``'s plan with the coefficients of replaced exact couplers
+    swapped in, or None when ``elements`` differs from its elements in any
+    other way.  Positions before a replacement hold valid elements, so a
+    replacement's error is the one that lowering every element raises.  A
+    replacement repeated with no other one between is lowered once."""
+    plan, olds = template._plan, template.elements
+    coeff = previous = None
+    for i in compress(count(), map(is_not, elements, olds)):
+        element = elements[i]
+        if type(element) is not BeamSplitter or type(olds[i]) is not BeamSplitter:
+            return None
+        if element is not previous:
+            previous, entry = element, _lower_element(element, BeamSplitter, template.mode_count, None)
+        if entry[1] != plan.arg_a[i] or entry[2] != plan.arg_b[i]:
+            return None
+        if coeff is None:
+            coeff = list(plan.coeff)
+        coeff[i] = entry[3]
+    if coeff is None:
+        return plan
+    return _Plan(plan.ops, plan.arg_a, plan.arg_b, coeff, plan.ledger_labels, plan.checkpoint_rows)
 
 
 def compile_network(network: Network) -> _Plan:
@@ -330,18 +376,20 @@ def propagate(network: Network, state: ModeState):
         one row per checkpoint, owned by this call alone, and every value
         is a row of it.
     """
-    if state.mode_count != network.mode_count:
-        raise InvalidNetworkError(
-            f"state has {state.mode_count} modes, network expects {network.mode_count}"
-        )
-    plan = compile_network(network)
     amps = state.amplitudes.tolist()
+    mode_count = network.mode_count
+    if len(amps) != mode_count:
+        raise InvalidNetworkError(f"state has {len(amps)} modes, network expects {mode_count}")
+    plan = compile_network(network)
     absorbed = [0.0] * len(plan.ledger_labels)
-    snaps = np.zeros((len(plan.checkpoint_rows), network.mode_count), dtype=np.complex128)
+    snaps = np.zeros((len(plan.checkpoint_rows), mode_count), dtype=np.complex128)
     kernel.run_plan(plan.ops, plan.arg_a, plan.arg_b, plan.coeff, amps, absorbed, snaps)
-    ledger = dict(state.absorbed)
-    for label, value in zip(plan.ledger_labels, absorbed):
-        ledger[label] = ledger.get(label, 0.0) + value
+    if state.absorbed:
+        ledger = dict(state.absorbed)
+        for label, value in zip(plan.ledger_labels, absorbed):
+            ledger[label] = ledger.get(label, 0.0) + value
+    else:
+        ledger = dict(zip(plan.ledger_labels, absorbed))
     # A constructed state's checks, on the lists the kernel filled.
     _check_contents(amps, ledger)
     final = ModeState.__new__(ModeState)

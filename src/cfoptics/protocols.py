@@ -29,7 +29,6 @@ from .core import (
     Blocker,
     Checkpoint,
     Discard,
-    Element,
     ModeState,
     Network,
     _is_finite,
@@ -71,6 +70,8 @@ def _validate_bit(bit) -> int:
 
 
 def _validate_angle(name: str, value) -> float:
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be a real angle in radians")
     try:
         angle = float(value)
     except (TypeError, ValueError):
@@ -96,8 +97,11 @@ class NestedConfig:
     def __post_init__(self):
         object.__setattr__(self, "theta1", _validate_angle("theta1", self.theta1))
         object.__setattr__(self, "theta2", _validate_angle("theta2", self.theta2))
-        if not _is_finite(self.inner_offset):
+        if isinstance(self.inner_offset, bool) or not _is_finite(self.inner_offset):
             raise DomainError("inner_offset must be a finite real number")
+        # Not a field: both bit networks of an evaluation share these couplers.
+        outer = (BeamSplitter(0, 1, self.theta1), BeamSplitter(0, 1, self.theta2))
+        object.__setattr__(self, "_outer_couplers", outer)
 
     @property
     def inner_angle(self) -> float:
@@ -120,23 +124,22 @@ class BrightPulseReading(NamedTuple):
     decoded: int
 
 
-# Elements are frozen, so the nested layout's constant elements are built
-# once per process; only the two outer couplers depend on the call.
-_LEG_CHECKPOINTS = tuple(Checkpoint(name) for name in LEG_NAMES)
+# Elements are frozen, so Bob's blocker and the discard serve every layout.
 _BOB_BLOCKER = Blocker(2, "bob")
 _DISCARD = Discard(2, "discard")
-_INNER_COUPLER = BeamSplitter(1, 2, math.pi / 4)
 
 
-def _inner_section(inner: BeamSplitter, bit: int) -> Tuple[Element, ...]:
-    """Elements between the two outer couplers: the inner interferometer
-    with its leg checkpoints, Bob's blocker slot and the discard."""
-    to_charlie, to_bob, from_bob, to_alice = _LEG_CHECKPOINTS
+def _nested_template(bit: int) -> Network:
+    """The nested layout at ``bit`` with open outer couplers: the one source
+    of its constant elements, lowered once per process."""
+    to_charlie, to_bob, from_bob, to_alice = map(Checkpoint, LEG_NAMES)
+    inner = BeamSplitter(1, 2, math.pi / 4)
     blocked = (_BOB_BLOCKER,) if bit == 0 else ()
-    return (to_charlie, inner, to_bob, *blocked, from_bob, inner, to_alice, _DISCARD)
+    section = (to_charlie, inner, to_bob, *blocked, from_bob, inner, to_alice, _DISCARD)
+    return Network(3, (BeamSplitter(0, 1, 0.0), *section, BeamSplitter(0, 1, 0.0)))
 
 
-_INNER_SECTIONS = {bit: _inner_section(_INNER_COUPLER, bit) for bit in (0, 1)}
+_NESTED_TEMPLATES = (_nested_template(0), _nested_template(1))
 
 # Every run starts from one excitation in mode 0.  ``propagate`` never
 # writes to its input, so one read-only state serves every run.
@@ -151,16 +154,19 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
     Bob's blocker on mode 2 iff ``bit == 0``; the second 50-50 coupler on
     (1, 2); discard of mode 2; outer coupler theta2 on (0, 1).  Leg
     checkpoints surround the blocker slot and the inner couplers.
+
+    The network is built ``like`` its bit's template, whose constant
+    elements it shares, so only the two outer couplers (made once per
+    ``config``) are lowered, and the inner pair too under ``inner_offset``.
     """
-    bit = _validate_bit(bit)
+    template = _NESTED_TEMPLATES[_validate_bit(bit)]
+    section = template.elements[1:-1]
     inner = config.inner_angle
-    if inner == _INNER_COUPLER.theta:
-        section = _INNER_SECTIONS[bit]
-    else:
-        section = _inner_section(BeamSplitter(1, 2, inner), bit)
-    return Network(
-        3, (BeamSplitter(0, 1, config.theta1), *section, BeamSplitter(0, 1, config.theta2))
-    )
+    if inner != section[1].theta:
+        coupler = BeamSplitter(1, 2, inner)
+        section = tuple(coupler if element is section[1] else element for element in section)
+    first, last = config._outer_couplers
+    return Network(3, (first, *section, last), like=template)
 
 
 def run_protocol(config: NestedConfig, bit: int) -> ProtocolOutcome:
@@ -170,10 +176,7 @@ def run_protocol(config: NestedConfig, bit: int) -> ProtocolOutcome:
     # The layout's only checkpoints are its legs, in LEG_NAMES order (rows 0-3).
     snaps = checkpoints.matrix
     legs = {name: snaps.item(row, _LEG_MODE[name]) for row, name in enumerate(LEG_NAMES)}
-    absorbed = {
-        "bob": final.absorbed.get("bob", 0.0),
-        "discard": final.absorbed.get("discard", 0.0),
-    }
+    absorbed = {label: final.absorbed.get(label, 0.0) for label in ("bob", "discard")}
     return ProtocolOutcome(
         p_d1=abs(final.amplitudes.item(0)) ** 2,
         p_d2=abs(final.amplitudes.item(1)) ** 2,
@@ -407,10 +410,7 @@ def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
     # the C library hypot as complex abs does (np.abs may differ in the last
     # bit), and squaring is monotone, so each largest modulus is squared once.
     peaks = {leg: float(np.hypot(z.real, z.imag).max()) ** 2 for leg, z in columns.items()}
-    absorbed = {
-        "bob": final.absorbed.get("bob", 0.0),
-        "discard": final.absorbed.get("discard", 0.0),
-    }
+    absorbed = {label: final.absorbed.get(label, 0.0) for label in ("bob", "discard")}
     return ChainOutcome(
         bit=bit,
         p_d1=abs(final.amplitudes.item(0)) ** 2,

@@ -119,6 +119,11 @@ class TestInputPrior:
             with pytest.raises(DomainError):
                 InputPrior(p0)
 
+    def test_refuses_booleans(self):
+        for p0 in (True, False):
+            with pytest.raises(DomainError):
+                InputPrior(p0)
+
 
 class TestMutualInformation:
     def test_identical_rows_carry_nothing(self):
@@ -206,6 +211,11 @@ class TestCapacity:
         with pytest.raises(DomainError):
             capacity(channel, 0.0)
 
+    def test_refuses_boolean_tol(self):
+        channel = ChannelModel(random_channel_rows(RNG))
+        with pytest.raises(DomainError, match="tol"):
+            capacity(channel, True)
+
 
 class TestBalancedTheta2:
     def test_reference_value(self):
@@ -242,6 +252,12 @@ class TestBalancedTheta2:
             with pytest.raises(DomainError):
                 balanced_theta2(bad)
 
+    def test_refuses_boolean_and_oversized_angles(self):
+        # float(True) is 1.0, a valid angle; 10**400 overflows a float
+        for bad in (True, 10**400):
+            with pytest.raises(DomainError, match="theta1"):
+                balanced_theta2(bad)
+
 
 class TestBalanceRootSolve:
     @pytest.mark.parametrize("theta1", (0.25, 0.5, 1.0))
@@ -261,6 +277,13 @@ class TestBalanceRootSolve:
             balance_root_solve(0.0, 1e-10)
         with pytest.raises(DomainError):
             balance_root_solve(0.5, 0.0)
+
+    def test_refuses_booleans(self):
+        # tol=True used to run a single halving and return pi/8
+        with pytest.raises(DomainError, match="tol"):
+            balance_root_solve(0.25, tol=True)
+        with pytest.raises(DomainError, match="theta1"):
+            balance_root_solve(True)
 
 
 class TestOptimizeAngles:

@@ -2,6 +2,7 @@
 
 import math
 from collections.abc import Mapping
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -434,6 +435,93 @@ class TestNetworkValidation:
         with pytest.raises(InvalidNetworkError) as excinfo:
             Network(3, (TaggedSplitter(0, 0, 0.7),))
         assert str(excinfo.value) == "beam splitter needs two distinct modes"
+
+
+class TestNetworkLike:
+    """``Network(m, elements, like=template)`` shares the template's plan
+    where only exact couplers changed and lowers every element otherwise."""
+
+    def template(self):
+        return Network(3, (BeamSplitter(0, 1, 0.1), Checkpoint("a"), BeamSplitter(1, 2, 0.4),
+                           Blocker(2, "x"), BeamSplitter(0, 1, 0.2)))
+
+    def test_like_is_not_a_field(self):
+        template = self.template()
+        hinted = Network(3, template.elements, like=template)
+        assert [f.name for f in fields(Network)] == ["mode_count", "elements", "_plan"]
+        assert hinted == template and repr(hinted) == repr(template)
+        with pytest.raises(TypeError):
+            Network(3, template.elements, template)
+
+    def test_same_objects_reuse_the_template_plan(self):
+        template = self.template()
+        assert compile_network(Network(3, template.elements, like=template)) is compile_network(template)
+
+    def test_coupler_swaps_lower_only_the_swapped_couplers(self):
+        template = self.template()
+        base = compile_network(template)
+        swap = BeamSplitter(0, 1, 0.7)
+        plan = compile_network(Network(3, (swap, *template.elements[1:-1], swap), like=template))
+        assert all(getattr(plan, name) is getattr(base, name)
+                   for name in ("ops", "arg_a", "arg_b", "ledger_labels", "checkpoint_rows"))
+        assert plan.coeff[0] is plan.coeff[4]
+        assert plan.coeff[0] == (math.cos(0.7), 1j * math.sin(0.7))
+        assert plan.coeff[1:4] == base.coeff[1:4]
+        assert base.coeff[0] == (math.cos(0.1), 1j * math.sin(0.1))
+
+    @pytest.mark.parametrize("change", [
+        lambda els: (BeamSplitter(1, 0, 0.7), *els[1:]),  # other modes
+        lambda els: (Blocker(0, "x"), *els[1:]),  # another kind of element
+        lambda els: (els[0], Checkpoint("a"), *els[2:]),  # an equal, fresh checkpoint
+        lambda els: (*els[:3], Blocker(2, "x"), els[4]),  # an equal, fresh absorber
+        lambda els: els[:-1],  # another length
+    ])
+    def test_other_differences_lower_every_element(self, change):
+        template = self.template()
+        elements = change(template.elements)
+        hinted = compile_network(Network(3, elements, like=template))
+        assert hinted.ops is not compile_network(template).ops
+        assert hinted == compile_network(Network(3, elements))
+
+    def test_other_mode_count_lowers_every_element(self):
+        template = self.template()
+        assert compile_network(Network(4, template.elements, like=template)).ops is not (
+            compile_network(template).ops)
+        with pytest.raises(InvalidNetworkError, match="out of range for 2 modes"):
+            Network(2, template.elements, like=template)
+
+    def test_subclass_coupler_is_read_at_every_position(self):
+        """A subclass coupler in place of an exact one is lowered by the
+        full pass, which reads it at each of its positions."""
+
+        class DriftingSplitter(BeamSplitter):
+            reads = 0
+
+            @property
+            def theta(self):
+                DriftingSplitter.reads += 1
+                return 0.25 * DriftingSplitter.reads
+
+            @theta.setter
+            def theta(self, value):
+                pass
+
+        template = self.template()
+        drifting = DriftingSplitter(0, 1, 0.0)
+        plan = compile_network(
+            Network(3, (drifting, *template.elements[1:-1], drifting), like=template))
+        assert plan.coeff[0] == (math.cos(0.25), 1j * math.sin(0.25))
+        assert plan.coeff[4] == (math.cos(0.5), 1j * math.sin(0.5))
+
+    def test_a_swapped_coupler_fails_as_without_the_hint(self):
+        template = self.template()
+        for bad, message in ((BeamSplitter(0, 1, math.nan), "angle must be a finite"),
+                             (BeamSplitter(0, True, 0.3), "mode_b must be an integer"),
+                             (BeamSplitter(0, 0, 0.3), "two distinct modes")):
+            elements = (BeamSplitter(0, 1, 0.3), *template.elements[1:-1], bad)
+            with pytest.raises(InvalidNetworkError, match=message):
+                Network(3, elements, like=template)
+        assert compile_network(template).coeff[0] == (math.cos(0.1), 1j * math.sin(0.1))
 
 
 class TestModeState:

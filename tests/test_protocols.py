@@ -10,8 +10,10 @@ from cfoptics import (
     ChainConfig,
     Blocker,
     DomainError,
+    InvalidNetworkError,
     MalformedOutcomeError,
     NestedConfig,
+    Network,
     ProtocolOutcome,
     UndecidableDecodingError,
     build_nested_network,
@@ -67,6 +69,63 @@ class TestNetworkStructure:
             NestedConfig(0.1, 3.5)  # outside (-pi, pi]
         with pytest.raises(DomainError):
             NestedConfig(0.25, 0.7, "x")  # non-numeric inner_offset
+
+    @pytest.mark.parametrize("kwargs", [
+        {"theta1": True, "theta2": 0.3},
+        {"theta1": 0.3, "theta2": False},
+        {"theta1": 0.3, "theta2": 0.4, "inner_offset": True},
+    ], ids=["theta1", "theta2", "inner_offset"])
+    def test_nested_config_refuses_booleans(self, kwargs):
+        # float(True) is 1.0: a boolean must not pass as an angle
+        with pytest.raises(DomainError):
+            NestedConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["outer_angle", "inner_angle", "final_angle"])
+    def test_chain_config_refuses_boolean_angles(self, name):
+        with pytest.raises(DomainError, match=name):
+            ChainConfig(2, 3, **{name: True})
+
+
+class TestNestedTemplates:
+    """Each bit's layout is lowered once, as a template network; every
+    nested build shares its constant elements and plan lists."""
+
+    @staticmethod
+    def snapshot():
+        return [([list(column) for column in template._plan[:4]],
+                 template._plan.ledger_labels, list(template._plan.checkpoint_rows.items()))
+                for template in protocols._NESTED_TEMPLATES]
+
+    @pytest.mark.parametrize("offset", [0.0, 0.01])
+    def test_builds_relower_only_the_couplers(self, offset):
+        config = NestedConfig(0.3, 0.7, inner_offset=offset)
+        for bit, template in enumerate(protocols._NESTED_TEMPLATES):
+            network = build_nested_network(config, bit)
+            plan, base = core.compile_network(network), core.compile_network(template)
+            assert plan.ops is base.ops and plan.checkpoint_rows is base.checkpoint_rows
+            assert network.elements[0] is config._outer_couplers[0]
+            assert network.elements[-1] is config._outer_couplers[1]
+            kept = [a is b for a, b in zip(network.elements, template.elements)]
+            assert kept.count(False) == (4 if offset else 2)
+            assert plan == core.compile_network(Network(3, network.elements))
+
+    def test_template_plans_survive_many_evaluations_and_failed_builds(self):
+        plans, before = [t._plan for t in protocols._NESTED_TEMPLATES], self.snapshot()
+        for theta1 in np.linspace(0.05, 1.5, 40):
+            for offset in (0.0, -0.02):
+                channel_from_protocol(NestedConfig(theta1, 0.7, inner_offset=offset))
+            run_protocol(NestedConfig(theta1, -0.3), 0)
+        config = NestedConfig(0.3, 0.7)
+        with pytest.raises(DomainError):
+            build_nested_network(config, 2)
+        for template in protocols._NESTED_TEMPLATES:
+            first, *middle, last = template.elements
+            for elements in ((BeamSplitter(0, 1, math.inf), *middle, last),
+                             (BeamSplitter(0, 1, 0.2), *middle, BeamSplitter(0, 1, math.nan))):
+                with pytest.raises(InvalidNetworkError):
+                    Network(3, elements, like=template)
+        assert self.snapshot() == before
+        assert all(t._plan is plan for t, plan in zip(protocols._NESTED_TEMPLATES, plans))
 
 
 class TestRunProtocol:
