@@ -58,19 +58,22 @@ class ChannelModel:
         matrix = np.array(self.p_given_b, dtype=np.float64)
         if matrix.shape != (2, 3):
             raise DomainError(f"channel matrix must be 2x3, got shape {matrix.shape}")
-        # Six entries: plain-float checks cost far less than numpy calls.
-        rows = matrix.tolist()
-        entries = rows[0] + rows[1]
-        if not all(map(math.isfinite, entries)):
-            raise DomainError("channel entries must be finite")
-        low, high = min(entries), max(entries)
-        if low < -_ROW_TOL or high > 1 + _ROW_TOL:
+        # Six entries: straight-line float checks cost far less than numpy
+        # calls.  A comparison with nan is false, so the range test alone
+        # passes only finite entries; its failure finds the first error.
+        (a, b, c), (d, e, f) = rows = matrix.tolist()
+        low, high = -_ROW_TOL, 1 + _ROW_TOL
+        if not (low <= a <= high and low <= b <= high and low <= c <= high
+                and low <= d <= high and low <= e <= high and low <= f <= high):
+            if not all(map(math.isfinite, rows[0] + rows[1])):
+                raise DomainError("channel entries must be finite")
             raise DomainError("channel entries must be probabilities in [0, 1]")
-        if any(abs(sum(row) - 1.0) > _ROW_TOL for row in rows):
+        if abs(a + b + c - 1.0) > _ROW_TOL or abs(d + e + f - 1.0) > _ROW_TOL:
             raise DomainError(f"channel rows must sum to 1, got {matrix.sum(axis=1)}")
         # ``matrix`` is this instance's own copy: clip it in place, entry by
         # entry as np.clip does (-0.0 stays -0.0), when an entry needs it.
-        if low < 0.0 or high > 1.0:
+        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0
+                and 0.0 <= d <= 1.0 and 0.0 <= e <= 1.0 and 0.0 <= f <= 1.0):
             matrix[:] = [[0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in row] for row in rows]
         object.__setattr__(self, "p_given_b", matrix)
 
@@ -85,12 +88,17 @@ class InputPrior:
     p0: float
 
     def __post_init__(self):
-        if isinstance(self.p0, bool) or not _is_finite(self.p0) or not 0.0 <= self.p0 <= 1.0:
+        if isinstance(self.p0, (bool, np.bool_)) or not _is_finite(self.p0) or not 0.0 <= self.p0 <= 1.0:
             raise DomainError(f"prior p0 must lie in [0, 1], got {self.p0!r}")
 
     @property
     def p1(self) -> float:
         return 1.0 - self.p0
+
+
+# The uniform prior of the sweep, the capacity report and the
+# mutual-info-uniform objective; a frozen value, so one serves every call.
+_UNIFORM_PRIOR = InputPrior(0.5)
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,7 @@ def channel_from_protocol(config: NestedConfig) -> ChannelModel:
 def success_probabilities(channel: ChannelModel) -> Tuple[float, float]:
     """(P(a=0 | b=0), P(a=1 | b=1)) under argmax decoding: D2 reads as a=0
     and D1 as a=1; "no click" never counts as success."""
-    return float(channel.p_given_b[0, 1]), float(channel.p_given_b[1, 0])
+    return channel.p_given_b.item(0, 1), channel.p_given_b.item(1, 0)
 
 
 def _entropy_bits(distribution: Sequence[float]) -> float:
@@ -321,9 +329,9 @@ def _simplex_max(f, x0, step, max_iter):
 _OBJECTIVE_NAMES = ("min-success", "mutual-info-uniform")
 
 # Work budget of one optimization, in channel evaluations.  An evaluation
-# (two protocol runs and the objective) takes about 45 us on an Intel Xeon
+# (two protocol runs and the objective) takes about 38 us on an Intel Xeon
 # (best of 7 ``optimize_angles("min-success", 24, 200)`` over its 842), so
-# the budget, 11 times the 1,379 that grid 24 and refine 200 allow, is ~0.7 s.
+# the budget, 11 times the 1,379 that grid 24 and refine 200 allow, is ~0.6 s.
 MAX_OPTIMIZE_EVALUATIONS = 15_000
 
 
@@ -369,7 +377,7 @@ def optimize_angles(
         channel = channel_from_protocol(NestedConfig(theta1, theta2))
         if objective == "min-success":
             return min(success_probabilities(channel))
-        return mutual_information(channel, InputPrior(0.5))
+        return mutual_information(channel, _UNIFORM_PRIOR)
 
     cell = _HALF_PI / grid_points
     centers = [(i + 0.5) * cell for i in range(grid_points)]

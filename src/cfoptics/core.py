@@ -238,12 +238,14 @@ class Network:
             raise InvalidNetworkError("mode_count must be an integer")
         if self.mode_count < 1:
             raise InvalidNetworkError("mode_count must be positive")
-        elements = tuple(self.elements)
+        elements = self.elements
+        if type(elements) is not tuple:
+            elements = tuple(elements)
+            object.__setattr__(self, "elements", elements)
         plan = None
         if (isinstance(like, Network) and like.mode_count == self.mode_count
                 and len(like.elements) == len(elements)):
             plan = _relower(like, elements)
-        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_plan", plan or _lower(elements, self.mode_count))
 
 
@@ -301,7 +303,8 @@ def _relower(template, elements):
         coeff[i] = entry[3]
     if coeff is None:
         return plan
-    return _Plan(plan.ops, plan.arg_a, plan.arg_b, coeff, plan.ledger_labels, plan.checkpoint_rows)
+    return _Plan._make((plan.ops, plan.arg_a, plan.arg_b, coeff, plan.ledger_labels,
+                        plan.checkpoint_rows))
 
 
 def compile_network(network: Network) -> _Plan:
@@ -388,10 +391,14 @@ def propagate(network: Network, state: ModeState):
         ledger = dict(state.absorbed)
         for label, value in zip(plan.ledger_labels, absorbed):
             ledger[label] = ledger.get(label, 0.0) + value
+        _check_contents(amps, ledger)
     else:
         ledger = dict(zip(plan.ledger_labels, absorbed))
-    # A constructed state's checks, on the lists the kernel filled.
-    _check_contents(amps, ledger)
+        # The labels are the plan's strings and each value a sum of squares,
+        # never negative, so finite lists pass a constructed state's checks;
+        # otherwise those checks raise their first error.
+        if not (all(map(cmath.isfinite, amps)) and all(map(math.isfinite, absorbed))):
+            _check_contents(amps, ledger)
     final = ModeState.__new__(ModeState)
     final.amplitudes = np.array(amps, dtype=np.complex128)
     final.absorbed = ledger

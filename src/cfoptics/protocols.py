@@ -70,12 +70,17 @@ def _validate_bit(bit) -> int:
 
 
 def _validate_angle(name: str, value) -> float:
-    if isinstance(value, bool):
+    """``value`` as a float angle in (-pi, pi]; a boolean, Python's or
+    numpy's, is not an angle although ``float(True)`` is 1.0."""
+    if type(value) is float:
+        angle = value
+    elif isinstance(value, (bool, np.bool_)):
         raise DomainError(f"{name} must be a real angle in radians")
-    try:
-        angle = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real angle in radians") from None
+    else:
+        try:
+            angle = float(value)
+        except (TypeError, ValueError):
+            raise DomainError(f"{name} must be a real angle in radians") from None
     if not math.isfinite(angle) or not -math.pi < angle <= math.pi:
         raise DomainError(f"{name} must be finite and in (-pi, pi], got {value!r}")
     return angle
@@ -95,12 +100,17 @@ class NestedConfig:
     inner_offset: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta1", _validate_angle("theta1", self.theta1))
-        object.__setattr__(self, "theta2", _validate_angle("theta2", self.theta2))
-        if isinstance(self.inner_offset, bool) or not _is_finite(self.inner_offset):
+        theta1 = _validate_angle("theta1", self.theta1)
+        theta2 = _validate_angle("theta2", self.theta2)
+        if isinstance(self.inner_offset, (bool, np.bool_)) or not _is_finite(self.inner_offset):
             raise DomainError("inner_offset must be a finite real number")
+        # A float angle is its own validated value and needs no store.
+        if theta1 is not self.theta1:
+            object.__setattr__(self, "theta1", theta1)
+        if theta2 is not self.theta2:
+            object.__setattr__(self, "theta2", theta2)
         # Not a field: both bit networks of an evaluation share these couplers.
-        outer = (BeamSplitter(0, 1, self.theta1), BeamSplitter(0, 1, self.theta2))
+        outer = (BeamSplitter(0, 1, theta1), BeamSplitter(0, 1, theta2))
         object.__setattr__(self, "_outer_couplers", outer)
 
     @property

@@ -124,6 +124,11 @@ class TestInputPrior:
             with pytest.raises(DomainError):
                 InputPrior(p0)
 
+    def test_refuses_numpy_booleans(self):
+        for p0 in (np.True_, np.False_):
+            with pytest.raises(DomainError, match="p0"):
+                InputPrior(p0)
+
 
 class TestMutualInformation:
     def test_identical_rows_carry_nothing(self):

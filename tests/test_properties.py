@@ -4,6 +4,7 @@ Examples are derandomized and bounded, so every run checks the same
 inputs and the suite stays deterministic and fast.
 """
 
+import json
 import math
 import random
 
@@ -20,6 +21,7 @@ from cfoptics import (
     ChannelModel,
     Checkpoint,
     Discard,
+    DomainError,
     InputPrior,
     InvalidNetworkError,
     ModeState,
@@ -34,7 +36,7 @@ from cfoptics import (
     run_protocol,
     total_probability,
 )
-from cfoptics import analysis, core
+from cfoptics import analysis, cli, core
 from cfoptics.kernel import OP_ABSORB, OP_SNAPSHOT, OP_SPLIT
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -231,6 +233,66 @@ def test_channel_clip_is_numpy_clip(rows):
     assert matrix.tobytes() == expected.tobytes()
 
 
+ROW_TOL = 1e-12
+
+
+def around(x):
+    return math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)
+
+
+# Entries on and one ulp either side of every edge of the accepted range,
+# the edges of [0, 1] themselves and the non-finite values, drawn as often as
+# ordinary probabilities; offsets that put a row's sum at 1, inside
+# 1 +- 1e-12, and on and either side of its edges.
+INSIDE = (-ROW_TOL, math.nextafter(-ROW_TOL, 0.0), -0.0, 0.0, *around(ROW_TOL),
+          *around(1.0 - ROW_TOL), 1.0, math.nextafter(1.0 + ROW_TOL, 0.0), 1.0 + ROW_TOL)
+OUTSIDE = (math.nextafter(-ROW_TOL, -math.inf), math.nextafter(1.0 + ROW_TOL, math.inf),
+           math.inf, -math.inf, math.nan)
+SUM_OFFSETS = (0.0, 0.5 * ROW_TOL, -0.5 * ROW_TOL, *around(ROW_TOL), *around(-ROW_TOL))
+
+
+@st.composite
+def boundary_rows(draw):
+    entry = st.one_of(st.sampled_from(INSIDE), st.floats(0.0, 1.0), st.sampled_from(INSIDE + OUTSIDE))
+    rows = []
+    for _ in range(2):
+        first = draw(entry)
+        second = draw(entry) if draw(st.booleans()) else (1.0 - first) * draw(st.floats(0.0, 1.0))
+        if draw(st.integers(0, 3)) == 0:
+            third = draw(entry)
+        else:
+            third = 1.0 - first - second + draw(st.sampled_from(SUM_OFFSETS))
+        rows.append(draw(st.permutations((first, second, third))))
+    return rows
+
+
+def reference_channel_error(rows):
+    """The refusal ``rows`` must meet, or None: every entry finite, then
+    every entry in [-1e-12, 1 + 1e-12], then every row summing to 1 within
+    1e-12.  A row is summed left to right, as ``sum`` does up to Python 3.11."""
+    entries = [p for row in rows for p in row]
+    if not all(math.isfinite(p) for p in entries):
+        return "channel entries must be finite"
+    if not all(-ROW_TOL <= p <= 1.0 + ROW_TOL for p in entries):
+        return "channel entries must be probabilities in [0, 1]"
+    if any(abs((row[0] + row[1]) + row[2] - 1.0) > ROW_TOL for row in rows):
+        return f"channel rows must sum to 1, got {np.array(rows, dtype=np.float64).sum(axis=1)}"
+    return None
+
+
+@settings(PROPERTY, max_examples=300)
+@given(boundary_rows())
+def test_channel_accepts_and_refuses_like_the_reference(rows):
+    expected = reference_channel_error(rows)
+    try:
+        matrix = ChannelModel(rows).p_given_b
+    except DomainError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert matrix.tobytes() == np.clip(np.array(rows, dtype=np.float64), 0.0, 1.0).tobytes()
+
+
 @PROPERTY
 @given(channel_rows().filter(valid_channel), priors)
 def test_mutual_information_is_the_ndarray_formula(rows, p0):
@@ -413,3 +475,128 @@ def test_building_like_a_template_never_changes_the_network(case):
         assert plan_columns(core.compile_network(hinted)) == plan_columns(
             core.compile_network(plain))
     assert plan_columns(core.compile_network(template)) == before
+
+
+@settings(PROPERTY, max_examples=40)
+@given(shared_element_networks(), angles,
+       st.lists(st.tuples(st.integers(0, 2**32 - 1), st.one_of(angles, st.just(math.nan))),
+                min_size=1, max_size=40))
+def test_building_like_a_template_in_sequence_never_changes_the_network(pooled, angle, steps):
+    """Builds in sequence, each with a new exact coupler at another angle in
+    place of one of the template's, dropped before the next build, so that a
+    new coupler may take the address of a dropped one: every network, plan
+    and first error is that of building without the hint (twice over for an
+    invalid coupler), and the template's plan is left as it was."""
+    template = Network(pooled.mode_count, (BeamSplitter(0, 1, angle), *pooled.elements))
+    before = plan_columns(core.compile_network(template))
+
+    def build(elements, **hint):
+        try:
+            return plan_columns(core.compile_network(Network(template.mode_count, elements, **hint)))
+        except InvalidNetworkError as exc:
+            return str(exc)
+
+    for seed, theta in steps:
+        pick = random.Random(seed)
+        elements = list(template.elements)
+        old = pick.choice([e for e in elements if type(e) is BeamSplitter])
+        new = BeamSplitter(old.mode_a, old.mode_b, theta)
+        positions = [i for i, e in enumerate(elements) if e is old]
+        for i in positions if pick.random() < 0.5 else [pick.choice(positions)]:
+            elements[i] = new
+        plain = build(elements)
+        assert build(elements, like=template) == plain
+        assert build(elements, like=template) == plain
+        del new, elements
+    assert plan_columns(core.compile_network(template)) == before
+
+
+def reference_number(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if value == 0.0:
+        return "0"
+    return format(float(value), ".12g")
+
+
+def reference_json(value, indent=0):
+    """The renderer's contract, one isinstance test after another: two-space
+    indentation, JSON strings, 12 significant digits, -0.0 as 0."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [f"{inner}{json.dumps(str(key))}: {reference_json(item, indent + 1)}"
+                 for key, item in value.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [f"{inner}{reference_json(item, indent + 1)}" for item in value]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    return reference_number(value)
+
+
+def reference_flatten(value, prefix, out):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            reference_flatten(item, f"{prefix}.{key}" if prefix else str(key), out)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            reference_flatten(item, f"{prefix}[{index}]", out)
+    elif isinstance(value, str):
+        out.append((prefix, value))
+    elif value is None:
+        out.append((prefix, ""))
+    else:
+        out.append((prefix, reference_number(value)))
+
+
+def reference_csv(document):
+    results = document["results"]
+    if isinstance(results, dict) and "columns" in results and "rows" in results:
+        lines = [",".join(results["columns"])]
+        for row in results["rows"]:
+            lines.append(",".join(cell if isinstance(cell, str) else reference_number(cell)
+                                  for cell in row))
+        return "\n".join(lines) + "\n"
+    pairs = []
+    reference_flatten(document, "", pairs)
+    return "\n".join(["key,value"] + [f"{key},{value}" for key, value in pairs]) + "\n"
+
+
+numbers = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    st.floats(allow_nan=True).map(np.float64),
+)
+leaves = st.one_of(numbers, st.none(), st.text(max_size=6))
+keys = st.text(max_size=6)
+trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(st.lists(children, max_size=4), st.tuples(children, children),
+                               st.dictionaries(keys, children, max_size=4)),
+    max_leaves=24,
+)
+tables = st.fixed_dictionaries({
+    "columns": st.lists(keys, min_size=1, max_size=4),
+    "rows": st.lists(st.lists(st.one_of(numbers, st.text(max_size=6)), max_size=4), max_size=4),
+})
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.dictionaries(keys, trees, max_size=3), st.one_of(trees, tables))
+def test_rendering_is_the_reference_renderer(extra, results):
+    """JSON and CSV documents, nested or tabular, render to the reference's
+    bytes whatever mix of numbers, strings and None they hold."""
+    document = {**extra, "results": results}
+    assert cli._render(document, "json") == reference_json(document) + "\n"
+    assert cli._render(document, "csv") == reference_csv(document)

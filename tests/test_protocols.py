@@ -85,6 +85,23 @@ class TestNetworkStructure:
         with pytest.raises(DomainError, match=name):
             ChainConfig(2, 3, **{name: True})
 
+    @pytest.mark.parametrize("name", ["theta1", "theta2"])
+    def test_nested_config_refuses_numpy_boolean_angles(self, name):
+        # float(np.True_) is 1.0, and np.True_ is not a bool
+        for flag in (np.True_, np.False_):
+            with pytest.raises(DomainError, match=name):
+                NestedConfig(**{"theta1": 0.3, "theta2": 0.4, name: flag})
+
+    @pytest.mark.parametrize("offset", [np.True_, np.False_])
+    def test_nested_config_refuses_numpy_boolean_inner_offset(self, offset):
+        with pytest.raises(DomainError, match="inner_offset"):
+            NestedConfig(0.3, 0.4, inner_offset=offset)
+
+    @pytest.mark.parametrize("name", ["outer_angle", "inner_angle", "final_angle"])
+    def test_chain_config_refuses_numpy_boolean_angles(self, name):
+        with pytest.raises(DomainError, match=name):
+            ChainConfig(2, 3, **{name: np.True_})
+
 
 class TestNestedTemplates:
     """Each bit's layout is lowered once, as a template network; every
