@@ -19,7 +19,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import _is_finite
+from .core import _finite_real, _integer
 from .errors import BracketError, DomainError
 # ``run_protocol`` stays a name of this module: perfbench wraps it here.
 from .protocols import NestedConfig, _detector_probabilities, run_protocol
@@ -88,8 +88,9 @@ class InputPrior:
     p0: float
 
     def __post_init__(self):
-        if isinstance(self.p0, (bool, np.bool_)) or not _is_finite(self.p0) or not 0.0 <= self.p0 <= 1.0:
+        if (p0 := _finite_real(self.p0)) is None or not 0.0 <= p0 <= 1.0:
             raise DomainError(f"prior p0 must lie in [0, 1], got {self.p0!r}")
+        object.__setattr__(self, "p0", p0)
 
     @property
     def p1(self) -> float:
@@ -145,21 +146,18 @@ def mutual_information(channel: ChannelModel, prior: InputPrior) -> float:
     return float(min(1.0, max(0.0, info)))
 
 
-def _is_real(value) -> bool:
-    """A finite int or float; a bool is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and _is_finite(value)
-
-
-def _check_tol(tol) -> None:
-    if not (_is_real(tol) and tol > 0):
+def _check_tol(tol) -> float:
+    if (number := _finite_real(tol)) is None or number <= 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
+    return number
 
 
-def _check_theta1(theta1) -> None:
-    if not _is_real(theta1):
+def _check_theta1(theta1) -> float:
+    if (angle := _finite_real(theta1)) is None:
         raise DomainError(f"theta1 must be a finite angle, got {theta1!r}")
-    if not 0.0 < theta1 < _HALF_PI:
+    if not 0.0 < angle < _HALF_PI:
         raise DomainError(f"theta1 must lie in (0, pi/2), got {theta1!r}")
+    return angle
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -195,12 +193,12 @@ def capacity(channel: ChannelModel, tol: float = 1e-10) -> Tuple[float, InputPri
     endpoints are always evaluated too, which makes
     ``capacity >= I(uniform) - tol`` hold unconditionally.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
 
     def info(p0: float) -> float:
         return mutual_information(channel, InputPrior(p0))
 
-    xtol = max(min(float(tol), 1e-6), 1e-12)
+    xtol = max(min(tol, 1e-6), 1e-12)
     best_x, best_f = _golden_section_max(info, 0.0, 1.0, xtol)
     for candidate in (0.5, 0.0, 1.0):
         value = info(candidate)
@@ -218,7 +216,7 @@ def balanced_theta2(theta1: float) -> float:
     point the balancing root is the negative angle of the same magnitude,
     which is what this function returns there.
     """
-    _check_theta1(theta1)
+    theta1 = _check_theta1(theta1)
     c = math.cos(theta1)
     s = math.sin(theta1)
     rhs = 4.0 * c * c / (s * s - 4.0 * c * s + 8.0 * c * c)
@@ -236,8 +234,8 @@ def balance_root_solve(theta1: float, tol: float = 1e-10) -> float:
     difference does not change sign on [0, pi/2] (the case tan(theta1) > 2,
     where no non-negative balancing angle exists).
     """
-    _check_theta1(theta1)
-    _check_tol(tol)
+    theta1 = _check_theta1(theta1)
+    tol = _check_tol(tol)
 
     def signed_gap(theta2: float) -> float:
         p00, p11 = success_probabilities(
@@ -278,15 +276,14 @@ def _simplex_max(f, x0, step, max_iter):
     points: List[List[float]] = [list(x0), [x0[0] + step, x0[1]], [x0[0], x0[1] + step]]
     values = [f(p) for p in points]
     best_point, best_value = list(x0), values[0]
-    for point, value in zip(points, values):
-        if value > best_value:
-            best_point, best_value = list(point), value
 
     def record(point, value):
         nonlocal best_point, best_value
         if value > best_value:
             best_point, best_value = list(point), value
 
+    for point, value in zip(points, values):
+        record(point, value)
     for _ in range(max_iter):
         order = sorted(range(3), key=lambda i: values[i], reverse=True)
         points = [points[i] for i in order]
@@ -355,14 +352,14 @@ def optimize_angles(
         raise DomainError(
             f"objective must be one of {_OBJECTIVE_NAMES}, got {objective!r}"
         )
-    if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 8:
+    if (grid := _integer(grid_points)) is None or grid < 8:
         raise DomainError(f"grid_points must be an integer >= 8, got {grid_points!r}")
-    if not isinstance(refine_iters, int) or isinstance(refine_iters, bool) or refine_iters < 0:
+    if (refine := _integer(refine_iters)) is None or refine < 0:
         raise DomainError(f"refine_iters must be a non-negative integer, got {refine_iters!r}")
-    allowed = grid_points * grid_points + 3 + 4 * refine_iters
+    allowed = grid * grid + 3 + 4 * refine
     if allowed > MAX_OPTIMIZE_EVALUATIONS:
         raise DomainError(
-            f"grid_points={grid_points} and refine_iters={refine_iters} allow {allowed} "
+            f"grid_points={grid} and refine_iters={refine} allow {allowed} "
             f"channel evaluations, above the budget of {MAX_OPTIMIZE_EVALUATIONS}"
         )
 
@@ -379,8 +376,8 @@ def optimize_angles(
             return min(success_probabilities(channel))
         return mutual_information(channel, _UNIFORM_PRIOR)
 
-    cell = _HALF_PI / grid_points
-    centers = [(i + 0.5) * cell for i in range(grid_points)]
+    cell = _HALF_PI / grid
+    centers = [(i + 0.5) * cell for i in range(grid)]
     best_point, best_value = [centers[0], centers[0]], -math.inf
     for theta1 in centers:
         for theta2 in centers:
@@ -388,8 +385,8 @@ def optimize_angles(
             if value > best_value:
                 best_point, best_value = [theta1, theta2], value
 
-    if refine_iters > 0:
-        best_point, best_value = _simplex_max(score, best_point, cell / 2.0, refine_iters)
+    if refine > 0:
+        best_point, best_value = _simplex_max(score, best_point, cell / 2.0, refine)
 
     return OptimizationResult(
         theta1=best_point[0],

@@ -24,6 +24,7 @@ from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import AuditError, DomainError
+from .protocols import _validate_bit
 
 __all__ = [
     "Token",
@@ -88,12 +89,6 @@ class BilliardRun:
 class PulseRelayRun:
     decoded: Tuple[int, ...]
     log: CarrierLog
-
-
-def _validate_bit(bit) -> int:
-    if bit not in (0, 1) or isinstance(bit, bool):
-        raise DomainError(f"sender bit must be 0 or 1, got {bit!r}")
-    return int(bit)
 
 
 def run_billiard(bit: int) -> BilliardRun:

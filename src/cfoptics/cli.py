@@ -32,6 +32,7 @@ from .analysis import (
     success_probabilities,
 )
 from .classical import carrier_span_audit, decode_billiard, run_billiard, run_pulse_relay
+from .core import _finite_real, _integer
 from .errors import CfOpticsError
 from .protocols import (
     LEG_NAMES,
@@ -176,14 +177,15 @@ def _require(spec: Dict[str, object], key: str):
 
 
 def _as_float(value, name: str) -> float:
-    """Real parameter from a flag's text or a config value; a JSON boolean
-    is not a number here, although ``float(True)`` is 1.0."""
+    """Real parameter from a flag's text, read as the number it spells, or a
+    config value; a JSON boolean is not a number here."""
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        result = float(value)
-    except (TypeError, ValueError):
-        raise CliUsageError(f"{name} must be a number, got {value!r}") from None
+        number = float(value) if isinstance(value, str) else value
+    except ValueError:
+        number = None
+    result = number if type(number) is float else _finite_real(number)
+    if result is None:
+        raise CliUsageError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(result):
         raise CliUsageError(f"{name} must be finite, got {value!r}")
     return result
@@ -202,32 +204,20 @@ def _as_int(value, name: str) -> int:
                 number = float(value)
             except ValueError:
                 pass
-    if isinstance(number, bool):
-        raise CliUsageError(f"{name} must be an integer, got {value!r}")
-    if isinstance(number, int):
-        return number
-    if isinstance(number, float) and number.is_integer():
+    if type(number) is float and number.is_integer():
         return int(number)
-    raise CliUsageError(f"{name} must be an integer, got {value!r}")
-
-
-def _as_bit(value, name: str = "bit") -> int:
-    bit = _as_int(value, name)
-    if bit not in (0, 1):
-        raise CliUsageError(f"{name} must be 0 or 1, got {value!r}")
-    return bit
+    if (result := _integer(number)) is None:
+        raise CliUsageError(f"{name} must be an integer, got {value!r}")
+    return result
 
 
 def _parse_range(value) -> Tuple[float, float]:
-    if isinstance(value, str):
-        parts = value.split(":")
-        if len(parts) != 2:
-            raise CliUsageError(f"theta1 range must look like START:STOP, got {value!r}")
-        lo, hi = (_as_float(part, "theta1 range endpoint") for part in parts)
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        lo, hi = (_as_float(part, "theta1 range endpoint") for part in value)
-    else:
+    parts = value.split(":") if isinstance(value, str) else value
+    if isinstance(value, str) and len(parts) != 2:
+        raise CliUsageError(f"theta1 range must look like START:STOP, got {value!r}")
+    if not isinstance(parts, (list, tuple)) or len(parts) != 2:
         raise CliUsageError(f"theta1 range must be START:STOP or a 2-element list, got {value!r}")
+    lo, hi = (_as_float(part, "theta1 range endpoint") for part in parts)
     if not lo < hi:
         raise CliUsageError(f"theta1 range is empty: {lo!r} >= {hi!r}")
     return lo, hi
@@ -259,19 +249,15 @@ def _theta2_rule(spec: Dict[str, object]) -> Tuple[bool, Optional[float]]:
     return bool(balanced), None if balanced else _as_float(theta2, "theta2")
 
 
-def _resolve_theta2(spec: Dict[str, object], theta1: float) -> Tuple[float, bool]:
-    balanced, theta2 = _theta2_rule(spec)
-    return (balanced_theta2(theta1) if balanced else theta2), balanced
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 
 
 def _cmd_simulate(spec: Dict[str, object]) -> dict:
     theta1 = _as_float(_require(spec, "theta1"), "theta1")
-    theta2, balanced = _resolve_theta2(spec, theta1)
-    bit = _as_bit(_require(spec, "bit"))
+    balanced, theta2 = _theta2_rule(spec)
+    theta2 = balanced_theta2(theta1) if balanced else theta2
+    bit = _as_int(_require(spec, "bit"), "bit")
     outcome = run_protocol(NestedConfig(theta1, theta2), bit)
     p_none = max(0.0, 1.0 - outcome.p_d1 - outcome.p_d2)
     results = {
@@ -347,7 +333,8 @@ def _cmd_optimize(spec: Dict[str, object]) -> dict:
 
 def _cmd_capacity(spec: Dict[str, object]) -> dict:
     theta1 = _as_float(_require(spec, "theta1"), "theta1")
-    theta2, balanced = _resolve_theta2(spec, theta1)
+    balanced, theta2 = _theta2_rule(spec)
+    theta2 = balanced_theta2(theta1) if balanced else theta2
     tol = _as_float(spec.get("tol") if spec.get("tol") is not None else 1e-10, "tol")
     channel = channel_from_protocol(NestedConfig(theta1, theta2))
     capacity_bits, prior = capacity(channel, tol)
@@ -497,8 +484,11 @@ def main(argv=None) -> int:
         document = _COMMANDS[args.command](spec)
         rendered = _render(document, fmt)
         if out is not None:
-            with open(str(out), "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(rendered)
+            try:
+                with open(str(out), "w", encoding="utf-8", newline="\n") as handle:
+                    handle.write(rendered)
+            except OSError as exc:
+                raise CliUsageError(f"cannot write output file: {exc}") from None
         else:
             sys.stdout.write(rendered)
     except CfOpticsError as exc:

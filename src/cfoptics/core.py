@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from itertools import compress, count
@@ -109,10 +110,11 @@ class ModeState:
     @classmethod
     def single_photon(cls, mode_count: int, mode: int = 0) -> "ModeState":
         """Unit amplitude in one mode, vacuum elsewhere, empty ledger."""
-        if mode_count < 1 or not 0 <= mode < mode_count:
+        count, index = _integer(mode_count), _integer(mode)
+        if count is None or index is None or not 0 <= index < count:
             raise InvalidNetworkError("mode index out of range")
-        amps = np.zeros(mode_count, dtype=np.complex128)
-        amps[mode] = 1.0
+        amps = np.zeros(count, dtype=np.complex128)
+        amps[index] = 1.0
         return cls(amps)
 
     @property
@@ -131,27 +133,41 @@ def _check_contents(amplitudes, ledger):
     for label, value in ledger.items():
         if not isinstance(label, str):
             raise InvalidNetworkError("absorber labels must be strings")
-        if not _is_finite(value) or value < 0.0:
+        if (number := _finite_real(value)) is None or number < 0.0:
             raise InvalidNetworkError(
                 f"absorbed[{label!r}] must be a finite non-negative probability"
             )
+        ledger[label] = number
 
 
-def _is_finite(value):
-    """``math.isfinite`` that answers False for non-numbers instead of raising."""
-    try:
-        return math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
+def _finite_real(value) -> Optional[float]:
+    """``value`` as a Python float if it is a finite ``numbers.Real`` but no
+    ``bool`` (text, bytes and ``numpy.bool_`` are none), else None."""
+    if type(value) is not float:
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            return None
+        try:
+            value = float(value)
+        except OverflowError:  # an int too large for a float is not finite
+            return None
+    return value if math.isfinite(value) else None
 
 
-def _check_mode(index, mode_count, what):
-    if not isinstance(index, int) or isinstance(index, bool):
+def _integer(value) -> Optional[int]:
+    """``value`` as a Python int if it is a ``numbers.Integral`` but no ``bool``, else None."""
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    return None
+
+
+def _check_mode(index, mode_count, what) -> int:
+    if (mode := _integer(index)) is None:
         raise InvalidNetworkError(f"{what} must be an integer mode index")
-    if not 0 <= index < mode_count:
+    if not 0 <= mode < mode_count:
         raise InvalidNetworkError(
             f"{what} {index} out of range for {mode_count} modes"
         )
+    return mode
 
 
 _ELEMENT_TYPES = (BeamSplitter, Blocker, Discard, Checkpoint)
@@ -172,20 +188,19 @@ def _lower_element(element, kind, mode_count, slots):
     if kind is BeamSplitter:
         mode_a, mode_b = element.mode_a, element.mode_b
         if type(mode_a) is not int or not 0 <= mode_a < mode_count:
-            _check_mode(mode_a, mode_count, "beam-splitter mode_a")
+            mode_a = _check_mode(mode_a, mode_count, "beam-splitter mode_a")
         if type(mode_b) is not int or not 0 <= mode_b < mode_count:
-            _check_mode(mode_b, mode_count, "beam-splitter mode_b")
+            mode_b = _check_mode(mode_b, mode_count, "beam-splitter mode_b")
         if mode_a == mode_b:
             raise InvalidNetworkError("beam splitter needs two distinct modes")
-        theta = element.theta
-        if not _is_finite(theta):
+        if (theta := _finite_real(element.theta)) is None:
             raise InvalidNetworkError("beam-splitter angle must be a finite real number")
         return OP_SPLIT, mode_a, mode_b, (math.cos(theta), 1j * math.sin(theta))
     if kind is None:
         raise InvalidNetworkError(f"unknown element type {type(element).__name__}")
     mode, label = element.mode, element.label
     if type(mode) is not int or not 0 <= mode < mode_count:
-        _check_mode(mode, mode_count, "absorber mode")
+        mode = _check_mode(mode, mode_count, "absorber mode")
     if not isinstance(label, str) or not label:
         raise InvalidNetworkError("absorber label must be a non-empty string")
     return OP_ABSORB, mode, slots.setdefault(label, len(slots)), None
@@ -234,19 +249,20 @@ class Network:
     like: InitVar[Optional["Network"]] = field(default=None, kw_only=True)
 
     def __post_init__(self, like):
-        if not isinstance(self.mode_count, int) or isinstance(self.mode_count, bool):
+        if (mode_count := _integer(self.mode_count)) is None:
             raise InvalidNetworkError("mode_count must be an integer")
-        if self.mode_count < 1:
+        if mode_count < 1:
             raise InvalidNetworkError("mode_count must be positive")
+        object.__setattr__(self, "mode_count", mode_count)
         elements = self.elements
         if type(elements) is not tuple:
             elements = tuple(elements)
             object.__setattr__(self, "elements", elements)
         plan = None
-        if (isinstance(like, Network) and like.mode_count == self.mode_count
+        if (isinstance(like, Network) and like.mode_count == mode_count
                 and len(like.elements) == len(elements)):
             plan = _relower(like, elements)
-        object.__setattr__(self, "_plan", plan or _lower(elements, self.mode_count))
+        object.__setattr__(self, "_plan", plan or _lower(elements, mode_count))
 
 
 def _lower(elements, mode_count):
@@ -339,11 +355,11 @@ def apply_beam_splitter(state: ModeState, mode_a: int, mode_b: int, theta: float
     ``c = cos(theta)``, ``s = sin(theta)``; unitary for every angle.
     """
     n = state.mode_count
-    _check_mode(mode_a, n, "mode_a")
-    _check_mode(mode_b, n, "mode_b")
+    mode_a = _check_mode(mode_a, n, "mode_a")
+    mode_b = _check_mode(mode_b, n, "mode_b")
     if mode_a == mode_b:
         raise InvalidNetworkError("beam splitter needs two distinct modes")
-    if not _is_finite(theta):
+    if (theta := _finite_real(theta)) is None:
         raise InvalidNetworkError("beam-splitter angle must be a finite real number")
     c = math.cos(theta)
     s = math.sin(theta)
@@ -357,7 +373,9 @@ def apply_beam_splitter(state: ModeState, mode_a: int, mode_b: int, theta: float
 
 def apply_blocker(state: ModeState, mode: int, label: str) -> ModeState:
     """Absorb one mode completely, booking its probability under ``label``."""
-    _check_mode(mode, state.mode_count, "mode")
+    mode = _check_mode(mode, state.mode_count, "mode")
+    if not isinstance(label, str) or not label:
+        raise InvalidNetworkError("absorber label must be a non-empty string")
     amps = state.amplitudes.copy()
     za = complex(amps[mode])
     amps[mode] = 0j

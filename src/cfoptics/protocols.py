@@ -31,7 +31,8 @@ from .core import (
     Discard,
     ModeState,
     Network,
-    _is_finite,
+    _finite_real,
+    _integer,
     propagate,
 )
 from .errors import DomainError, MalformedOutcomeError, UndecidableDecodingError
@@ -64,24 +65,19 @@ _LEG_MODE = {
 
 
 def _validate_bit(bit) -> int:
-    if bit not in (0, 1) or isinstance(bit, bool):
+    value = bit if type(bit) is int else _integer(bit)
+    if value not in (0, 1):
         raise DomainError(f"sender bit must be 0 or 1, got {bit!r}")
-    return int(bit)
+    return value
 
 
 def _validate_angle(name: str, value) -> float:
-    """``value`` as a float angle in (-pi, pi]; a boolean, Python's or
-    numpy's, is not an angle although ``float(True)`` is 1.0."""
-    if type(value) is float:
-        angle = value
-    elif isinstance(value, (bool, np.bool_)):
+    """``value`` as a float angle in (-pi, pi]; a non-finite float is out of
+    range, any other non-finite or non-real value is no angle."""
+    angle = value if type(value) is float else _finite_real(value)
+    if angle is None:
         raise DomainError(f"{name} must be a real angle in radians")
-    else:
-        try:
-            angle = float(value)
-        except (TypeError, ValueError):
-            raise DomainError(f"{name} must be a real angle in radians") from None
-    if not math.isfinite(angle) or not -math.pi < angle <= math.pi:
+    if not -math.pi < angle <= math.pi:
         raise DomainError(f"{name} must be finite and in (-pi, pi], got {value!r}")
     return angle
 
@@ -102,13 +98,14 @@ class NestedConfig:
     def __post_init__(self):
         theta1 = _validate_angle("theta1", self.theta1)
         theta2 = _validate_angle("theta2", self.theta2)
-        if isinstance(self.inner_offset, (bool, np.bool_)) or not _is_finite(self.inner_offset):
+        if (offset := _finite_real(self.inner_offset)) is None:
             raise DomainError("inner_offset must be a finite real number")
         # A float angle is its own validated value and needs no store.
         if theta1 is not self.theta1:
             object.__setattr__(self, "theta1", theta1)
         if theta2 is not self.theta2:
             object.__setattr__(self, "theta2", theta2)
+        object.__setattr__(self, "inner_offset", offset)
         # Not a field: both bit networks of an evaluation share these couplers.
         outer = (BeamSplitter(0, 1, theta1), BeamSplitter(0, 1, theta2))
         object.__setattr__(self, "_outer_couplers", outer)
@@ -222,13 +219,14 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
     the same linear evolution, so detector intensities are
     ``intensity * p_dk``.  Decoding is argmax over the two detectors; an
     exact tie is refused rather than silently broken."""
-    if not isinstance(intensity, (int, float)) or isinstance(intensity, bool):
+    number = intensity if type(intensity) is float else _finite_real(intensity)
+    if number is None:
         raise DomainError("intensity must be a positive number")
-    if not math.isfinite(intensity) or intensity <= 0:
+    if not math.isfinite(number) or number <= 0:
         raise DomainError(f"intensity must be positive and finite, got {intensity!r}")
     p_d1, p_d2 = _detector_probabilities(config, bit)
-    i_d1 = intensity * p_d1
-    i_d2 = intensity * p_d2
+    i_d1 = number * p_d1
+    i_d2 = number * p_d2
     if i_d1 > i_d2:
         decoded = 1
     elif i_d2 > i_d1:
@@ -279,9 +277,10 @@ class ChainConfig:
     final_angle: Optional[float] = None
 
     def __post_init__(self):
-        for name, value in (("outer_cycles", self.outer_cycles), ("inner_cycles", self.inner_cycles)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise DomainError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("outer_cycles", "inner_cycles"):
+            if (cycles := _integer(getattr(self, name))) is None or cycles < 1:
+                raise DomainError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, cycles)
         elements = _chain_element_count(self.outer_cycles, self.inner_cycles, 0)
         if elements > MAX_CHAIN_ELEMENTS:
             raise DomainError(

@@ -272,6 +272,17 @@ class TestRendering:
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_out_that_cannot_be_written_is_a_usage_error(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "a.json" if where == "missing directory" else tmp_path
+        code, out, err = run_cli(
+            capsys, "simulate", "--theta1", "0.25", "--balanced", "--bit", "0", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cfoptics simulate: error: cannot write output file: ")
+        assert not (tmp_path / "missing").exists()
+
     def test_twelve_significant_digits(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--theta1", "0.25", "--balanced", "--bit", "1")
         assert code == 0

@@ -114,6 +114,15 @@ class TestBlocker:
         with pytest.raises(InvalidNetworkError):
             apply_blocker(ModeState.single_photon(2), 5, "x")
 
+    @pytest.mark.parametrize("label", ["", 1, None, b"bob"])
+    def test_label_follows_the_network_rule(self, label):
+        with pytest.raises(InvalidNetworkError) as excinfo:
+            apply_blocker(ModeState.single_photon(2), 0, label)
+        assert str(excinfo.value) == "absorber label must be a non-empty string"
+        with pytest.raises(InvalidNetworkError) as excinfo:
+            Network(2, (Blocker(0, label),))
+        assert str(excinfo.value) == "absorber label must be a non-empty string"
+
 
 def random_network(rng, mode_count=4, n_elements=12):
     elements = []

@@ -1,0 +1,213 @@
+"""One rule for what counts as a number, at every entry point.
+
+A real number is a ``numbers.Real`` that is no ``bool``, and an integer a
+``numbers.Integral`` that is no ``bool``; ``numpy.bool_`` is neither.  A
+numpy real or integer scalar counts as the Python number it holds, as does
+a ``Fraction``.  Text, bytes, booleans, ``Decimal`` and ``complex`` values,
+nan, the infinities and integers too large for a float are refused with the
+entry point's own ``CfOpticsError`` subclass, never a bare ``TypeError`` or
+``OverflowError``; where an integer is due, ``1.0`` is refused too.
+"""
+
+import json
+import math
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from cfoptics import (
+    BeamSplitter,
+    Blocker,
+    ChainConfig,
+    DomainError,
+    InputPrior,
+    InvalidNetworkError,
+    ModeState,
+    NestedConfig,
+    Network,
+    apply_beam_splitter,
+    apply_blocker,
+    balance_root_solve,
+    balanced_theta2,
+    build_chain_network,
+    capacity,
+    channel_from_protocol,
+    counterfactual_witness,
+    optimize_angles,
+    propagate,
+    run_billiard,
+    run_bright_pulse,
+    run_protocol,
+    run_pulse_relay,
+)
+
+CONFIG = NestedConfig(0.25, 0.3)
+CHANNEL = channel_from_protocol(CONFIG)
+OUTCOME = run_protocol(CONFIG, 1)
+
+
+def _amplitudes(network, mode_count):
+    return propagate(network, ModeState.single_photon(mode_count))[0].amplitudes.tolist()
+
+
+def _chain(config):
+    return (config.outer_cycles, config.inner_cycles, config.outer_angle,
+            config.inner_angle, config.final_angle)
+
+
+def _optimum(result):
+    return result.theta1, result.theta2, result.objective_value, result.evaluations
+
+
+# name -> (entry point of one argument, its error, a Python float and a
+# Python int it accepts).  0.25 is exact in float32 too.
+REAL = {
+    "Network coupler angle": (
+        lambda v: _amplitudes(Network(2, (BeamSplitter(0, 1, v),)), 2), InvalidNetworkError, 0.25, 1),
+    "apply_beam_splitter theta": (
+        lambda v: apply_beam_splitter(ModeState.single_photon(2), 0, 1, v).amplitudes.tolist(),
+        InvalidNetworkError, 0.25, 1),
+    "ModeState ledger value": (
+        lambda v: ModeState([1, 0], {"x": v}).absorbed, InvalidNetworkError, 0.25, 1),
+    "NestedConfig theta1": (lambda v: run_protocol(NestedConfig(v, 0.3), 1).p_d1, DomainError, 0.25, 1),
+    "NestedConfig theta2": (lambda v: run_protocol(NestedConfig(0.25, v), 1).p_d1, DomainError, 0.25, 1),
+    "NestedConfig inner_offset": (
+        lambda v: run_protocol(NestedConfig(0.25, 0.3, v), 1).p_d1, DomainError, 0.25, 0),
+    "ChainConfig outer_angle": (lambda v: _chain(ChainConfig(2, 3, outer_angle=v)), DomainError, 0.25, 1),
+    "ChainConfig inner_angle": (lambda v: _chain(ChainConfig(2, 3, inner_angle=v)), DomainError, 0.25, 1),
+    "ChainConfig final_angle": (lambda v: _chain(ChainConfig(2, 3, final_angle=v)), DomainError, 0.25, 1),
+    "run_bright_pulse intensity": (
+        lambda v: tuple(run_bright_pulse(CONFIG, 0, v)), DomainError, 0.25, 2),
+    "InputPrior p0": (lambda v: (InputPrior(v).p0, InputPrior(v).p1), DomainError, 0.25, 1),
+    "capacity tol": (lambda v: capacity(CHANNEL, tol=v)[0], DomainError, 0.25, 1),
+    "balanced_theta2 theta1": (lambda v: balanced_theta2(v), DomainError, 0.25, 1),
+    "balance_root_solve theta1": (lambda v: balance_root_solve(v, 1e-6), DomainError, 0.25, 1),
+    "balance_root_solve tol": (lambda v: balance_root_solve(0.25, v), DomainError, 0.25, 1),
+}
+
+# name -> (entry point of one argument, its error, a Python int it accepts).
+INTEGER = {
+    "Network mode_count": (lambda v: Network(v, ()).mode_count, InvalidNetworkError, 2),
+    "single_photon mode_count": (
+        lambda v: ModeState.single_photon(v).amplitudes.tolist(), InvalidNetworkError, 2),
+    "single_photon mode": (
+        lambda v: ModeState.single_photon(2, v).amplitudes.tolist(), InvalidNetworkError, 1),
+    "Network coupler mode": (
+        lambda v: _amplitudes(Network(3, (BeamSplitter(v, 0, 0.25),)), 3), InvalidNetworkError, 1),
+    "Network absorber mode": (
+        lambda v: propagate(Network(2, (Blocker(v, "x"),)), ModeState.single_photon(2, 1))[0].absorbed,
+        InvalidNetworkError, 1),
+    "apply_beam_splitter mode": (
+        lambda v: apply_beam_splitter(ModeState.single_photon(3), v, 0, 0.25).amplitudes.tolist(),
+        InvalidNetworkError, 1),
+    "apply_blocker mode": (
+        lambda v: apply_blocker(ModeState.single_photon(2, 1), v, "x").absorbed, InvalidNetworkError, 1),
+    "run_protocol bit": (lambda v: run_protocol(CONFIG, v).p_d1, DomainError, 1),
+    "counterfactual_witness bit": (lambda v: counterfactual_witness(OUTCOME, v), DomainError, 1),
+    "run_bright_pulse bit": (lambda v: tuple(run_bright_pulse(CONFIG, v, 2.0)), DomainError, 1),
+    "build_chain_network bit": (
+        lambda v: len(build_chain_network(ChainConfig(2, 3), v).elements), DomainError, 1),
+    "ChainConfig outer_cycles": (lambda v: _chain(ChainConfig(v, 3)), DomainError, 2),
+    "ChainConfig inner_cycles": (lambda v: _chain(ChainConfig(2, v)), DomainError, 2),
+    "optimize_angles grid_points": (
+        lambda v: _optimum(optimize_angles("min-success", v, 0)), DomainError, 8),
+    "optimize_angles refine_iters": (
+        lambda v: _optimum(optimize_angles("min-success", 8, v)), DomainError, 2),
+    "run_billiard bit": (lambda v: run_billiard(v).observation, DomainError, 1),
+    "run_pulse_relay bit": (lambda v: run_pulse_relay([v]).decoded, DomainError, 1),
+}
+
+NOT_NUMBERS = {
+    "True": True,
+    "numpy True": np.True_,
+    "text": "0.25",
+    "bytes": b"0.25",
+    "decimal": Decimal("0.25"),
+    "complex": 0.25 + 0j,
+    "400-digit integer": 10**400,
+    "nan": math.nan,
+    "inf": math.inf,
+}
+
+
+def _refusals(table, extra):
+    for name, (call, error, *_) in table.items():
+        for label, value in {**NOT_NUMBERS, **extra}.items():
+            # Any integer is a valid mode count: the library sets no budget on it.
+            if name.endswith("mode_count") and label == "400-digit integer":
+                continue
+            yield pytest.param(call, error, value, id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("call, error, value", [
+    *_refusals(REAL, {}), *_refusals(INTEGER, {"1.0": 1.0}),
+])
+def test_refused_with_the_entry_points_error(call, error, value):
+    with pytest.raises(error):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(REAL))
+@pytest.mark.parametrize("scalar", [np.float64, np.float32, Fraction])
+def test_real_scalars_count_as_the_python_float(name, scalar):
+    call, _, real, _ = REAL[name]
+    assert call(scalar(real)) == call(real)
+
+
+@pytest.mark.parametrize("name", sorted(REAL))
+def test_numpy_integers_count_as_the_python_int_where_a_real_is_due(name):
+    call, _, _, integer = REAL[name]
+    assert call(np.int64(integer)) == call(integer)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER))
+def test_numpy_integers_count_as_the_python_int(name):
+    call, _, integer = INTEGER[name]
+    assert call(np.int64(integer)) == call(integer)
+
+
+def test_converted_values_are_stored_as_python_numbers():
+    nested = NestedConfig(np.float32(0.25), np.float64(0.3), np.float32(0.25))
+    assert [type(v) for v in (nested.theta1, nested.theta2, nested.inner_offset)] == [float] * 3
+    assert nested.inner_angle == math.pi / 4 + 0.25
+    chain = ChainConfig(np.int64(2), np.int64(3), outer_angle=np.float32(0.25))
+    assert [type(v) for v in _chain(chain)] == [int, int, float, float, float]
+    assert type(InputPrior(np.float32(0.25)).p0) is float
+    assert type(Network(np.int64(2), ()).mode_count) is int
+    assert type(ModeState([1, 0], {"x": np.int64(0)}).absorbed["x"]) is float
+
+
+def test_budgets_count_fixed_width_integers_exactly():
+    # In int64 arithmetic 2**62 * 17 + 1 wraps around to 2**62 + 1, and
+    # 4 * 2**62 to 0; the budgets count in Python ints.
+    with pytest.raises(DomainError, match="needs 78398662313265594369 elements"):
+        ChainConfig(np.int64(2**62), 3)
+    with pytest.raises(DomainError, match="allow 18446744073709551683 channel evaluations"):
+        optimize_angles("min-success", 8, np.int64(2**62))
+
+
+BIG = 10**400
+
+
+@pytest.mark.parametrize("command, config, name", [
+    ("simulate", {"theta1": BIG, "balanced": True, "bit": 1}, "theta1"),
+    ("capacity", {"theta1": 0.25, "balanced": True, "tol": BIG}, "tol"),
+    ("simulate", {"theta1": 0.25, "theta2": -BIG, "bit": 0}, "theta2"),
+    ("sweep", {"theta1": [0.1, BIG], "balanced": True}, "theta1 range endpoint"),
+], ids=["simulate-theta1", "capacity-tol", "simulate-theta2", "sweep-range-end"])
+def test_cli_refuses_a_400_digit_config_number(tmp_path, command, config, name):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    completed = subprocess.run(
+        [sys.executable, "-m", "cfoptics", command, "--config", str(path)],
+        capture_output=True, text=True,
+    )
+    assert completed.returncode == 2
+    assert completed.stdout == ""
+    assert completed.stderr.startswith(f"cfoptics {command}: error: {name} must be ")
+    assert "Traceback" not in completed.stderr
+
