@@ -24,7 +24,8 @@ from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import AuditError, DomainError
-from .protocols import _validate_bit
+from .core import _integer
+from .protocols import LEG_NAMES, _validate_bit
 
 __all__ = [
     "Token",
@@ -38,8 +39,6 @@ __all__ = [
     "run_pulse_relay",
     "carrier_span_audit",
 ]
-
-LEGS = ("alice_to_charlie", "charlie_to_bob", "bob_to_charlie", "charlie_to_alice")
 
 OBSERVATION_RED_BALL = "red_ball"
 OBSERVATION_NOTHING = "nothing"
@@ -175,11 +174,11 @@ def carrier_span_audit(log: CarrierLog) -> bool:
         raise AuditError("expected a CarrierLog")
     presence: Dict[int, Dict[str, bool]] = {}
     for record in log.records:
-        if record.leg not in LEGS:
+        if record.leg not in LEG_NAMES:
             raise AuditError(f"unknown leg {record.leg!r} in carrier log")
-        if not isinstance(record.bit_index, int) or record.bit_index < 0:
+        if (index := _integer(record.bit_index)) is None or index < 0:
             raise AuditError(f"invalid bit index {record.bit_index!r} in carrier log")
-        per_bit = presence.setdefault(record.bit_index, {})
+        per_bit = presence.setdefault(index, {})
         if record.carrier_present:
             per_bit[record.leg] = True
     return all(

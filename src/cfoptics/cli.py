@@ -145,29 +145,15 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
-def _resolve(args: argparse.Namespace, allowed: Tuple[str, ...]) -> Dict[str, object]:
-    """Merge config-file values and flags (flags win); reject unknown keys."""
+def _resolve(args: argparse.Namespace) -> Dict[str, object]:
+    """Merge config-file values and flags (flags win); reject unknown keys.
+    A command's keys are its flags' names, ``--config`` aside."""
+    flags = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
     config = _load_config(args.config)
-    unknown = sorted(set(config) - set(allowed))
+    unknown = sorted(set(config) - set(flags))
     if unknown:
         raise CliUsageError(f"unknown config keys: {', '.join(unknown)}")
-    merged: Dict[str, object] = {}
-    for key in allowed:
-        flag_value = getattr(args, key, None)
-        merged[key] = flag_value if flag_value is not None else config.get(key)
-    return merged
-
-
-# Per-command parameter keys; every command also accepts the io keys.
-_IO_KEYS = ("format", "out")
-_COMMAND_KEYS = {
-    "simulate": ("theta1", "theta2", "balanced", "bit"),
-    "sweep": ("theta1", "theta2", "balanced", "steps"),
-    "optimize": ("objective", "grid", "refine"),
-    "capacity": ("theta1", "theta2", "balanced", "tol"),
-    "classical": ("bits",),
-    "chain": ("outer", "inner"),
-}
+    return {key: config.get(key) if value is None else value for key, value in flags.items()}
 
 
 def _require(spec: Dict[str, object], key: str):
@@ -476,7 +462,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        spec = _resolve(args, _COMMAND_KEYS[args.command] + _IO_KEYS)
+        spec = _resolve(args)
         fmt = spec.get("format") or "json"
         if fmt not in ("json", "csv"):
             raise CliUsageError(f"format must be json or csv, got {fmt!r}")

@@ -88,7 +88,9 @@ class ModeState:
     Parameters
     ----------
     amplitudes : sequence of complex
-        One finite amplitude per mode; copied into a complex128 vector.
+        One finite amplitude per mode, each a ``numbers.Complex`` but no
+        ``bool`` (or an integer, float or complex ndarray); copied into a
+        complex128 vector.
     absorbed : mapping str -> float, optional
         Probability already absorbed, keyed by absorber label.
     """
@@ -98,10 +100,16 @@ class ModeState:
     def __init__(self, amplitudes, absorbed=None):
         try:
             amps = np.array(amplitudes, dtype=np.complex128)
+        except OverflowError:  # an int too large for a float is not finite
+            raise InvalidNetworkError("amplitudes must be finite") from None
         except (TypeError, ValueError):
             raise InvalidNetworkError("amplitudes must be complex numbers") from None
         if amps.ndim != 1 or amps.size == 0:
             raise InvalidNetworkError("amplitudes must be a non-empty vector")
+        numeric = isinstance(amplitudes, np.ndarray) and amplitudes.dtype.kind in "iufc"
+        if not numeric and not all(isinstance(z, numbers.Complex) and not isinstance(z, bool)
+                                   for z in amplitudes):
+            raise InvalidNetworkError("amplitudes must be complex numbers")
         ledger = dict(absorbed) if absorbed else {}
         _check_contents(amps.tolist(), ledger)
         self.amplitudes = amps
@@ -352,36 +360,17 @@ def apply_beam_splitter(state: ModeState, mode_a: int, mode_b: int, theta: float
     """Couple two modes with angle ``theta``; pure, returns a fresh state.
 
     The pair transform is ``(c*za + i*s*zb, i*s*za + c*zb)`` with
-    ``c = cos(theta)``, ``s = sin(theta)``; unitary for every angle.
+    ``c = cos(theta)``, ``s = sin(theta)``; unitary for every angle.  The
+    state is propagated through a one-coupler :class:`Network`, so the
+    checks, messages and arithmetic are the network's.
     """
-    n = state.mode_count
-    mode_a = _check_mode(mode_a, n, "mode_a")
-    mode_b = _check_mode(mode_b, n, "mode_b")
-    if mode_a == mode_b:
-        raise InvalidNetworkError("beam splitter needs two distinct modes")
-    if (theta := _finite_real(theta)) is None:
-        raise InvalidNetworkError("beam-splitter angle must be a finite real number")
-    c = math.cos(theta)
-    s = math.sin(theta)
-    amps = state.amplitudes.copy()
-    za = complex(amps[mode_a])
-    zb = complex(amps[mode_b])
-    amps[mode_a] = c * za + 1j * s * zb
-    amps[mode_b] = 1j * s * za + c * zb
-    return ModeState(amps, state.absorbed)
+    return propagate(Network(state.mode_count, (BeamSplitter(mode_a, mode_b, theta),)), state)[0]
 
 
 def apply_blocker(state: ModeState, mode: int, label: str) -> ModeState:
-    """Absorb one mode completely, booking its probability under ``label``."""
-    mode = _check_mode(mode, state.mode_count, "mode")
-    if not isinstance(label, str) or not label:
-        raise InvalidNetworkError("absorber label must be a non-empty string")
-    amps = state.amplitudes.copy()
-    za = complex(amps[mode])
-    amps[mode] = 0j
-    ledger = dict(state.absorbed)
-    ledger[label] = ledger.get(label, 0.0) + (za.real * za.real + za.imag * za.imag)
-    return ModeState(amps, ledger)
+    """Absorb one mode completely, booking its probability under ``label``;
+    a one-absorber :class:`Network` propagated from ``state``."""
+    return propagate(Network(state.mode_count, (Blocker(mode, label),)), state)[0]
 
 
 def propagate(network: Network, state: ModeState):

@@ -17,13 +17,12 @@ def run_plan(ops, arg_a, arg_b, coeff, amps, absorbed, snaps):
 
     ``coeff`` holds, for each coupler, the pair ``(c, js)`` with
     ``c = cos(theta)`` and ``js = 1j * sin(theta)``; a coupler maps
-    ``(za, zb)`` to ``(c*za + js*zb, js*za + c*zb)``, the same operations in
-    the same order as ``c*za + 1j*s*zb``, which Python groups as
-    ``(1j*s)*zb``.  ``amps`` (list of Python complex, one per mode) and
-    ``absorbed`` (list of Python float, one slot per absorber label) are
-    updated in place; ``snaps`` (C-contiguous complex128 matrix, one row per
-    snapshot) is filled in plan order, once, at the end.  The plan sequences
-    are read-only, so one plan serves every propagation of its network.
+    ``(za, zb)`` to ``(c*za + js*zb, js*za + c*zb)``.  ``amps`` (list of
+    Python complex, one per mode) and ``absorbed`` (list of Python float,
+    one slot per absorber label) are updated in place; ``snaps``
+    (C-contiguous complex128 matrix, one row per snapshot) is filled in plan
+    order, once, at the end.  The plan sequences are read-only, so one plan
+    serves every propagation of its network.
     """
     # Python complex and float scalars are much faster than per-element
     # ndarray indexing, so the only array written is the snapshot matrix.

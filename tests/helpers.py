@@ -7,8 +7,8 @@ transfer factors, and mutual information from a direct joint-table
 summation.  Tests compare the simulator's propagated results to these.
 """
 
-import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -88,27 +88,43 @@ def random_config_angles(rng):
 
 
 def fold_elements(state, elements):
-    """Sequentially apply beam splitters / blockers with the standalone ops;
-    dual route against the kernel-based propagate.
+    """Sequential reference for ``propagate``, in plain Python complex
+    arithmetic: nothing here calls into the package, whose element classes
+    only tell the element kinds apart.
 
-    Returns ``(final, checkpoints)`` like ``propagate``: ``checkpoints`` maps
-    each checkpoint name to a copy of the amplitudes at its position.
+    Each coupler maps ``(za, zb)`` to ``(c*za + 1j*s*zb, 1j*s*za + c*zb)``
+    with ``c, s = cos(theta), sin(theta)``.  Python groups ``1j*s*zb`` as
+    ``(1j*s)*zb``, the kernel's ``js*zb`` with ``js = 1j*sin(theta)``, so
+    both evaluate the same operations in the same order and agree bit for
+    bit.  An absorber adds ``|z|^2`` to its label's ledger entry and empties
+    the mode; ``propagate`` sums a label's absorptions from 0.0 before adding
+    the input's entry, so ledgers agree bit for bit when the input's is
+    empty.  Fields are read at every position, as the kernel reads a
+    subclass instance.
+
+    Returns ``(final, checkpoints)`` like ``propagate``: ``final`` has the
+    ``amplitudes`` (complex128) and ``absorbed`` of the output state, and
+    ``checkpoints`` maps each checkpoint name to a complex128 copy of the
+    amplitudes at its position.
     """
-    from cfoptics import (
-        BeamSplitter,
-        Blocker,
-        Checkpoint,
-        Discard,
-        apply_beam_splitter,
-        apply_blocker,
-    )
+    from cfoptics import BeamSplitter, Blocker, Checkpoint, Discard
 
+    amps = state.amplitudes.tolist()
+    ledger = dict(state.absorbed)
     checkpoints = {}
     for element in elements:
         if isinstance(element, BeamSplitter):
-            state = apply_beam_splitter(state, element.mode_a, element.mode_b, element.theta)
+            a, b, theta = element.mode_a, element.mode_b, element.theta
+            c, s = math.cos(theta), math.sin(theta)
+            za, zb = amps[a], amps[b]
+            amps[a] = c * za + 1j * s * zb
+            amps[b] = 1j * s * za + c * zb
         elif isinstance(element, (Blocker, Discard)):
-            state = apply_blocker(state, element.mode, element.label)
+            mode, label = element.mode, element.label
+            z = amps[mode]
+            ledger[label] = ledger.get(label, 0.0) + (z.real * z.real + z.imag * z.imag)
+            amps[mode] = 0j
         elif isinstance(element, Checkpoint):
-            checkpoints[element.name] = state.amplitudes.copy()
-    return state, checkpoints
+            checkpoints[element.name] = np.array(amps, dtype=np.complex128)
+    final = SimpleNamespace(amplitudes=np.array(amps, dtype=np.complex128), absorbed=ledger)
+    return final, checkpoints

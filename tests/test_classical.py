@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from cfoptics import (
@@ -146,6 +147,18 @@ class TestCarrierSpanAudit:
         log = CarrierLog([LegRecord(-1, "bob_to_charlie", True, ())])
         with pytest.raises(AuditError):
             carrier_span_audit(log)
+
+    @pytest.mark.parametrize("index", [True, np.True_, 1.0])
+    def test_bit_index_follows_the_number_rule(self, index):
+        log = CarrierLog([LegRecord(index, "bob_to_charlie", True, ())])
+        with pytest.raises(AuditError):
+            carrier_span_audit(log)
+
+    def test_numpy_integer_bit_index_audits_as_the_int(self):
+        log = CarrierLog()
+        log.add(np.int64(1), "bob_to_charlie", True, ("full",))
+        log.add(1, "charlie_to_alice", True, ("full",))
+        assert carrier_span_audit(log) is False
 
     def test_not_a_log(self):
         with pytest.raises(AuditError):

@@ -73,12 +73,25 @@ class TestConfigDocument:
         doc = run_json(capsys, "simulate", "--config", str(config), "--theta1", "0.25")
         assert doc["spec"]["theta1"] == 0.25
 
-    def test_unknown_config_key_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("simulate", "steps"),
+            ("sweep", "bit"),
+            ("optimize", "theta1"),
+            ("capacity", "bits"),
+            ("classical", "outer"),
+            ("chain", "tol"),
+        ],
+    )
+    def test_unknown_config_key_rejected(self, capsys, tmp_path, command, key):
+        """A key that names another command's flag is unknown here."""
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"theta1": 0.25, "balanced": True, "bit": 1, "spin": 3}))
-        code, _, err = run_cli(capsys, "simulate", "--config", str(config))
-        assert code != 0
-        assert "spin" in err
+        config.write_text(json.dumps({key: 1, "spin": 3}))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"error: unknown config keys: {', '.join(sorted((key, 'spin')))}" in err
 
     def test_config_can_set_format(self, capsys, tmp_path):
         config = tmp_path / "run.json"

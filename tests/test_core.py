@@ -114,14 +114,44 @@ class TestBlocker:
         with pytest.raises(InvalidNetworkError):
             apply_blocker(ModeState.single_photon(2), 5, "x")
 
-    @pytest.mark.parametrize("label", ["", 1, None, b"bob"])
-    def test_label_follows_the_network_rule(self, label):
-        with pytest.raises(InvalidNetworkError) as excinfo:
-            apply_blocker(ModeState.single_photon(2), 0, label)
-        assert str(excinfo.value) == "absorber label must be a non-empty string"
-        with pytest.raises(InvalidNetworkError) as excinfo:
-            Network(2, (Blocker(0, label),))
-        assert str(excinfo.value) == "absorber label must be a non-empty string"
+
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        (BeamSplitter(0, 3, 0.5), "beam-splitter mode_b 3 out of range for 3 modes"),
+        (BeamSplitter(-1, 1, 0.5), "beam-splitter mode_a -1 out of range for 3 modes"),
+        (BeamSplitter(1.5, 1, 0.5), "beam-splitter mode_a must be an integer mode index"),
+        (BeamSplitter(0, None, 0.5), "beam-splitter mode_b must be an integer mode index"),
+        (Blocker(5, "x"), "absorber mode 5 out of range for 3 modes"),
+        (Blocker(1.5, "x"), "absorber mode must be an integer mode index"),
+        (Blocker(None, "x"), "absorber mode must be an integer mode index"),
+        (BeamSplitter(1, 1, 0.5), "beam splitter needs two distinct modes"),
+        (BeamSplitter(0, 1, math.nan), "beam-splitter angle must be a finite real number"),
+        (BeamSplitter(0, 1, math.inf), "beam-splitter angle must be a finite real number"),
+        (Blocker(0, ""), "absorber label must be a non-empty string"),
+        (Blocker(0, 1), "absorber label must be a non-empty string"),
+        (Blocker(0, None), "absorber label must be a non-empty string"),
+        (Blocker(0, b"bob"), "absorber label must be a non-empty string"),
+    ],
+    ids=[
+        "coupler-mode-range", "coupler-mode-negative", "coupler-mode-float", "coupler-mode-none",
+        "absorber-mode-range", "absorber-mode-float", "absorber-mode-none", "equal-modes",
+        "angle-nan", "angle-inf", "label-empty", "label-int", "label-none", "label-bytes",
+    ],
+)
+def test_standalone_operations_fail_like_the_network(element, message):
+    """``apply_beam_splitter`` and ``apply_blocker`` refuse what ``Network``
+    refuses for the same element, with the same message."""
+    with pytest.raises(InvalidNetworkError) as excinfo:
+        Network(3, (element,))
+    assert str(excinfo.value) == message
+    state = ModeState.single_photon(3)
+    with pytest.raises(InvalidNetworkError) as excinfo:
+        if isinstance(element, BeamSplitter):
+            apply_beam_splitter(state, element.mode_a, element.mode_b, element.theta)
+        else:
+            apply_blocker(state, element.mode, element.label)
+    assert str(excinfo.value) == message
 
 
 def random_network(rng, mode_count=4, n_elements=12):
@@ -538,7 +568,11 @@ class TestModeState:
         for value in (-0.1, "a"):
             with pytest.raises(InvalidNetworkError):
                 ModeState([1.0], absorbed={"x": value})
-        for amplitudes in ([math.nan], [1.0, complex(0.0, math.inf)], ["x"]):
+        refused = (
+            [math.nan], [1.0, complex(0.0, math.inf)], ["x"], ["1", 0], [b"1", 0],
+            [True, False], [np.True_, 0], [True, 0.5], np.array([True, False]), [10**400, 0],
+        )
+        for amplitudes in refused:
             with pytest.raises(InvalidNetworkError):
                 ModeState(amplitudes)
 
