@@ -36,8 +36,10 @@ from .core import _finite_real, _integer
 from .errors import CfOpticsError
 from .protocols import (
     LEG_NAMES,
+    MAX_CHAIN_ELEMENTS,
     ChainConfig,
     NestedConfig,
+    _chain_element_count,
     run_chain,
     run_protocol,
 )
@@ -130,16 +132,24 @@ def _render(document: dict, fmt: str) -> str:
 # parameter resolution
 
 
+# Longest config file read, in bytes; a longer one is refused unparsed.
+_MAX_CONFIG_BYTES = 1 << 20
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read(_MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         raise CliUsageError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliUsageError(f"config file is not valid JSON: {exc}")
+    if len(data) > _MAX_CONFIG_BYTES:
+        raise CliUsageError(f"config file is longer than {_MAX_CONFIG_BYTES} bytes")
+    try:  # ValueError covers JSONDecodeError and UnicodeDecodeError
+        config = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CliUsageError(f"config file is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(config, dict):
         raise CliUsageError("config document must be a JSON object")
     return config
@@ -239,10 +249,16 @@ def _theta2_rule(spec: Dict[str, object]) -> Tuple[bool, Optional[float]]:
 # command implementations
 
 
-def _cmd_simulate(spec: Dict[str, object]) -> dict:
+def _angles(spec: Dict[str, object]) -> Tuple[float, float, bool]:
+    """``(theta1, theta2, balanced)``: theta1 is checked first, then the
+    theta2 rule, then the balance condition for a balanced theta2."""
     theta1 = _as_float(_require(spec, "theta1"), "theta1")
     balanced, theta2 = _theta2_rule(spec)
-    theta2 = balanced_theta2(theta1) if balanced else theta2
+    return theta1, balanced_theta2(theta1) if balanced else theta2, balanced
+
+
+def _cmd_simulate(spec: Dict[str, object]) -> Tuple[dict, dict]:
+    theta1, theta2, balanced = _angles(spec)
     bit = _as_int(_require(spec, "bit"), "bit")
     outcome = run_protocol(NestedConfig(theta1, theta2), bit)
     p_none = max(0.0, 1.0 - outcome.p_d1 - outcome.p_d2)
@@ -259,8 +275,7 @@ def _cmd_simulate(spec: Dict[str, object]) -> dict:
         + outcome.absorbed["bob"]
         + outcome.absorbed["discard"],
     }
-    echo = {"theta1": theta1, "theta2": theta2, "balanced": balanced, "bit": bit}
-    return {"command": "simulate", "spec": echo, "version": __version__, "results": results}
+    return {"theta1": theta1, "theta2": theta2, "balanced": balanced, "bit": bit}, results
 
 
 # Work budget of one sweep, in rows.  A row (two protocol runs, the channel
@@ -269,7 +284,7 @@ def _cmd_simulate(spec: Dict[str, object]) -> dict:
 MAX_SWEEP_STEPS = 10_000
 
 
-def _cmd_sweep(spec: Dict[str, object]) -> dict:
+def _cmd_sweep(spec: Dict[str, object]) -> Tuple[dict, dict]:
     lo, hi = _parse_range(_require(spec, "theta1"))
     steps = _as_int(spec.get("steps") if spec.get("steps") is not None else 20, "steps")
     if steps < 2:
@@ -293,20 +308,14 @@ def _cmd_sweep(spec: Dict[str, object]) -> dict:
         "theta2": fixed_theta2,
         "steps": steps,
     }
-    return {
-        "command": "sweep",
-        "spec": echo,
-        "version": __version__,
-        "results": {"columns": list(columns), "rows": rows},
-    }
+    return echo, {"columns": list(columns), "rows": rows}
 
 
-def _cmd_optimize(spec: Dict[str, object]) -> dict:
+def _cmd_optimize(spec: Dict[str, object]) -> Tuple[dict, dict]:
     objective = str(_require(spec, "objective"))
     grid = _as_int(spec.get("grid") if spec.get("grid") is not None else 32, "grid")
     refine = _as_int(spec.get("refine") if spec.get("refine") is not None else 200, "refine")
     result = optimize_angles(objective, grid_points=grid, refine_iters=refine)
-    echo = {"objective": objective, "grid": grid, "refine": refine}
     results = {
         "theta1": result.theta1,
         "theta2": result.theta2,
@@ -314,13 +323,11 @@ def _cmd_optimize(spec: Dict[str, object]) -> dict:
         "objective_name": result.objective_name,
         "evaluations": result.evaluations,
     }
-    return {"command": "optimize", "spec": echo, "version": __version__, "results": results}
+    return {"objective": objective, "grid": grid, "refine": refine}, results
 
 
-def _cmd_capacity(spec: Dict[str, object]) -> dict:
-    theta1 = _as_float(_require(spec, "theta1"), "theta1")
-    balanced, theta2 = _theta2_rule(spec)
-    theta2 = balanced_theta2(theta1) if balanced else theta2
+def _cmd_capacity(spec: Dict[str, object]) -> Tuple[dict, dict]:
+    theta1, theta2, balanced = _angles(spec)
     tol = _as_float(spec.get("tol") if spec.get("tol") is not None else 1e-10, "tol")
     channel = channel_from_protocol(NestedConfig(theta1, theta2))
     capacity_bits, prior = capacity(channel, tol)
@@ -333,13 +340,19 @@ def _cmd_capacity(spec: Dict[str, object]) -> dict:
             "b1": list(channel.p_given_b[1]),
         },
     }
-    echo = {"theta1": theta1, "theta2": theta2, "balanced": balanced, "tol": tol}
-    return {"command": "capacity", "spec": echo, "version": __version__, "results": results}
+    return {"theta1": theta1, "theta2": theta2, "balanced": balanced, "tol": tol}, results
 
 
-def _cmd_classical(spec: Dict[str, object]) -> dict:
-    raw = str(_require(spec, "bits"))
-    if not raw or any(ch not in "01" for ch in raw):
+# Work budget of one ``classical`` run, in bits.  Both relays together take
+# about 45 us per bit on an Intel Xeon, so ~0.45 s in all.
+MAX_CLASSICAL_BITS = 10_000
+
+
+def _cmd_classical(spec: Dict[str, object]) -> Tuple[dict, dict]:
+    raw = _require(spec, "bits")
+    if isinstance(raw, str) and len(raw) > MAX_CLASSICAL_BITS:
+        raise CliUsageError(f"{len(raw)} bits is above the budget of {MAX_CLASSICAL_BITS} bits")
+    if not isinstance(raw, str) or not raw or any(ch not in "01" for ch in raw):
         raise CliUsageError(f"bits must be a non-empty string of 0s and 1s, got {raw!r}")
     bits = [int(ch) for ch in raw]
     billiard_decoded = []
@@ -359,18 +372,24 @@ def _cmd_classical(spec: Dict[str, object]) -> dict:
             "audit": carrier_span_audit(relay.log),
         },
     }
-    echo = {"bits": raw}
-    return {"command": "classical", "spec": echo, "version": __version__, "results": results}
+    return {"bits": raw}, results
 
 
-def _cmd_chain(spec: Dict[str, object]) -> dict:
+def _cmd_chain(spec: Dict[str, object]) -> Tuple[dict, dict]:
     outer = _parse_int_list(_require(spec, "outer"), "outer")
     inner = _parse_int_list(_require(spec, "inner"), "inner")
     columns = ("outer_cycles", "inner_cycles", "bit", "p_d1", "p_d2", "p_correct", "loss",
                "bob_to_charlie_peak", "charlie_to_alice_peak")
-    # Every pair is validated, work budget included, before any run.
-    configs = [ChainConfig(cycles_outer, cycles_inner) for cycles_outer in outer
-               for cycles_inner in inner]
+    # Every pair is validated and the table's elements are counted before
+    # any run; a network has at least 10, so the count stops early.
+    configs, elements = [], 0
+    for cycles_outer in outer:
+        for cycles_inner in inner:
+            configs.append(config := ChainConfig(cycles_outer, cycles_inner))
+            elements += _chain_element_count(config.outer_cycles, config.inner_cycles, 0)
+            if elements > MAX_CHAIN_ELEMENTS:
+                raise CliUsageError(f"the chain table needs at least {elements} elements at "
+                                    f"b = 0, above the budget of {MAX_CHAIN_ELEMENTS}")
     rows = []
     for config in configs:
         for bit in (0, 1):
@@ -379,13 +398,7 @@ def _cmd_chain(spec: Dict[str, object]) -> dict:
             peaks = outcome.leg_peaks
             rows.append([config.outer_cycles, config.inner_cycles, bit, outcome.p_d1, outcome.p_d2,
                          outcome.p_correct, loss, peaks["bob_to_charlie"], peaks["charlie_to_alice"]])
-    echo = {"outer": outer, "inner": inner}
-    return {
-        "command": "chain",
-        "spec": echo,
-        "version": __version__,
-        "results": {"columns": list(columns), "rows": rows},
-    }
+    return {"outer": outer, "inner": inner}, {"columns": list(columns), "rows": rows}
 
 
 _COMMANDS = {
@@ -467,7 +480,8 @@ def main(argv=None) -> int:
         if fmt not in ("json", "csv"):
             raise CliUsageError(f"format must be json or csv, got {fmt!r}")
         out = spec.get("out")
-        document = _COMMANDS[args.command](spec)
+        echo, results = _COMMANDS[args.command](spec)
+        document = {"command": args.command, "spec": echo, "version": __version__, "results": results}
         rendered = _render(document, fmt)
         if out is not None:
             try:

@@ -36,6 +36,7 @@ __all__ = [
     "Checkpoint",
     "Discard",
     "Element",
+    "MAX_MODES",
     "ModeState",
     "Network",
     "Snapshots",
@@ -81,6 +82,10 @@ class Checkpoint:
 
 Element = Union[BeamSplitter, Blocker, Discard, Checkpoint]
 
+# Largest mode count of a state or a network: a state vector of this many
+# modes takes 16 MB.  A larger count is refused before it sizes an allocation.
+MAX_MODES = 1 << 20
+
 
 class ModeState:
     """Complex amplitudes over the optical modes plus an absorption ledger.
@@ -104,8 +109,8 @@ class ModeState:
             raise InvalidNetworkError("amplitudes must be finite") from None
         except (TypeError, ValueError):
             raise InvalidNetworkError("amplitudes must be complex numbers") from None
-        if amps.ndim != 1 or amps.size == 0:
-            raise InvalidNetworkError("amplitudes must be a non-empty vector")
+        if amps.ndim != 1 or not 0 < amps.size <= MAX_MODES:
+            raise InvalidNetworkError(f"amplitudes must be a vector of 1 to {MAX_MODES} modes")
         numeric = isinstance(amplitudes, np.ndarray) and amplitudes.dtype.kind in "iufc"
         if not numeric and not all(isinstance(z, numbers.Complex) and not isinstance(z, bool)
                                    for z in amplitudes):
@@ -119,8 +124,8 @@ class ModeState:
     def single_photon(cls, mode_count: int, mode: int = 0) -> "ModeState":
         """Unit amplitude in one mode, vacuum elsewhere, empty ledger."""
         count, index = _integer(mode_count), _integer(mode)
-        if count is None or index is None or not 0 <= index < count:
-            raise InvalidNetworkError("mode index out of range")
+        if count is None or index is None or not 0 <= index < count <= MAX_MODES:
+            raise InvalidNetworkError(f"mode index out of range, or mode count above {MAX_MODES}")
         amps = np.zeros(count, dtype=np.complex128)
         amps[index] = 1.0
         return cls(amps)
@@ -259,8 +264,8 @@ class Network:
     def __post_init__(self, like):
         if (mode_count := _integer(self.mode_count)) is None:
             raise InvalidNetworkError("mode_count must be an integer")
-        if mode_count < 1:
-            raise InvalidNetworkError("mode_count must be positive")
+        if not 1 <= mode_count <= MAX_MODES:
+            raise InvalidNetworkError(f"mode_count must be from 1 to {MAX_MODES}")
         object.__setattr__(self, "mode_count", mode_count)
         elements = self.elements
         if type(elements) is not tuple:

@@ -29,6 +29,7 @@ from .core import (
     Blocker,
     Checkpoint,
     Discard,
+    Element,
     ModeState,
     Network,
     _finite_real,
@@ -54,14 +55,6 @@ __all__ = [
 ]
 
 LEG_NAMES = ("alice_to_charlie", "charlie_to_bob", "bob_to_charlie", "charlie_to_alice")
-
-# Mode whose amplitude constitutes the leg at each checkpoint.
-_LEG_MODE = {
-    "alice_to_charlie": 1,
-    "charlie_to_bob": 2,
-    "bob_to_charlie": 2,
-    "charlie_to_alice": 1,
-}
 
 
 def _validate_bit(bit) -> int:
@@ -136,14 +129,35 @@ _BOB_BLOCKER = Blocker(2, "bob")
 _DISCARD = Discard(2, "discard")
 
 
+def _cycles(outer, inner, marks, bit: int, final) -> Tuple[Element, ...]:
+    """Elements of the blockable nested layout, in the order that
+    :func:`build_chain_network` states, with one outer cycle per entry
+    ``(to_charlie, to_bob, from_bob, to_alice)`` of ``marks``; ``to_bob``
+    and ``from_bob`` hold one checkpoint per inner cycle, and ``final``
+    closes the layout."""
+    step = 4 if bit == 0 else 3
+    run = [inner] * (step * len(marks[0][1]))
+    if bit == 0:
+        run[2::4] = [_BOB_BLOCKER] * (len(run) // 4)
+    elements = []
+    for to_charlie, to_bob, from_bob, to_alice in marks:
+        run[1::step] = to_bob
+        run[step - 1::step] = from_bob
+        elements += (outer, to_charlie)
+        elements += run
+        elements += (inner, to_alice, _DISCARD)
+    elements.append(final)
+    return tuple(elements)
+
+
 def _nested_template(bit: int) -> Network:
-    """The nested layout at ``bit`` with open outer couplers: the one source
-    of its constant elements, lowered once per process."""
+    """The nested layout at ``bit`` with open outer couplers, the one-cycle
+    case of :func:`_cycles`: the one source of its constant elements,
+    lowered once per process."""
     to_charlie, to_bob, from_bob, to_alice = map(Checkpoint, LEG_NAMES)
-    inner = BeamSplitter(1, 2, math.pi / 4)
-    blocked = (_BOB_BLOCKER,) if bit == 0 else ()
-    section = (to_charlie, inner, to_bob, *blocked, from_bob, inner, to_alice, _DISCARD)
-    return Network(3, (BeamSplitter(0, 1, 0.0), *section, BeamSplitter(0, 1, 0.0)))
+    cycle = (to_charlie, [to_bob], [from_bob], to_alice)
+    return Network(3, _cycles(BeamSplitter(0, 1, 0.0), BeamSplitter(1, 2, math.pi / 4),
+                              [cycle], bit, BeamSplitter(0, 1, 0.0)))
 
 
 _NESTED_TEMPLATES = (_nested_template(0), _nested_template(1))
@@ -176,20 +190,33 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
     return Network(3, (first, *section, last), like=template)
 
 
+def _readout(final: ModeState) -> Tuple[float, float, Dict[str, float]]:
+    """``(p_d1, p_d2, absorbed)`` of a final state: both detector
+    probabilities and the ``bob`` and ``discard`` ledger entries."""
+    absorbed = {label: final.absorbed.get(label, 0.0) for label in ("bob", "discard")}
+    return abs(final.amplitudes.item(0)) ** 2, abs(final.amplitudes.item(1)) ** 2, absorbed
+
+
+def _leg_columns(matrix: np.ndarray, outer_cycles: int, inner_cycles: int) -> Dict[str, np.ndarray]:
+    """Per leg family, its amplitudes in the snapshot matrix of a
+    :func:`_cycles` layout, one row per checkpoint in element order: an
+    ``outer_cycles`` column for ``alice_to_charlie`` and ``charlie_to_alice``,
+    an ``outer_cycles`` x ``inner_cycles`` block for the two inner legs."""
+    rows = matrix.reshape(outer_cycles, 2 * inner_cycles + 2, 3)
+    # A leg's amplitude is on the lower outer arm (mode 1) or Bob's arm (mode 2).
+    return {
+        "alice_to_charlie": rows[:, 0, 1],
+        "charlie_to_bob": rows[:, 1:-1:2, 2],
+        "bob_to_charlie": rows[:, 2:-1:2, 2],
+        "charlie_to_alice": rows[:, -1, 1],
+    }
+
+
 def run_protocol(config: NestedConfig, bit: int) -> ProtocolOutcome:
     """Propagate a single excitation and collect detector/leg statistics."""
-    network = build_nested_network(config, bit)
-    final, checkpoints = propagate(network, _SINGLE_PHOTON)
-    # The layout's only checkpoints are its legs, in LEG_NAMES order (rows 0-3).
-    snaps = checkpoints.matrix
-    legs = {name: snaps.item(row, _LEG_MODE[name]) for row, name in enumerate(LEG_NAMES)}
-    absorbed = {label: final.absorbed.get(label, 0.0) for label in ("bob", "discard")}
-    return ProtocolOutcome(
-        p_d1=abs(final.amplitudes.item(0)) ** 2,
-        p_d2=abs(final.amplitudes.item(1)) ** 2,
-        absorbed=absorbed,
-        legs=legs,
-    )
+    final, checkpoints = propagate(build_nested_network(config, bit), _SINGLE_PHOTON)
+    legs = {name: column.item() for name, column in _leg_columns(checkpoints.matrix, 1, 1).items()}
+    return ProtocolOutcome(*_readout(final), legs)
 
 
 def _detector_probabilities(config: NestedConfig, bit: int) -> Tuple[float, float]:
@@ -260,10 +287,11 @@ class ChainConfig:
     Defaults put every coupler at the angle that composes to a quarter turn
     over its chain (``pi / (2 (cycles + 1))``), the regime where repeated
     weak coupling makes both error and loss vanish as the cycle counts grow.
-    ``final_angle`` lets the closing outer coupler differ from the others;
-    with one cycle each, ``outer_angle = theta1``, ``final_angle = theta2``
-    and ``inner_angle = pi/4`` this reduces element-for-element to
-    :func:`build_nested_network`.
+    ``final_angle`` lets the closing outer coupler differ from the others.
+    Both layouts come from one cycle function, the nested one as its
+    one-cycle case, so with one cycle each, ``outer_angle = theta1``,
+    ``final_angle = theta2`` and ``inner_angle = pi/4`` this reduces
+    element-for-element to :func:`build_nested_network` by construction.
 
     Cycle counts whose network would exceed :data:`MAX_CHAIN_ELEMENTS`
     elements (counted at ``b = 0``, the longer of the two) are rejected
@@ -313,25 +341,18 @@ class ChainOutcome:
         return self.p_d2 if self.bit == 0 else self.p_d1
 
 
-class _ChainCheckpoints(NamedTuple):
-    """The checkpoints of one pair of cycle counts, by leg family:
-    ``to_charlie[k]`` and ``to_alice[k]`` per outer cycle, ``to_bob[k][j]``
-    and ``from_bob[k][j]`` per inner cycle."""
-
-    to_charlie: List[Checkpoint]
-    to_bob: List[List[Checkpoint]]
-    from_bob: List[List[Checkpoint]]
-    to_alice: List[Checkpoint]
-
+# Per outer cycle k: alice_to_charlie[k], the charlie_to_bob[k.j] and
+# bob_to_charlie[k.j] of its inner cycles j, and charlie_to_alice[k].
+_CycleMarks = Tuple[Checkpoint, List[Checkpoint], List[Checkpoint], Checkpoint]
 
 # Checkpoint names depend only on the cycle counts, so the two bit runs of a
 # chain share one set: the first build makes it and leaves it here, the next
 # build of the same cycle counts takes it out.  At most one set waits here,
 # and none once its pair is built.
-_spare_checkpoints: Dict[Tuple[int, int], _ChainCheckpoints] = {}
+_spare_checkpoints: Dict[Tuple[int, int], List[_CycleMarks]] = {}
 
 
-def _chain_checkpoints(outer_cycles: int, inner_cycles: int) -> _ChainCheckpoints:
+def _chain_checkpoints(outer_cycles: int, inner_cycles: int) -> List[_CycleMarks]:
     key = (outer_cycles, inner_cycles)
     marks = _spare_checkpoints.pop(key, None)
     if marks is not None:
@@ -339,12 +360,12 @@ def _chain_checkpoints(outer_cycles: int, inner_cycles: int) -> _ChainCheckpoint
     _spare_checkpoints.clear()
     outer = range(1, outer_cycles + 1)
     steps = [[f"[{k}.{j}]" for j in range(1, inner_cycles + 1)] for k in outer]
-    marks = _spare_checkpoints[key] = _ChainCheckpoints(
+    marks = _spare_checkpoints[key] = list(zip(
         [Checkpoint(f"alice_to_charlie[{k}]") for k in outer],
         [[Checkpoint("charlie_to_bob" + step) for step in row] for row in steps],
         [[Checkpoint("bob_to_charlie" + step) for step in row] for row in steps],
         [Checkpoint(f"charlie_to_alice[{k}]") for k in outer],
-    )
+    ))
     return marks
 
 
@@ -365,34 +386,10 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     network.
     """
     bit = _validate_bit(bit)
-    outer_cycles, inner_cycles = chain.outer_cycles, chain.inner_cycles
-    marks = _chain_checkpoints(outer_cycles, inner_cycles)
-    # Elements are frozen, so one instance of each coupler, the blocker and
-    # the discard serves every cycle; each element family fills its
-    # positions, which repeat with a fixed stride, by one slice assignment.
-    outer = BeamSplitter(0, 1, chain.outer_angle)
-    inner = BeamSplitter(1, 2, chain.inner_angle)
-    per_inner = 4 if bit == 0 else 3
-    block = 5 + per_inner * inner_cycles
-    span = outer_cycles * block
-    elements = [None] * (span + 1)
-    elements[0:span:block] = [outer] * outer_cycles
-    elements[1:span:block] = marks.to_charlie
-    elements[block - 3:span:block] = [inner] * outer_cycles
-    elements[block - 2:span:block] = marks.to_alice
-    elements[block - 1:span:block] = [_DISCARD] * outer_cycles
-    inner_run = [inner] * inner_cycles
-    blockers = [_BOB_BLOCKER] * inner_cycles
-    for k in range(outer_cycles):
-        first = k * block + 2
-        stop = first + per_inner * inner_cycles
-        elements[first:stop:per_inner] = inner_run
-        elements[first + 1:stop:per_inner] = marks.to_bob[k]
-        if bit == 0:
-            elements[first + 2:stop:per_inner] = blockers
-        elements[first + per_inner - 1:stop:per_inner] = marks.from_bob[k]
-    elements[span] = BeamSplitter(0, 1, chain.final_angle)
-    return Network(3, tuple(elements))
+    marks = _chain_checkpoints(chain.outer_cycles, chain.inner_cycles)
+    return Network(3, _cycles(BeamSplitter(0, 1, chain.outer_angle),
+                              BeamSplitter(1, 2, chain.inner_angle), marks, bit,
+                              BeamSplitter(0, 1, chain.final_angle)))
 
 
 def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
@@ -403,27 +400,10 @@ def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
     ``leg_peaks["bob_to_charlie"] == 0`` for ``bit == 0`` and
     ``leg_peaks["charlie_to_alice"] ~ 0`` for ``bit == 1`` at default angles.
     """
-    network = build_chain_network(chain, bit)
-    final, checkpoints = propagate(network, _SINGLE_PHOTON)
-    # The snapshot matrix has one row per checkpoint in plan order: per
-    # outer cycle, alice_to_charlie, then charlie_to_bob and bob_to_charlie
-    # per inner cycle, then charlie_to_alice.
-    rows = checkpoints.matrix.reshape(chain.outer_cycles, 2 * chain.inner_cycles + 2, 3)
-    columns = {
-        "alice_to_charlie": rows[:, 0, _LEG_MODE["alice_to_charlie"]],
-        "charlie_to_bob": rows[:, 1:-1:2, _LEG_MODE["charlie_to_bob"]],
-        "bob_to_charlie": rows[:, 2:-1:2, _LEG_MODE["bob_to_charlie"]],
-        "charlie_to_alice": rows[:, -1, _LEG_MODE["charlie_to_alice"]],
-    }
+    final, checkpoints = propagate(build_chain_network(chain, bit), _SINGLE_PHOTON)
+    columns = _leg_columns(checkpoints.matrix, chain.outer_cycles, chain.inner_cycles)
     # Largest abs(z) ** 2 bit for bit as Python computes it: np.hypot calls
     # the C library hypot as complex abs does (np.abs may differ in the last
     # bit), and squaring is monotone, so each largest modulus is squared once.
     peaks = {leg: float(np.hypot(z.real, z.imag).max()) ** 2 for leg, z in columns.items()}
-    absorbed = {label: final.absorbed.get(label, 0.0) for label in ("bob", "discard")}
-    return ChainOutcome(
-        bit=bit,
-        p_d1=abs(final.amplitudes.item(0)) ** 2,
-        p_d2=abs(final.amplitudes.item(1)) ** 2,
-        absorbed=absorbed,
-        leg_peaks=peaks,
-    )
+    return ChainOutcome(bit, *_readout(final), peaks)

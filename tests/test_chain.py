@@ -6,6 +6,8 @@ import math
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfoptics import protocols
 from cfoptics import (
@@ -111,6 +113,21 @@ class TestChainLayout:
             assert [full_signature(e) for e in network.elements] == reference_chain_signatures(
                 chain, bit
             )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(1, 6), st.integers(1, 40), st.sampled_from((0, 1)))
+    def test_layout_over_many_shapes(self, outer, inner, bit):
+        """Every shape matches the nested-loop reference, and each coupler
+        kind, the blocker and the discard is one object per network."""
+        chain = ChainConfig(outer, inner)
+        elements = build_chain_network(chain, bit).elements
+        assert [full_signature(e) for e in elements] == reference_chain_signatures(chain, bit)
+        families = {}
+        for element in elements[:-1]:
+            if type(element) is not Checkpoint:
+                families.setdefault(full_signature(element)[:3], set()).add(id(element))
+        assert len(families) == (4 if bit == 0 else 3)
+        assert all(len(objects) == 1 for objects in families.values())
 
     def test_both_bits_share_one_checkpoint_set(self):
         chain = ChainConfig(3, 5)

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from cfoptics import NestedConfig, analysis, cli, run_protocol
+from cfoptics import NestedConfig, analysis, cli, protocols, run_protocol
 from cfoptics.analysis import balanced_theta2
 from cfoptics.cli import main
 
@@ -92,6 +92,23 @@ class TestConfigDocument:
         assert code == 2
         assert out == ""
         assert f"error: unknown config keys: {', '.join(sorted((key, 'spin')))}" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"bits": "01\xff"}',
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"bits": "01"}'.ljust((1 << 20) + 1),
+        ],
+        ids=["not-utf8", "deep-nesting", "one-mebibyte-and-one-byte"],
+    )
+    def test_config_that_cannot_be_decoded_is_a_usage_error(self, capsys, tmp_path, content):
+        config = tmp_path / "run.json"
+        config.write_bytes(content)
+        code, out, err = run_cli(capsys, "classical", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "error: config file" in err
 
     def test_config_can_set_format(self, capsys, tmp_path):
         config = tmp_path / "run.json"
@@ -209,6 +226,18 @@ class TestChain:
         assert code == 2
         assert "budget" in err
 
+    def test_table_budget_counts_every_pair(self, capsys, monkeypatch):
+        """Each 50 x 2000 pair fits the budget (400,251 elements), the table
+        of two does not, and it fails before any run."""
+        def no_runs(*args):
+            raise AssertionError("a chain ran before the table was checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_runs)
+        code, out, err = run_cli(capsys, "chain", "--outer", "50,50", "--inner", "2000")
+        assert code == 2
+        assert out == ""
+        assert f"budget of {protocols.MAX_CHAIN_ELEMENTS}" in err
+
 
 class TestClassicalAndCapacity:
     def test_classical_document(self, capsys):
@@ -221,6 +250,25 @@ class TestClassicalAndCapacity:
     def test_classical_rejects_non_bits(self, capsys):
         code, _, _ = run_cli(capsys, "classical", "--bits", "01x0")
         assert code != 0
+
+    def test_over_budget_bits_fail_before_any_relay(self, capsys, monkeypatch):
+        def no_relays(*args):
+            raise AssertionError("a relay ran before the bit string was checked")
+
+        monkeypatch.setattr(cli, "run_billiard", no_relays)
+        monkeypatch.setattr(cli, "run_pulse_relay", no_relays)
+        code, out, err = run_cli(capsys, "classical", "--bits", "01" * (cli.MAX_CLASSICAL_BITS // 2) + "1")
+        assert code == 2
+        assert out == ""
+        assert f"budget of {cli.MAX_CLASSICAL_BITS}" in err
+
+    def test_config_bits_must_be_a_string(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"bits": 101}))
+        code, out, err = run_cli(capsys, "classical", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "bits must be a non-empty string" in err
 
     def test_capacity_dominates_uniform(self, capsys):
         doc = run_json(capsys, "capacity", "--theta1", "0.25", "--balanced")

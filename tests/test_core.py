@@ -22,6 +22,7 @@ from cfoptics import (
     propagate,
     total_probability,
 )
+from cfoptics import core
 from cfoptics.core import compile_network
 from helpers import fold_elements
 
@@ -586,3 +587,16 @@ class TestModeState:
         assert total_probability(state) == pytest.approx(1.0, abs=1e-12)
         blocked = apply_blocker(state, 2, "bob")
         assert total_probability(blocked) == pytest.approx(1.0, abs=1e-12)
+
+    def test_mode_counts_are_bounded(self):
+        """States and networks refuse more than ``MAX_MODES`` modes with the
+        library's own error, before allocating a state vector."""
+        bound = 2**20
+        for count in (10**400, bound + 1):
+            with pytest.raises(InvalidNetworkError):
+                ModeState.single_photon(count)
+            with pytest.raises(InvalidNetworkError):
+                Network(count, ())
+        with pytest.raises(InvalidNetworkError):
+            ModeState(np.zeros(bound + 1))
+        assert Network(bound, ()).mode_count == bound == core.MAX_MODES
