@@ -210,20 +210,11 @@ def capacity(channel: ChannelModel, tol: float = 1e-10) -> Tuple[float, InputPri
 def balanced_theta2(theta1: float) -> float:
     """Closing-coupler angle that equalizes the two success probabilities.
 
-    Uses the closed form ``cos(theta2)^2 = 4 c^2 / (s^2 - 4 c s + 8 c^2)``
-    with ``c = cos(theta1)``, ``s = sin(theta1)``.  The non-negative arccos
-    root balances the channel only while ``tan(theta1) <= 2``; past that
-    point the balancing root is the negative angle of the same magnitude,
-    which is what this function returns there.
+    The success probabilities are ``p00 = (c1 s2 + s1 c2 / 2)^2`` and
+    ``p11 = (c1 c2)^2``, equal where ``tan(theta2) = 1 - tan(theta1) / 2``;
+    the root lies in (-pi/2, pi/2) and is negative once ``tan(theta1) > 2``.
     """
-    theta1 = _check_theta1(theta1)
-    c = math.cos(theta1)
-    s = math.sin(theta1)
-    rhs = 4.0 * c * c / (s * s - 4.0 * c * s + 8.0 * c * c)
-    if not 0.0 <= rhs <= 1.0:
-        raise DomainError(f"balance condition has no real solution at theta1={theta1!r}")
-    theta2 = math.acos(math.sqrt(rhs))
-    return -theta2 if s > 2.0 * c else theta2
+    return math.atan(1.0 - 0.5 * math.tan(_check_theta1(theta1)))
 
 
 def balance_root_solve(theta1: float, tol: float = 1e-10) -> float:

@@ -251,7 +251,8 @@ def _theta2_rule(spec: Dict[str, object]) -> Tuple[bool, Optional[float]]:
 
 def _angles(spec: Dict[str, object]) -> Tuple[float, float, bool]:
     """``(theta1, theta2, balanced)``: theta1 is checked first, then the
-    theta2 rule, then the balance condition for a balanced theta2."""
+    theta2 rule; a balanced theta2 fails only where theta1 is outside
+    (0, pi/2), the balance rule's domain."""
     theta1 = _as_float(_require(spec, "theta1"), "theta1")
     balanced, theta2 = _theta2_rule(spec)
     return theta1, balanced_theta2(theta1) if balanced else theta2, balanced

@@ -399,18 +399,14 @@ def propagate(network: Network, state: ModeState):
     absorbed = [0.0] * len(plan.ledger_labels)
     snaps = np.zeros((len(plan.checkpoint_rows), mode_count), dtype=np.complex128)
     kernel.run_plan(plan.ops, plan.arg_a, plan.arg_b, plan.coeff, amps, absorbed, snaps)
-    if state.absorbed:
-        ledger = dict(state.absorbed)
-        for label, value in zip(plan.ledger_labels, absorbed):
-            ledger[label] = ledger.get(label, 0.0) + value
+    ledger = dict(state.absorbed)
+    for label, value in zip(plan.ledger_labels, absorbed):
+        ledger[label] = ledger.get(label, 0.0) + value
+    # The plan's labels are strings and each value a sum of squares, never
+    # negative, so with no input ledger finite lists pass a constructed
+    # state's checks; otherwise those checks raise their first error.
+    if state.absorbed or not (all(map(cmath.isfinite, amps)) and all(map(math.isfinite, absorbed))):
         _check_contents(amps, ledger)
-    else:
-        ledger = dict(zip(plan.ledger_labels, absorbed))
-        # The labels are the plan's strings and each value a sum of squares,
-        # never negative, so finite lists pass a constructed state's checks;
-        # otherwise those checks raise their first error.
-        if not (all(map(cmath.isfinite, amps)) and all(map(math.isfinite, absorbed))):
-            _check_contents(amps, ledger)
     final = ModeState.__new__(ModeState)
     final.amplitudes = np.array(amps, dtype=np.complex128)
     final.absorbed = ledger

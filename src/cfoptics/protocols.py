@@ -58,20 +58,17 @@ LEG_NAMES = ("alice_to_charlie", "charlie_to_bob", "bob_to_charlie", "charlie_to
 
 
 def _validate_bit(bit) -> int:
-    value = bit if type(bit) is int else _integer(bit)
-    if value not in (0, 1):
+    if (value := _integer(bit)) not in (0, 1):
         raise DomainError(f"sender bit must be 0 or 1, got {bit!r}")
     return value
 
 
 def _validate_angle(name: str, value) -> float:
-    """``value`` as a float angle in (-pi, pi]; a non-finite float is out of
-    range, any other non-finite or non-real value is no angle."""
-    angle = value if type(value) is float else _finite_real(value)
-    if angle is None:
-        raise DomainError(f"{name} must be a real angle in radians")
-    if not -math.pi < angle <= math.pi:
-        raise DomainError(f"{name} must be finite and in (-pi, pi], got {value!r}")
+    """``value`` as a float angle in (-pi, pi], read by the number rule; a
+    float is returned as the same object.  The message does not echo the
+    value: the repr of an int over 4,300 digits raises ValueError."""
+    if (angle := _finite_real(value)) is None or not -math.pi < angle <= math.pi:
+        raise DomainError(f"{name} must be a finite real angle in (-pi, pi]")
     return angle
 
 
@@ -246,11 +243,8 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
     the same linear evolution, so detector intensities are
     ``intensity * p_dk``.  Decoding is argmax over the two detectors; an
     exact tie is refused rather than silently broken."""
-    number = intensity if type(intensity) is float else _finite_real(intensity)
-    if number is None:
-        raise DomainError("intensity must be a positive number")
-    if not math.isfinite(number) or number <= 0:
-        raise DomainError(f"intensity must be positive and finite, got {intensity!r}")
+    if (number := _finite_real(intensity)) is None or number <= 0:
+        raise DomainError("intensity must be a positive finite number")
     p_d1, p_d2 = _detector_probabilities(config, bit)
     i_d1 = number * p_d1
     i_d2 = number * p_d2

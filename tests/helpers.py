@@ -5,9 +5,13 @@ package internals: detector amplitudes come from the final-state closed
 forms, chained networks from 2x2 matrix products with scalar inner-chain
 transfer factors, and mutual information from a direct joint-table
 summation.  Tests compare the simulator's propagated results to these.
+The ``dec_*`` functions evaluate sin, cos and atan to 50 significant digits
+with the standard library's ``decimal``, a reference whose own error is far
+below any float's rounding.
 """
 
 import math
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -128,3 +132,58 @@ def fold_elements(state, elements):
             checkpoints[element.name] = np.array(amps, dtype=np.complex128)
     final = SimpleNamespace(amplitudes=np.array(amps, dtype=np.complex128), absorbed=ledger)
     return final, checkpoints
+
+
+# Digits of the decimal reference, and the guard digits its series carry.
+DEC_DIGITS = 50
+_GUARD = 10
+
+
+def _dec(compute, x):
+    """``compute(Decimal(x))`` with guard digits, rounded to ``DEC_DIGITS``;
+    a float ``x`` enters as its exact binary value."""
+    with localcontext() as ctx:
+        ctx.prec = DEC_DIGITS + _GUARD
+        result = compute(Decimal(x))
+    with localcontext() as ctx:
+        ctx.prec = DEC_DIGITS
+        return +result
+
+
+def _dec_series(x, first, step):
+    """Sum of the alternating series whose first term is ``first`` and
+    whose term k+1 is term k times ``-x^2 / step(k)``, to the working
+    precision."""
+    total = term = first
+    x2, k = x * x, 1
+    while True:
+        term = -term * x2 / step(k)
+        if total + term == total:
+            return total
+        total += term
+        k += 1
+
+
+def dec_sin(x):
+    """sin(x) as a Decimal of ``DEC_DIGITS`` digits (|x| up to a few radians)."""
+    return _dec(lambda x: _dec_series(x, x, lambda k: 2 * k * (2 * k + 1)), x)
+
+
+def dec_cos(x):
+    """cos(x) as a Decimal of ``DEC_DIGITS`` digits (|x| up to a few radians)."""
+    return _dec(lambda x: _dec_series(x, Decimal(1), lambda k: (2 * k - 1) * 2 * k), x)
+
+
+def _dec_atan(x):
+    # Each halving atan(x) = 2 atan(x / (1 + sqrt(1 + x^2))) shrinks the
+    # argument until the series x - x^3/3 + x^5/5 - ... converges fast.
+    doublings = 0
+    while abs(x) > Decimal("0.01"):
+        x /= 1 + (1 + x * x).sqrt()
+        doublings += 1
+    return _dec_series(x, x, lambda k: Decimal(2 * k + 1) / (2 * k - 1)) * 2 ** doublings
+
+
+def dec_atan(x):
+    """atan(x) as a Decimal of ``DEC_DIGITS`` digits, for any finite x."""
+    return _dec(_dec_atan, x)

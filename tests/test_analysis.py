@@ -1,6 +1,7 @@
 """Channel analysis: rows, information measures, balance solvers, optimizer."""
 
 import math
+from decimal import localcontext
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from cfoptics import (
     success_probabilities,
 )
 from cfoptics import analysis
-from helpers import mi_direct_joint, random_channel_rows
+from helpers import (
+    DEC_DIGITS,
+    closed_form_success,
+    dec_atan,
+    dec_cos,
+    dec_sin,
+    mi_direct_joint,
+    random_channel_rows,
+)
 
 RNG = np.random.default_rng(90125)
 
@@ -241,6 +250,29 @@ class TestBalancedTheta2:
                 channel_from_protocol(NestedConfig(theta1, theta2))
             )
             assert abs(p00 - p11) < 1e-9
+
+    @staticmethod
+    def _assert_exact_balance(angles):
+        """Within 5e-16 of atan(1 - tan(theta1) / 2) evaluated at 50 digits
+        from each float theta1, and p00 = p11 to 1e-12 in closed form."""
+        for theta1 in angles:
+            with localcontext() as ctx:
+                ctx.prec = DEC_DIGITS
+                exact = float(dec_atan(1 - dec_sin(theta1) / dec_cos(theta1) / 2))
+            theta2 = balanced_theta2(theta1)
+            assert abs(theta2 - exact) <= 5e-16, theta1
+            p00, p11 = closed_form_success(theta1, theta2)
+            assert abs(p00 - p11) <= 1e-12, theta1
+
+    def test_matches_the_decimal_reference_across_the_domain(self):
+        self._assert_exact_balance([k * (math.pi / 2) / 1201 for k in range(1, 1201)])
+
+    def test_matches_the_decimal_reference_where_tan_theta1_is_two(self):
+        """Across atan(2) the root passes through 0, and cos(theta2)^2 is 1
+        to within rounding: an arccos of its square root loses up to 1.5e-8."""
+        pivot = math.atan(2.0)
+        angles = [pivot + k * 1e-10 for k in range(-300, 301)]
+        self._assert_exact_balance(angles + [1.1071487133020903])
 
     def test_steep_couplers_balance_with_negative_angle(self):
         # past tan(theta1) = 2 the non-negative root stops balancing

@@ -489,6 +489,65 @@ README_DOCUMENTS = {
 }
 
 
+class TestRefusals:
+    """Each refusal exits 2 with its own diagnostic and writes no document.
+    ``config`` is written to a file and passed as ``--config``; a
+    directory is passed as it is."""
+
+    CASES = {
+        "config-not-an-object": (("simulate",), [1, 2], "config document must be a JSON object"),
+        "config-is-a-directory": (("simulate",), "directory", "cannot read config file"),
+        "range-without-colon": (("sweep", "--theta1", "0.1", "--balanced"), None,
+                                "theta1 range must look like START:STOP"),
+        "range-list-of-one": (("sweep",), {"theta1": [0.1], "balanced": True},
+                              "theta1 range must be START:STOP or a 2-element list"),
+        "empty-cycle-list": (("chain", "--outer", ",", "--inner", "4"), None,
+                             "outer must be non-empty"),
+        "cycle-list-not-a-list": (("chain",), {"outer": 5, "inner": "4"},
+                                  "outer must be a comma-separated list of integers"),
+        "unknown-format": (("classical", "--bits", "01"), {"format": "xml"},
+                           "format must be json or csv"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_with_its_diagnostic(self, case, capsys, tmp_path):
+        argv, config, message = self.CASES[case]
+        if config == "directory":
+            argv += ("--config", str(tmp_path))
+        elif config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv += ("--config", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"cfoptics {argv[0]}: error: {message}")
+
+    def test_config_cycle_lists_write_the_flags_bytes(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"outer": [2, 3], "inner": [4]}))
+        code, from_config, _ = run_cli(capsys, "chain", "--config", str(config))
+        assert code == 0
+        assert from_config == run_cli(capsys, "chain", "--outer", "2,3", "--inner", "4")[1]
+
+
+class TestBalancedAtTanTwo:
+    """theta1 is within 5e-9 of atan(2), where the balanced root crosses 0
+    (it is 1.123e-8 here) and cos(theta2)^2 is 1 to within rounding."""
+
+    THETA1 = "1.1071487133020903"
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--theta1", THETA1, "--balanced", "--bit", "1"),
+        ("capacity", "--theta1", THETA1, "--balanced"),
+        ("sweep", "--theta1", f"{THETA1}:1.2", "--balanced", "--steps", "2"),
+    ], ids=["simulate", "capacity", "sweep"])
+    def test_balanced_commands_run(self, argv, capsys):
+        doc = run_json(capsys, *argv)
+        theta2 = doc["spec"]["theta2"] if argv[0] != "sweep" else doc["results"]["rows"][0][1]
+        assert theta2 == pytest.approx(1.123e-8, rel=1e-3)
+
+
 class TestReadmeDocuments:
     @pytest.mark.parametrize("name", sorted(README_DOCUMENTS))
     def test_document_matches_release_digest(self, name, capsys, tmp_path):

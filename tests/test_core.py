@@ -577,6 +577,10 @@ class TestModeState:
             with pytest.raises(InvalidNetworkError):
                 ModeState(amplitudes)
 
+    def test_ledger_labels_must_be_strings(self):
+        with pytest.raises(InvalidNetworkError, match="absorber labels must be strings"):
+            ModeState([1, 0], {1: 0.0})
+
     def test_total_probability_fresh_input(self):
         assert total_probability(ModeState.single_photon(3)) == 1.0
 

@@ -151,6 +151,24 @@ def test_refused_with_the_entry_points_error(call, error, value):
         call(value)
 
 
+@pytest.mark.parametrize("name", [
+    "NestedConfig theta1", "NestedConfig theta2", "ChainConfig outer_angle",
+    "ChainConfig inner_angle", "ChainConfig final_angle", "run_bright_pulse intensity",
+])
+def test_one_message_per_parameter_whatever_the_type(name):
+    """nan, the infinities and an out-of-range number read the same as a
+    Python float or a numpy scalar, and so does every other refused value,
+    an int too long to print included."""
+    call, error, *_ = REAL[name]
+    refused = [v for x in (math.nan, math.inf, -math.inf, -4.0) for v in (x, np.float64(x))]
+    messages = set()
+    for value in [*refused, *NOT_NUMBERS.values(), 10**5000]:
+        with pytest.raises(error) as caught:
+            call(value)
+        messages.add(str(caught.value))
+    assert len(messages) == 1, messages
+
+
 @pytest.mark.parametrize("name", sorted(REAL))
 @pytest.mark.parametrize("scalar", [np.float64, np.float32, Fraction])
 def test_real_scalars_count_as_the_python_float(name, scalar):
