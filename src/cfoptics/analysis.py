@@ -19,7 +19,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import _finite_real, _integer
+from .core import _decimal, _finite_real, _integer
 from .errors import BracketError, DomainError
 # ``run_protocol`` stays a name of this module: perfbench wraps it here.
 from .protocols import NestedConfig, _detector_probabilities, run_protocol
@@ -49,33 +49,43 @@ _ROW_TOL = 1e-12
 class ChannelModel:
     """Conditional distribution P(outcome | b) as a 2x3 row-stochastic matrix.
 
-    Rows are the sender bits 0 and 1; columns are (D1, D2, none).
+    Rows are the sender bits 0 and 1; columns are (D1, D2, none).  The six
+    entries are read by the number rule; ``p_given_b`` is stored as a
+    float64 array built from the checked floats.
     """
 
     p_given_b: np.ndarray
 
     def __post_init__(self):
-        matrix = np.array(self.p_given_b, dtype=np.float64)
-        if matrix.shape != (2, 3):
-            raise DomainError(f"channel matrix must be 2x3, got shape {matrix.shape}")
+        try:
+            (a, b, c), (d, e, f) = self.p_given_b
+        except (TypeError, ValueError):
+            raise DomainError("channel matrix must be 2x3") from None
+        # An exact float, what channel_from_protocol passes, is its own
+        # value; any other entry is read by _finite_real, and one it refuses
+        # reads as nan, so it fails the finiteness test below.
+        if not (type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is float):
+            a, b, c, d, e, f = (math.nan if (p := _finite_real(x)) is None else p
+                                for x in (a, b, c, d, e, f))
         # Six entries: straight-line float checks cost far less than numpy
         # calls.  A comparison with nan is false, so the range test alone
         # passes only finite entries; its failure finds the first error.
-        (a, b, c), (d, e, f) = rows = matrix.tolist()
         low, high = -_ROW_TOL, 1 + _ROW_TOL
         if not (low <= a <= high and low <= b <= high and low <= c <= high
                 and low <= d <= high and low <= e <= high and low <= f <= high):
-            if not all(map(math.isfinite, rows[0] + rows[1])):
+            if not all(map(math.isfinite, (a, b, c, d, e, f))):
                 raise DomainError("channel entries must be finite")
             raise DomainError("channel entries must be probabilities in [0, 1]")
         if abs(a + b + c - 1.0) > _ROW_TOL or abs(d + e + f - 1.0) > _ROW_TOL:
-            raise DomainError(f"channel rows must sum to 1, got {matrix.sum(axis=1)}")
-        # ``matrix`` is this instance's own copy: clip it in place, entry by
-        # entry as np.clip does (-0.0 stays -0.0), when an entry needs it.
+            sums = np.array(((a, b, c), (d, e, f))).sum(axis=1)
+            raise DomainError(f"channel rows must sum to 1, got {sums}")
+        # Clip entry by entry as np.clip does (-0.0 stays -0.0), when an
+        # entry needs it.
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0
                 and 0.0 <= d <= 1.0 and 0.0 <= e <= 1.0 and 0.0 <= f <= 1.0):
-            matrix[:] = [[0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in row] for row in rows]
-        object.__setattr__(self, "p_given_b", matrix)
+            a, b, c, d, e, f = (0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+                                for p in (a, b, c, d, e, f))
+        object.__setattr__(self, "p_given_b", np.array(((a, b, c), (d, e, f))))
 
     def row(self, bit: int) -> np.ndarray:
         return self.p_given_b[bit]
@@ -89,7 +99,7 @@ class InputPrior:
 
     def __post_init__(self):
         if (p0 := _finite_real(self.p0)) is None or not 0.0 <= p0 <= 1.0:
-            raise DomainError(f"prior p0 must lie in [0, 1], got {self.p0!r}")
+            raise DomainError("prior p0 must be a finite real number in [0, 1]")
         object.__setattr__(self, "p0", p0)
 
     @property
@@ -148,15 +158,13 @@ def mutual_information(channel: ChannelModel, prior: InputPrior) -> float:
 
 def _check_tol(tol) -> float:
     if (number := _finite_real(tol)) is None or number <= 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+        raise DomainError("tol must be a positive finite real number")
     return number
 
 
 def _check_theta1(theta1) -> float:
-    if (angle := _finite_real(theta1)) is None:
-        raise DomainError(f"theta1 must be a finite angle, got {theta1!r}")
-    if not 0.0 < angle < _HALF_PI:
-        raise DomainError(f"theta1 must lie in (0, pi/2), got {theta1!r}")
+    if (angle := _finite_real(theta1)) is None or not 0.0 < angle < _HALF_PI:
+        raise DomainError("theta1 must be a finite real angle in (0, pi/2)")
     return angle
 
 
@@ -340,18 +348,17 @@ def optimize_angles(
     :data:`MAX_OPTIMIZE_EVALUATIONS` are rejected before the first one.
     """
     if objective not in _OBJECTIVE_NAMES:
-        raise DomainError(
-            f"objective must be one of {_OBJECTIVE_NAMES}, got {objective!r}"
-        )
+        raise DomainError(f"objective must be one of {_OBJECTIVE_NAMES}")
     if (grid := _integer(grid_points)) is None or grid < 8:
-        raise DomainError(f"grid_points must be an integer >= 8, got {grid_points!r}")
+        raise DomainError("grid_points must be an integer >= 8")
     if (refine := _integer(refine_iters)) is None or refine < 0:
-        raise DomainError(f"refine_iters must be a non-negative integer, got {refine_iters!r}")
+        raise DomainError("refine_iters must be a non-negative integer")
     allowed = grid * grid + 3 + 4 * refine
     if allowed > MAX_OPTIMIZE_EVALUATIONS:
         raise DomainError(
-            f"grid_points={grid} and refine_iters={refine} allow {allowed} "
-            f"channel evaluations, above the budget of {MAX_OPTIMIZE_EVALUATIONS}"
+            f"grid_points={_decimal(grid)} and refine_iters={_decimal(refine)} allow "
+            f"{_decimal(allowed)} channel evaluations, above the budget of "
+            f"{MAX_OPTIMIZE_EVALUATIONS}"
         )
 
     evaluations = 0

@@ -141,7 +141,9 @@ def decode_billiard(observation: str) -> int:
         return 0
     if observation == OBSERVATION_NOTHING:
         return 1
-    raise DomainError(f"unknown billiard observation {observation!r}")
+    raise DomainError(
+        f"billiard observation must be {OBSERVATION_RED_BALL!r} or {OBSERVATION_NOTHING!r}"
+    )
 
 
 def run_pulse_relay(bits: Sequence[int]) -> PulseRelayRun:
@@ -152,8 +154,12 @@ def run_pulse_relay(bits: Sequence[int]) -> PulseRelayRun:
     therefore perfect, while the two legs' carrier presence is complementary
     on every bit.
     """
-    if len(bits) == 0:
-        raise DomainError("bit sequence must be non-empty")
+    try:
+        count = len(bits)
+    except TypeError:  # an iterator, or no sequence at all
+        count = 0
+    if count == 0:
+        raise DomainError("bits must be a non-empty sequence")
     log = CarrierLog()
     decoded = []
     for index, raw in enumerate(bits):
@@ -175,9 +181,9 @@ def carrier_span_audit(log: CarrierLog) -> bool:
     presence: Dict[int, Dict[str, bool]] = {}
     for record in log.records:
         if record.leg not in LEG_NAMES:
-            raise AuditError(f"unknown leg {record.leg!r} in carrier log")
+            raise AuditError(f"carrier log legs must be among {LEG_NAMES}")
         if (index := _integer(record.bit_index)) is None or index < 0:
-            raise AuditError(f"invalid bit index {record.bit_index!r} in carrier log")
+            raise AuditError("carrier log bit indices must be non-negative integers")
         per_bit = presence.setdefault(index, {})
         if record.carrier_present:
             per_bit[record.leg] = True

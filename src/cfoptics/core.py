@@ -97,7 +97,8 @@ class ModeState:
         ``bool`` (or an integer, float or complex ndarray); copied into a
         complex128 vector.
     absorbed : mapping str -> float, optional
-        Probability already absorbed, keyed by absorber label.
+        Probability already absorbed, keyed by absorber label; anything
+        ``dict`` takes, such as a sequence of pairs.
     """
 
     __slots__ = ("amplitudes", "absorbed")
@@ -115,7 +116,11 @@ class ModeState:
         if not numeric and not all(isinstance(z, numbers.Complex) and not isinstance(z, bool)
                                    for z in amplitudes):
             raise InvalidNetworkError("amplitudes must be complex numbers")
-        ledger = dict(absorbed) if absorbed else {}
+        try:
+            ledger = dict(absorbed) if absorbed else {}
+        except (TypeError, ValueError):
+            raise InvalidNetworkError(
+                "absorbed must map absorber labels to probabilities") from None
         _check_contents(amps.tolist(), ledger)
         self.amplitudes = amps
         self.absorbed = ledger
@@ -173,12 +178,21 @@ def _integer(value) -> Optional[int]:
     return None
 
 
+def _decimal(number: int) -> str:
+    """``number`` in decimal for a message, or its bit length where ``str``
+    refuses that many digits (over 4,300 by default)."""
+    try:
+        return str(number)
+    except ValueError:
+        return f"<{number.bit_length()}-bit integer>"
+
+
 def _check_mode(index, mode_count, what) -> int:
     if (mode := _integer(index)) is None:
         raise InvalidNetworkError(f"{what} must be an integer mode index")
     if not 0 <= mode < mode_count:
         raise InvalidNetworkError(
-            f"{what} {index} out of range for {mode_count} modes"
+            f"{what} {_decimal(mode)} out of range for {mode_count} modes"
         )
     return mode
 
@@ -262,10 +276,8 @@ class Network:
     like: InitVar[Optional["Network"]] = field(default=None, kw_only=True)
 
     def __post_init__(self, like):
-        if (mode_count := _integer(self.mode_count)) is None:
-            raise InvalidNetworkError("mode_count must be an integer")
-        if not 1 <= mode_count <= MAX_MODES:
-            raise InvalidNetworkError(f"mode_count must be from 1 to {MAX_MODES}")
+        if (mode_count := _integer(self.mode_count)) is None or not 1 <= mode_count <= MAX_MODES:
+            raise InvalidNetworkError(f"mode_count must be an integer from 1 to {MAX_MODES}")
         object.__setattr__(self, "mode_count", mode_count)
         elements = self.elements
         if type(elements) is not tuple:

@@ -19,6 +19,7 @@ outer arm (D2), mode 2 the inner far arm on Bob's side.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -32,6 +33,7 @@ from .core import (
     Element,
     ModeState,
     Network,
+    _decimal,
     _finite_real,
     _integer,
     propagate,
@@ -59,14 +61,13 @@ LEG_NAMES = ("alice_to_charlie", "charlie_to_bob", "bob_to_charlie", "charlie_to
 
 def _validate_bit(bit) -> int:
     if (value := _integer(bit)) not in (0, 1):
-        raise DomainError(f"sender bit must be 0 or 1, got {bit!r}")
+        raise DomainError("sender bit must be 0 or 1")
     return value
 
 
 def _validate_angle(name: str, value) -> float:
     """``value`` as a float angle in (-pi, pi], read by the number rule; a
-    float is returned as the same object.  The message does not echo the
-    value: the repr of an int over 4,300 digits raises ValueError."""
+    float is returned as the same object."""
     if (angle := _finite_real(value)) is None or not -math.pi < angle <= math.pi:
         raise DomainError(f"{name} must be a finite real angle in (-pi, pi]")
     return angle
@@ -228,13 +229,18 @@ def counterfactual_witness(outcome: ProtocolOutcome, bit: int) -> Tuple[float, f
     Returns ``(|bob_to_charlie|^2, |charlie_to_alice|^2)``.  The first is
     exactly zero whenever ``bit == 0`` (the blocker empties the arm); the
     second vanishes for ``bit == 1`` with exact 50-50 inner couplers.
+    Each leg must be a ``numbers.Complex`` but no ``bool``.
     """
     _validate_bit(bit)
     try:
-        forward = outcome.legs["bob_to_charlie"]
-        backward = outcome.legs["charlie_to_alice"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedOutcomeError(f"outcome is missing leg amplitudes: {exc}") from None
+        forward, backward = outcome.legs["bob_to_charlie"], outcome.legs["charlie_to_alice"]
+    except (AttributeError, KeyError, TypeError):
+        forward = backward = None  # a missing leg is refused as no number
+    if not all(isinstance(z, numbers.Complex) and not isinstance(z, bool)
+               for z in (forward, backward)):
+        raise MalformedOutcomeError(
+            "outcome must hold the bob_to_charlie and charlie_to_alice leg amplitudes"
+        )
     return abs(forward) ** 2, abs(backward) ** 2
 
 
@@ -301,13 +307,14 @@ class ChainConfig:
     def __post_init__(self):
         for name in ("outer_cycles", "inner_cycles"):
             if (cycles := _integer(getattr(self, name))) is None or cycles < 1:
-                raise DomainError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
+                raise DomainError(f"{name} must be a positive integer")
             object.__setattr__(self, name, cycles)
         elements = _chain_element_count(self.outer_cycles, self.inner_cycles, 0)
         if elements > MAX_CHAIN_ELEMENTS:
             raise DomainError(
-                f"a {self.outer_cycles} x {self.inner_cycles} chain needs {elements} "
-                f"elements per network, above the budget of {MAX_CHAIN_ELEMENTS}"
+                f"a {_decimal(self.outer_cycles)} x {_decimal(self.inner_cycles)} chain needs "
+                f"{_decimal(elements)} elements per network, above the budget of "
+                f"{MAX_CHAIN_ELEMENTS}"
             )
         if self.outer_angle is None:
             object.__setattr__(self, "outer_angle", math.pi / (2 * (self.outer_cycles + 1)))

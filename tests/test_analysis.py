@@ -1,7 +1,8 @@
 """Channel analysis: rows, information measures, balance solvers, optimizer."""
 
 import math
-from decimal import localcontext
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,8 +54,25 @@ class TestChannelModel:
             ChannelModel(np.array([[1.2, -0.2, 0.0], [0.1, 0.2, 0.7]]))
 
     def test_shape_checked(self):
-        with pytest.raises(DomainError):
-            ChannelModel(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        for rows in (np.array([[0.5, 0.5], [0.5, 0.5]]), [[1.0, 0.0, 0.0]], "ab", 5, None,
+                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
+            with pytest.raises(DomainError, match="^channel matrix must be 2x3$"):
+                ChannelModel(rows)
+
+    def test_entries_follow_the_number_rule(self):
+        """An entry the number rule refuses is refused as not finite."""
+        for entry in (True, np.True_, "1", b"1", "0.5", 1 + 0j, np.complex128(1), Decimal(1),
+                      10**400, 10**5000):
+            with pytest.raises(DomainError, match="^channel entries must be finite$"):
+                ChannelModel([[entry, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    def test_entries_of_any_real_type_give_the_float_channel(self):
+        rows = [[0.25, 0.5, 0.25], [1.0, 0.0, 0.0]]
+        expected = ChannelModel(rows).p_given_b.tobytes()
+        for typed in ([[np.float64(0.25), np.float32(0.5), Fraction(1, 4)], [1, np.int64(0), 0]],
+                      np.array(rows), np.array(rows, dtype=np.float32),
+                      [tuple(row) for row in rows]):
+            assert ChannelModel(typed).p_given_b.tobytes() == expected
 
 
 class TestChannelFromProtocol:

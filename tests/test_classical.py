@@ -120,6 +120,15 @@ class TestPulseRelay:
         with pytest.raises(DomainError):
             run_pulse_relay([0, 2])
 
+    @pytest.mark.parametrize("bits", [5, None, iter([0, 1]), (bit for bit in (0, 1)), np.array(1)])
+    def test_refuses_what_is_no_sequence(self, bits):
+        with pytest.raises(DomainError, match="^bits must be a non-empty sequence$"):
+            run_pulse_relay(bits)
+
+    @pytest.mark.parametrize("bits", [(0, 1), [0, 1], range(2), np.array([0, 1]), {0: "", 1: ""}])
+    def test_takes_any_sized_collection_of_bits(self, bits):
+        assert run_pulse_relay(bits).decoded == (0, 1)
+
 
 class TestCarrierSpanAudit:
     def test_detects_a_spanning_carrier(self):

@@ -577,6 +577,17 @@ class TestModeState:
             with pytest.raises(InvalidNetworkError):
                 ModeState(amplitudes)
 
+    @pytest.mark.parametrize("absorbed", [5, "ab", object(), [("x", 0.1, 0.2)], [1.5]])
+    def test_a_ledger_that_is_no_mapping_is_refused(self, absorbed):
+        with pytest.raises(InvalidNetworkError, match="^absorbed must map absorber labels"):
+            ModeState([1, 0], absorbed)
+
+    @pytest.mark.parametrize("absorbed, ledger", [
+        (None, {}), (0, {}), ((), {}), ({"x": 0.25}, {"x": 0.25}), ([("x", 1)], {"x": 1.0}),
+    ])
+    def test_a_ledger_is_anything_dict_takes(self, absorbed, ledger):
+        assert ModeState([1, 0], absorbed).absorbed == ledger
+
     def test_ledger_labels_must_be_strings(self):
         with pytest.raises(InvalidNetworkError, match="absorber labels must be strings"):
             ModeState([1, 0], {1: 0.0})

@@ -5,8 +5,11 @@ A real number is a ``numbers.Real`` that is no ``bool``, and an integer a
 numpy real or integer scalar counts as the Python number it holds, as does
 a ``Fraction``.  Text, bytes, booleans, ``Decimal`` and ``complex`` values,
 nan, the infinities and integers too large for a float are refused with the
-entry point's own ``CfOpticsError`` subclass, never a bare ``TypeError`` or
-``OverflowError``; where an integer is due, ``1.0`` is refused too.
+entry point's own ``CfOpticsError`` subclass, never a bare ``TypeError``,
+``OverflowError`` or ``ValueError``; where an integer is due, ``1.0`` is
+refused too.  Each parameter gives every value it refuses one message,
+except where a test pins a message that states a number: a work budget, a
+mode index out of range and ``ChannelModel``'s three conditions.
 """
 
 import json
@@ -23,6 +26,7 @@ from cfoptics import (
     BeamSplitter,
     Blocker,
     ChainConfig,
+    ChannelModel,
     DomainError,
     InputPrior,
     InvalidNetworkError,
@@ -44,6 +48,7 @@ from cfoptics import (
     run_protocol,
     run_pulse_relay,
 )
+from cfoptics.core import MAX_MODES
 
 CONFIG = NestedConfig(0.25, 0.3)
 CHANNEL = channel_from_protocol(CONFIG)
@@ -87,6 +92,9 @@ REAL = {
     "balanced_theta2 theta1": (lambda v: balanced_theta2(v), DomainError, 0.25, 1),
     "balance_root_solve theta1": (lambda v: balance_root_solve(v, 1e-6), DomainError, 0.25, 1),
     "balance_root_solve tol": (lambda v: balance_root_solve(0.25, v), DomainError, 0.25, 1),
+    "ChannelModel entry": (
+        lambda v: ChannelModel([[v, 0.0, 0.0], [0.0, 1.0, 0.0]]).p_given_b.tobytes(),
+        DomainError, 1.0, 1),
 }
 
 # name -> (entry point of one argument, its error, a Python int it accepts).
@@ -129,6 +137,7 @@ NOT_NUMBERS = {
     "decimal": Decimal("0.25"),
     "complex": 0.25 + 0j,
     "400-digit integer": 10**400,
+    "5,000-digit integer": 10**5000,
     "nan": math.nan,
     "inf": math.inf,
 }
@@ -137,9 +146,6 @@ NOT_NUMBERS = {
 def _refusals(table, extra):
     for name, (call, error, *_) in table.items():
         for label, value in {**NOT_NUMBERS, **extra}.items():
-            # Any integer is a valid mode count: the library sets no budget on it.
-            if name.endswith("mode_count") and label == "400-digit integer":
-                continue
             yield pytest.param(call, error, value, id=f"{name}-{label}")
 
 
@@ -151,22 +157,88 @@ def test_refused_with_the_entry_points_error(call, error, value):
         call(value)
 
 
-@pytest.mark.parametrize("name", [
-    "NestedConfig theta1", "NestedConfig theta2", "ChainConfig outer_angle",
-    "ChainConfig inner_angle", "ChainConfig final_angle", "run_bright_pulse intensity",
-])
+# name -> the numbers outside the parameter's domain, beside nan and the
+# infinities.  A mode index out of range is left out: its message states it.
+OUT_OF_DOMAIN = {
+    "Network coupler angle": (),
+    "apply_beam_splitter theta": (),
+    "ModeState ledger value": (-0.25,),
+    "NestedConfig theta1": (-4.0, 4.0),
+    "NestedConfig theta2": (-4.0, 4.0),
+    "NestedConfig inner_offset": (),
+    "ChainConfig outer_angle": (-4.0, 4.0),
+    "ChainConfig inner_angle": (-4.0, 4.0),
+    "ChainConfig final_angle": (-4.0, 4.0),
+    "run_bright_pulse intensity": (0.0, -4.0),
+    "InputPrior p0": (-0.5, 1.5),
+    "capacity tol": (0.0, -1.0),
+    "balanced_theta2 theta1": (0.0, 2.0, -4.0),
+    "balance_root_solve theta1": (0.0, 2.0, -4.0),
+    "balance_root_solve tol": (0.0, -1.0),
+    "Network mode_count": (0, -1, MAX_MODES + 1),
+    "single_photon mode_count": (0, MAX_MODES + 1),
+    "single_photon mode": (-1, 2),
+    "Network coupler mode": (),
+    "Network absorber mode": (),
+    "apply_beam_splitter mode": (),
+    "apply_blocker mode": (),
+    "run_protocol bit": (-1, 2),
+    "counterfactual_witness bit": (-1, 2),
+    "run_bright_pulse bit": (-1, 2),
+    "build_chain_network bit": (-1, 2),
+    "ChainConfig outer_cycles": (0, -1),
+    "ChainConfig inner_cycles": (0, -1),
+    "optimize_angles grid_points": (7, 0, -1),
+    "optimize_angles refine_iters": (-1,),
+    "run_billiard bit": (-1, 2),
+    "run_pulse_relay bit": (-1, 2),
+}
+
+# Parameters whose large integers meet a message that states a number: a
+# mode index out of range or a work budget.
+STATES_LARGE_INTEGERS = {
+    "Network coupler mode", "Network absorber mode", "apply_beam_splitter mode",
+    "apply_blocker mode", "ChainConfig outer_cycles", "ChainConfig inner_cycles",
+    "optimize_angles grid_points", "optimize_angles refine_iters",
+}
+
+
+def _refused_by_own_check(name):
+    """``NOT_NUMBERS``, less the large integers whose message states them,
+    the parameter's out-of-domain numbers and the numpy form of each
+    refused number."""
+    values = [v for v in NOT_NUMBERS.values()
+              if not (name in STATES_LARGE_INTEGERS and type(v) is int)]
+    outside = OUT_OF_DOMAIN[name]
+    if name in REAL:
+        outside = (*outside, -math.inf)
+        return values + [*outside, *map(np.float64, (*outside, math.nan, math.inf))]
+    return values + [*outside, 1.0, np.float64(1.0), *map(np.int64, outside)]
+
+
+def test_every_parameter_lists_its_out_of_domain_numbers():
+    assert set(OUT_OF_DOMAIN) == (set(REAL) | set(INTEGER)) - {"ChannelModel entry"}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_DOMAIN))
 def test_one_message_per_parameter_whatever_the_type(name):
-    """nan, the infinities and an out-of-range number read the same as a
-    Python float or a numpy scalar, and so does every other refused value,
-    an int too long to print included."""
-    call, error, *_ = REAL[name]
-    refused = [v for x in (math.nan, math.inf, -math.inf, -4.0) for v in (x, np.float64(x))]
+    """A refused value reads the same whatever its type: nan, the
+    infinities and out-of-domain numbers as Python or numpy scalars, text,
+    bytes, booleans and an int too long to print."""
+    call, error, *_ = {**REAL, **INTEGER}[name]
     messages = set()
-    for value in [*refused, *NOT_NUMBERS.values(), 10**5000]:
+    for value in _refused_by_own_check(name):
         with pytest.raises(error) as caught:
             call(value)
         messages.add(str(caught.value))
     assert len(messages) == 1, messages
+
+
+@pytest.mark.parametrize("name", sorted(STATES_LARGE_INTEGERS))
+def test_a_stated_number_too_long_to_print_keeps_the_error(name):
+    call, error, *_ = INTEGER[name]
+    with pytest.raises(error, match="-bit integer>"):
+        call(10**5000)
 
 
 @pytest.mark.parametrize("name", sorted(REAL))

@@ -293,6 +293,23 @@ def test_channel_accepts_and_refuses_like_the_reference(rows):
         assert matrix.tobytes() == np.clip(np.array(rows, dtype=np.float64), 0.0, 1.0).tobytes()
 
 
+def channel_bytes_or_message(rows):
+    try:
+        return ChannelModel(rows).p_given_b.tobytes()
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(boundary_rows())
+def test_numpy_entries_give_the_float_channel(rows):
+    """Entries read by the number rule, as an ndarray's are, are accepted,
+    refused and stored exactly as the Python floats they hold."""
+    expected = channel_bytes_or_message(rows)
+    assert channel_bytes_or_message(np.array(rows)) == expected
+    assert channel_bytes_or_message([list(map(np.float64, row)) for row in rows]) == expected
+
+
 @PROPERTY
 @given(channel_rows().filter(valid_channel), priors)
 def test_mutual_information_is_the_ndarray_formula(rows, p0):

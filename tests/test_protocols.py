@@ -1,6 +1,7 @@
 """Protocol runs against the closed-form final states and leg witnesses."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -243,6 +244,24 @@ class TestCounterfactualWitness:
         outcome = ProtocolOutcome(p_d1=0.5, p_d2=0.5, absorbed={}, legs={})
         with pytest.raises(MalformedOutcomeError):
             counterfactual_witness(outcome, 0)
+
+    @pytest.mark.parametrize("legs", [
+        None,
+        {"bob_to_charlie": "x", "charlie_to_alice": 0j},
+        {"bob_to_charlie": 0j, "charlie_to_alice": True},
+        {"bob_to_charlie": np.True_, "charlie_to_alice": 0j},
+        {"bob_to_charlie": 0j, "charlie_to_alice": b"1"},
+        {"bob_to_charlie": Decimal(1), "charlie_to_alice": 0j},
+    ])
+    def test_legs_that_are_missing_or_not_numbers_are_rejected(self, legs):
+        outcome = ProtocolOutcome(p_d1=0.5, p_d2=0.5, absorbed={}, legs=legs)
+        with pytest.raises(MalformedOutcomeError, match="^outcome must hold the bob_to_charlie"):
+            counterfactual_witness(outcome, 0)
+
+    def test_legs_may_be_any_complex_number(self):
+        outcome = ProtocolOutcome(0.5, 0.5, {}, {"bob_to_charlie": np.complex128(0.5j),
+                                                 "charlie_to_alice": np.int64(2)})
+        assert counterfactual_witness(outcome, 0) == (0.25, 4)
 
 
 class TestBrightPulse:
