@@ -61,12 +61,10 @@ class ChannelModel:
             (a, b, c), (d, e, f) = self.p_given_b
         except (TypeError, ValueError):
             raise DomainError("channel matrix must be 2x3") from None
-        # An exact float, what channel_from_protocol passes, is its own
-        # value; any other entry is read by _finite_real, and one it refuses
-        # reads as nan, so it fails the finiteness test below.
-        if not (type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is float):
-            a, b, c, d, e, f = (math.nan if (p := _finite_real(x)) is None else p
-                                for x in (a, b, c, d, e, f))
+        # An entry _finite_real refuses reads as nan, so it fails the
+        # finiteness test below.
+        a, b, c, d, e, f = (math.nan if (p := _finite_real(x)) is None else p
+                            for x in (a, b, c, d, e, f))
         # Six entries: straight-line float checks cost far less than numpy
         # calls.  A comparison with nan is false, so the range test alone
         # passes only finite entries; its failure finds the first error.

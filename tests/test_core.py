@@ -583,7 +583,7 @@ class TestModeState:
             ModeState([1, 0], absorbed)
 
     @pytest.mark.parametrize("absorbed, ledger", [
-        (None, {}), (0, {}), ((), {}), ({"x": 0.25}, {"x": 0.25}), ([("x", 1)], {"x": 1.0}),
+        (None, {}), ((), {}), ({"x": 0.25}, {"x": 0.25}), ([("x", 1)], {"x": 1.0}),
     ])
     def test_a_ledger_is_anything_dict_takes(self, absorbed, ledger):
         assert ModeState([1, 0], absorbed).absorbed == ledger
