@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -270,54 +270,33 @@ def _simplex_max(f, x0, step, max_iter):
     point), so local refinement uses a simplex that can align itself with
     the crease.  Returns the best point/value seen, never worse than x0.
     """
-    points: List[List[float]] = [list(x0), [x0[0] + step, x0[1]], [x0[0], x0[1] + step]]
-    values = [f(p) for p in points]
-    best_point, best_value = list(x0), values[0]
-
-    def record(point, value):
-        nonlocal best_point, best_value
-        if value > best_value:
-            best_point, best_value = list(point), value
-
-    for point, value in zip(points, values):
-        record(point, value)
+    # Vertices are [value, point].  No step makes the best vertex worse, so
+    # it is the best point seen; stable sorts keep ties in evaluation order.
+    vertices = [[f(p), p] for p in ([x0[0], x0[1]], [x0[0] + step, x0[1]], [x0[0], x0[1] + step])]
     for _ in range(max_iter):
-        order = sorted(range(3), key=lambda i: values[i], reverse=True)
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        diameter = max(
-            abs(points[i][d] - points[0][d]) for i in (1, 2) for d in (0, 1)
-        )
-        if diameter < 1e-13:
+        vertices.sort(key=lambda vertex: vertex[0], reverse=True)
+        (best, p0), (second, p1), (worst, p2) = vertices
+        if max(abs(p[d] - p0[d]) for p in (p1, p2) for d in (0, 1)) < 1e-13:
             break
-        centroid = [(points[0][d] + points[1][d]) / 2.0 for d in (0, 1)]
-        reflected = [centroid[d] + (centroid[d] - points[2][d]) for d in (0, 1)]
-        f_reflected = f(reflected)
-        record(reflected, f_reflected)
-        if f_reflected > values[0]:
-            expanded = [centroid[d] + 2.0 * (centroid[d] - points[2][d]) for d in (0, 1)]
+        centroid = [(p0[d] + p1[d]) / 2.0 for d in (0, 1)]
+        reflected = [centroid[d] + (centroid[d] - p2[d]) for d in (0, 1)]
+        if (f_reflected := f(reflected)) > best:
+            expanded = [centroid[d] + 2.0 * (centroid[d] - p2[d]) for d in (0, 1)]
             f_expanded = f(expanded)
-            record(expanded, f_expanded)
-            if f_expanded > f_reflected:
-                points[2], values[2] = expanded, f_expanded
-            else:
-                points[2], values[2] = reflected, f_reflected
-        elif f_reflected > values[1]:
-            points[2], values[2] = reflected, f_reflected
+            vertices[2] = ([f_expanded, expanded] if f_expanded > f_reflected
+                           else [f_reflected, reflected])
+        elif f_reflected > second:
+            vertices[2] = [f_reflected, reflected]
         else:
-            contracted = [centroid[d] + 0.5 * (points[2][d] - centroid[d]) for d in (0, 1)]
-            f_contracted = f(contracted)
-            record(contracted, f_contracted)
-            if f_contracted > values[2]:
-                points[2], values[2] = contracted, f_contracted
+            contracted = [centroid[d] + 0.5 * (p2[d] - centroid[d]) for d in (0, 1)]
+            if (f_contracted := f(contracted)) > worst:
+                vertices[2] = [f_contracted, contracted]
             else:
-                for i in (1, 2):
-                    points[i] = [
-                        points[0][d] + 0.5 * (points[i][d] - points[0][d]) for d in (0, 1)
-                    ]
-                    values[i] = f(points[i])
-                    record(points[i], values[i])
-    return best_point, best_value
+                for vertex in vertices[1:]:
+                    vertex[1] = [p0[d] + 0.5 * (vertex[1][d] - p0[d]) for d in (0, 1)]
+                    vertex[0] = f(vertex[1])
+    value, point = max(vertices, key=lambda vertex: vertex[0])
+    return point, value
 
 
 _OBJECTIVE_NAMES = ("min-success", "mutual-info-uniform")
@@ -345,7 +324,7 @@ def optimize_angles(
     per refinement step); settings that allow more than
     :data:`MAX_OPTIMIZE_EVALUATIONS` are rejected before the first one.
     """
-    if objective not in _OBJECTIVE_NAMES:
+    if not isinstance(objective, str) or objective not in _OBJECTIVE_NAMES:
         raise DomainError(f"objective must be one of {_OBJECTIVE_NAMES}")
     if (grid := _integer(grid_points)) is None or grid < 8:
         raise DomainError("grid_points must be an integer >= 8")

@@ -137,10 +137,11 @@ def run_billiard(bit: int) -> BilliardRun:
 def decode_billiard(observation: str) -> int:
     """Map Alice's observation back to the sent bit: red ball means 0,
     nothing means 1."""
-    if observation == OBSERVATION_RED_BALL:
-        return 0
-    if observation == OBSERVATION_NOTHING:
-        return 1
+    if isinstance(observation, str):
+        if observation == OBSERVATION_RED_BALL:
+            return 0
+        if observation == OBSERVATION_NOTHING:
+            return 1
     raise DomainError(
         f"billiard observation must be {OBSERVATION_RED_BALL!r} or {OBSERVATION_NOTHING!r}"
     )
@@ -178,16 +179,23 @@ def carrier_span_audit(log: CarrierLog) -> bool:
     charlie_to_alice.  Raises :class:`AuditError` on malformed logs."""
     if not isinstance(log, CarrierLog):
         raise AuditError("expected a CarrierLog")
-    presence: Dict[int, Dict[str, bool]] = {}
-    for record in log.records:
-        if record.leg not in LEG_NAMES:
+    try:
+        records = iter(log.records)
+    except TypeError:
+        raise AuditError("carrier log records must be iterable") from None
+    carriers = set()  # (bit index, leg) of every slot with a carrier
+    for record in records:
+        if not isinstance(record, LegRecord):
+            raise AuditError("carrier log records must be LegRecords")
+        if not isinstance(record.leg, str) or record.leg not in LEG_NAMES:
             raise AuditError(f"carrier log legs must be among {LEG_NAMES}")
         if (index := _integer(record.bit_index)) is None or index < 0:
             raise AuditError("carrier log bit indices must be non-negative integers")
-        per_bit = presence.setdefault(index, {})
-        if record.carrier_present:
-            per_bit[record.leg] = True
-    return all(
-        not (per_bit.get("bob_to_charlie") and per_bit.get("charlie_to_alice"))
-        for per_bit in presence.values()
-    )
+        try:
+            present = bool(record.carrier_present)
+        except (TypeError, ValueError):
+            raise AuditError("carrier presence must have a truth value") from None
+        if present:
+            carriers.add((index, record.leg))
+    return not any((index, "charlie_to_alice") in carriers
+                   for index, leg in carriers if leg == "bob_to_charlie")

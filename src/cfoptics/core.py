@@ -281,7 +281,11 @@ class Network:
         object.__setattr__(self, "mode_count", mode_count)
         elements = self.elements
         if type(elements) is not tuple:
-            elements = tuple(elements)
+            try:
+                iterator = iter(elements)
+            except TypeError:
+                raise InvalidNetworkError("elements must be an iterable of elements") from None
+            elements = tuple(iterator)
             object.__setattr__(self, "elements", elements)
         plan = None
         if (isinstance(like, Network) and like.mode_count == mode_count

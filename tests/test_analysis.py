@@ -375,6 +375,20 @@ class TestOptimizeAngles:
         assert result.objective_value >= reference
         assert result.objective_name == "mutual-info-uniform"
 
+    @pytest.mark.parametrize(
+        "objective",
+        [np.array(["min-success"]), np.array(["min-success", "min-success"]), ["min-success"],
+         b"min-success", None, "max-success"],
+    )
+    def test_objective_is_one_of_the_names(self, objective):
+        with pytest.raises(
+            DomainError, match=r"^objective must be one of \('min-success', 'mutual-info-uniform'\)$"
+        ):
+            optimize_angles(objective, 8, 0)
+
+    def test_numpy_string_objective_is_the_name(self):
+        assert optimize_angles(np.str_("min-success"), 8, 0) == optimize_angles("min-success", 8, 0)
+
     def test_refinement_never_loses_to_the_grid(self):
         coarse = optimize_angles("min-success", grid_points=8, refine_iters=0)
         refined = optimize_angles("min-success", grid_points=8, refine_iters=80)

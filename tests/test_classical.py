@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from cfoptics import (
+    LEG_NAMES,
     AuditError,
     CarrierLog,
     DomainError,
     LegRecord,
+    Token,
     carrier_span_audit,
     decode_billiard,
     run_billiard,
@@ -33,6 +35,18 @@ class TestBilliard:
     def test_decode_rejects_unknown_observation(self):
         with pytest.raises(DomainError):
             decode_billiard("blue_ball")
+
+    @pytest.mark.parametrize(
+        "observation",
+        [np.array(["red_ball"]), np.array(["red_ball", "nothing"]), ["nothing"], b"red_ball", None, 0],
+    )
+    def test_decode_reads_only_a_string(self, observation):
+        with pytest.raises(DomainError, match="^billiard observation must be 'red_ball' or 'nothing'$"):
+            decode_billiard(observation)
+
+    def test_decode_reads_a_token_as_its_string(self):
+        assert decode_billiard(Token.RED_BALL) == 0
+        assert decode_billiard(np.str_("nothing")) == 1
 
     def test_topology_has_no_emitter_to_receiver_leg(self):
         for bit in (0, 1):
@@ -172,3 +186,35 @@ class TestCarrierSpanAudit:
     def test_not_a_log(self):
         with pytest.raises(AuditError):
             carrier_span_audit([("bob_to_charlie", True)])
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [5],
+            "ab",
+            None,
+            5,
+            [("bob_to_charlie", True)],
+            [LegRecord(0, np.array(["bob_to_charlie", "charlie_to_alice"]), True)],
+            [LegRecord(0, b"bob_to_charlie", True)],
+            [LegRecord(0, "bob_to_charlie", np.array([True, False]))],
+        ],
+    )
+    def test_malformed_records_are_audit_errors(self, records):
+        with pytest.raises(AuditError):
+            carrier_span_audit(CarrierLog(records))
+
+    def test_every_small_log_audits_like_the_definition(self):
+        """All logs of up to three records over two bits, held in a list, a
+        tuple or a generator: a bit spans iff both its legs carried."""
+        slots = [LegRecord(index, leg, present)
+                 for index in (0, 1) for leg in LEG_NAMES for present in (True, np.False_, 1)]
+        for size in range(4):
+            for records in itertools.product(slots, repeat=size):
+                spans = any(
+                    a.bit_index == b.bit_index and a.leg == "bob_to_charlie"
+                    and b.leg == "charlie_to_alice" and a.carrier_present and b.carrier_present
+                    for a in records for b in records
+                )
+                for held in (list(records), records, (r for r in records)):
+                    assert carrier_span_audit(CarrierLog(held)) is not spans

@@ -365,6 +365,16 @@ class TestNetworkValidation:
         with pytest.raises(InvalidNetworkError):
             apply_beam_splitter(ModeState.single_photon(2), 0, 1, "x")
 
+    @pytest.mark.parametrize("elements", [None, 5, 0.5])
+    def test_elements_must_be_iterable(self, elements):
+        with pytest.raises(InvalidNetworkError, match="^elements must be an iterable of elements$"):
+            Network(3, elements)
+
+    def test_elements_may_be_any_iterable(self):
+        splitter = BeamSplitter(0, 1, 0.3)
+        assert Network(3, iter([])).elements == ()
+        assert Network(3, (e for e in [splitter])).elements == (splitter,)
+
     def test_bad_mode_count(self):
         with pytest.raises(InvalidNetworkError):
             Network(0)

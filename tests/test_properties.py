@@ -333,6 +333,46 @@ def test_capacity_is_the_ndarray_formula(rows, tol):
     assert bits_of(prior.p0) == bits_of(expected_prior.p0)
 
 
+
+@st.composite
+def simplex_objectives(draw):
+    """A 2-D objective (smooth, a minimum of trig terms, or a plateau
+    rounded to exact ties) that reads -1 outside a random box."""
+    kind = draw(st.sampled_from(("quadratic", "trig", "plateau")))
+    a, b, c, d = draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+    digits = draw(st.integers(0, 2))
+    low, high = draw(st.floats(-1.0, 0.4)), draw(st.floats(0.6, 2.0))
+
+    def objective(point):
+        x, y = point
+        if not (low < x < high and low < y < high):
+            return -1.0
+        if kind == "trig":
+            return min(math.sin(a * x + b), math.cos(c * y + d))
+        value = -(x - a) ** 2 - 3.0 * (y - b) ** 2 + c * x * y
+        return round(value, digits) if kind == "plateau" else value
+
+    return objective
+
+
+@settings(PROPERTY, max_examples=150)
+@given(simplex_objectives(), st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+       st.sampled_from((1e-3, 0.1, 0.5)), st.integers(0, 200))
+def test_simplex_returns_the_first_best_point_it_evaluated(objective, start, step, max_iter):
+    """The refinement returns the largest value it evaluated, at the first
+    point that reached it, within three evaluations plus four per step."""
+    seen = []
+
+    def recorded(point):
+        value = objective(point)
+        seen.append((tuple(point), value))
+        return value
+
+    point, value = analysis._simplex_max(recorded, list(start), step, max_iter)
+    assert value == max(v for _, v in seen)
+    assert tuple(point) == next(p for p, v in seen if v == value)
+    assert len(seen) <= 3 + 4 * max_iter
+
 class TaggedSplitter(BeamSplitter):
     pass
 
