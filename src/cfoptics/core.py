@@ -19,9 +19,7 @@ import cmath
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass, field
-from itertools import compress, count
-from operator import is_not
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -239,10 +237,9 @@ class _Plan(NamedTuple):
     ``ops``, ``arg_a``, ``arg_b`` and ``coeff`` are parallel lists, one
     entry per element.  ``coeff`` holds each coupler's kernel coefficients
     ``(cos theta, 1j * sin theta)`` and None for every other element; the
-    uses of one coupler object share one pair (in a plan from ``_relower``,
-    those with no other replacement between them).  Ledger slots and
-    snapshot rows (``checkpoint_rows``: name -> row) are numbered in plan
-    order.
+    uses of one coupler object share one pair.  Ledger slots and snapshot
+    rows (``checkpoint_rows``: name -> row) are numbered in plan order.  A
+    plan is read-only, so networks may share its lists.
     """
 
     ops: List[int]
@@ -261,21 +258,17 @@ class Network:
     handled once per object (a chain repeats a few couplers, blockers and
     discards over thousands of positions), a subclass instance everywhere.
 
-    ``like`` (keyword only, not a field) names a template network whose plan
-    may be reused; it never changes the result.  When ``elements`` has the
-    template's length and mode count and every position holds either the
-    template's own object or an exact :class:`BeamSplitter` replacing an
-    exact one on the same modes, the template's plan lists are shared
-    read-only and only the replacements are lowered, by the same rules and
-    with the same errors.  Any other difference lowers every element.
+    ``_plan`` (keyword only) takes a plan already lowered from these
+    elements by the same rules, as ``protocols`` tiles each layout's plan
+    from one lowered cycle; None, the default, lowers the elements here.
+    ``dataclasses.replace`` carries the plan over unless given ``_plan=None``.
     """
 
     mode_count: int
     elements: Tuple[Element, ...] = field(default_factory=tuple)
-    _plan: _Plan = field(init=False, repr=False, compare=False)
-    like: InitVar[Optional["Network"]] = field(default=None, kw_only=True)
+    _plan: Optional[_Plan] = field(default=None, kw_only=True, repr=False, compare=False)
 
-    def __post_init__(self, like):
+    def __post_init__(self):
         if (mode_count := _integer(self.mode_count)) is None or not 1 <= mode_count <= MAX_MODES:
             raise InvalidNetworkError(f"mode_count must be an integer from 1 to {MAX_MODES}")
         object.__setattr__(self, "mode_count", mode_count)
@@ -287,11 +280,8 @@ class Network:
                 raise InvalidNetworkError("elements must be an iterable of elements") from None
             elements = tuple(iterator)
             object.__setattr__(self, "elements", elements)
-        plan = None
-        if (isinstance(like, Network) and like.mode_count == mode_count
-                and len(like.elements) == len(elements)):
-            plan = _relower(like, elements)
-        object.__setattr__(self, "_plan", plan or _lower(elements, mode_count))
+        if self._plan is None:
+            object.__setattr__(self, "_plan", _lower(elements, mode_count))
 
 
 def _lower(elements, mode_count):
@@ -325,31 +315,6 @@ def _lower(elements, mode_count):
         arg_b.append(b)
         coeff.append(k)
     return _Plan(ops, arg_a, arg_b, coeff, tuple(slots), rows)
-
-
-def _relower(template, elements):
-    """``template``'s plan with the coefficients of replaced exact couplers
-    swapped in, or None when ``elements`` differs from its elements in any
-    other way.  Positions before a replacement hold valid elements, so a
-    replacement's error is the one that lowering every element raises.  A
-    replacement repeated with no other one between is lowered once."""
-    plan, olds = template._plan, template.elements
-    coeff = previous = None
-    for i in compress(count(), map(is_not, elements, olds)):
-        element = elements[i]
-        if type(element) is not BeamSplitter or type(olds[i]) is not BeamSplitter:
-            return None
-        if element is not previous:
-            previous, entry = element, _lower_element(element, BeamSplitter, template.mode_count, None)
-        if entry[1] != plan.arg_a[i] or entry[2] != plan.arg_b[i]:
-            return None
-        if coeff is None:
-            coeff = list(plan.coeff)
-        coeff[i] = entry[3]
-    if coeff is None:
-        return plan
-    return _Plan._make((plan.ops, plan.arg_a, plan.arg_b, coeff, plan.ledger_labels,
-                        plan.checkpoint_rows))
 
 
 def compile_network(network: Network) -> _Plan:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import attrgetter
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -30,14 +32,17 @@ from .core import (
     Blocker,
     Checkpoint,
     Discard,
-    Element,
     ModeState,
     Network,
+    _Plan,
     _decimal,
     _finite_real,
     _integer,
+    _lower,
+    _lower_element,
     propagate,
 )
+from .kernel import OP_SNAPSHOT
 from .errors import DomainError, MalformedOutcomeError, UndecidableDecodingError
 
 __all__ = [
@@ -127,12 +132,14 @@ _BOB_BLOCKER = Blocker(2, "bob")
 _DISCARD = Discard(2, "discard")
 
 
-def _cycles(outer, inner, marks, bit: int, final) -> Tuple[Element, ...]:
-    """Elements of the blockable nested layout, in the order that
-    :func:`build_chain_network` states, with one outer cycle per entry
+def _cycles(outer, inner, marks, bit: int, final) -> Network:
+    """Network of the blockable nested layout, its elements in the order
+    that :func:`build_chain_network` states, with one outer cycle per entry
     ``(to_charlie, to_bob, from_bob, to_alice)`` of ``marks``; ``to_bob``
     and ``from_bob`` hold one checkpoint per inner cycle, and ``final``
-    closes the layout."""
+    closes the layout.  Its plan is the first cycle lowered by the
+    network's rules and repeated, snapshot rows counting up per cycle, then
+    the final coupler's entry."""
     step = 4 if bit == 0 else 3
     run = [inner] * (step * len(marks[0][1]))
     if bit == 0:
@@ -145,20 +152,35 @@ def _cycles(outer, inner, marks, bit: int, final) -> Tuple[Element, ...]:
         elements += run
         elements += (inner, to_alice, _DISCARD)
     elements.append(final)
-    return tuple(elements)
+    elements = tuple(elements)
+    period, cycles = len(run) + 5, len(marks)
+    ops, arg_a, arg_b, coeff, labels, rows = _lower(islice(elements, period), 3)
+    # Only later cycles need the snapshot mask; a deep single cycle skips it.
+    marked = list(map(OP_SNAPSHOT.__eq__, ops)) if cycles > 1 else None
+    per_cycle = len(rows)
+    for cycle in range(1, cycles):
+        start, row = cycle * period, cycle * per_cycle
+        args = [a + row if mark else a for a, mark in zip(arg_a, marked)]
+        names = map(attrgetter("name"), compress(elements[start:start + period], marked))
+        rows.update(zip(names, compress(args, marked)))
+        arg_a += args
+    ops *= cycles
+    arg_b *= cycles
+    coeff *= cycles
+    closing = _lower_element(final, BeamSplitter, 3, None)
+    for column, value in zip((ops, arg_a, arg_b, coeff), closing):
+        column.append(value)
+    return Network(3, elements, _plan=_Plan(ops, arg_a, arg_b, coeff, labels, rows))
 
 
-def _nested_template(bit: int) -> Network:
-    """The nested layout at ``bit`` with open outer couplers, the one-cycle
-    case of :func:`_cycles`: the one source of its constant elements,
-    lowered once per process."""
-    to_charlie, to_bob, from_bob, to_alice = map(Checkpoint, LEG_NAMES)
-    cycle = (to_charlie, [to_bob], [from_bob], to_alice)
-    return Network(3, _cycles(BeamSplitter(0, 1, 0.0), BeamSplitter(1, 2, math.pi / 4),
-                              [cycle], bit, BeamSplitter(0, 1, 0.0)))
-
-
-_NESTED_TEMPLATES = (_nested_template(0), _nested_template(1))
+# The nested layout at each bit with open outer couplers, the one-cycle case
+# of :func:`_cycles`, built once per process: every nested build shares its
+# leg checkpoints, inner coupler, blocker and discard and its plan lists.
+_LEG_MARKS = [(Checkpoint(LEG_NAMES[0]), [Checkpoint(LEG_NAMES[1])], [Checkpoint(LEG_NAMES[2])],
+               Checkpoint(LEG_NAMES[3]))]
+_INNER = BeamSplitter(1, 2, math.pi / 4)
+_OPEN_NESTED = tuple(_cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MARKS, bit,
+                             BeamSplitter(0, 1, 0.0)) for bit in (0, 1))
 
 # Every run starts from one excitation in mode 0.  ``propagate`` never
 # writes to its input, so one read-only state serves every run.
@@ -174,18 +196,20 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
     (1, 2); discard of mode 2; outer coupler theta2 on (0, 1).  Leg
     checkpoints surround the blocker slot and the inner couplers.
 
-    The network is built ``like`` its bit's template, whose constant
-    elements it shares, so only the two outer couplers (made once per
-    ``config``) are lowered, and the inner pair too under ``inner_offset``.
+    The network is its bit's open layout with the two outer couplers (made
+    once per ``config``) in place: only their coefficient pairs are lowered
+    and spliced into the shared plan.  Under ``inner_offset`` the inner
+    pair differs too, and the layout is built in full.
     """
-    template = _NESTED_TEMPLATES[_validate_bit(bit)]
-    section = template.elements[1:-1]
-    inner = config.inner_angle
-    if inner != section[1].theta:
-        coupler = BeamSplitter(1, 2, inner)
-        section = tuple(coupler if element is section[1] else element for element in section)
+    bit = _validate_bit(bit)
     first, last = config._outer_couplers
-    return Network(3, (first, *section, last), like=template)
+    if config.inner_angle != _INNER.theta:
+        return _cycles(first, BeamSplitter(1, 2, config.inner_angle), _LEG_MARKS, bit, last)
+    base = _OPEN_NESTED[bit]
+    plan = base._plan
+    coeff = [_lower_element(first, BeamSplitter, 3, None)[3], *plan.coeff[1:-1],
+             _lower_element(last, BeamSplitter, 3, None)[3]]
+    return Network(3, (first, *base.elements[1:-1], last), _plan=plan._replace(coeff=coeff))
 
 
 def _readout(final: ModeState) -> Tuple[float, float, Dict[str, float]]:
@@ -267,9 +291,9 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 
 # Work budget of one chained network, in elements.  A run's memory and time
 # grow linearly with its element count: run_chain(ChainConfig(50, 2000), b),
-# 400,251 elements at b = 0, takes 0.64-0.75 s in a process of 109-113 MB peak
-# RSS on an Intel Xeon, so the budget holds one network to about 0.95 s and
-# 135 MB.  It is 15 times the 32,101 elements of a 20 x 400 chain.
+# 400,251 elements at b = 0, takes 0.47-0.78 s in a process of 109-117 MB peak
+# RSS on a 2-vCPU Intel Xeon, so the budget holds one network to about 1 s
+# and 140 MB.  It is 15 times the 32,101 elements of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
 
 
@@ -388,9 +412,8 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     """
     bit = _validate_bit(bit)
     marks = _chain_checkpoints(chain.outer_cycles, chain.inner_cycles)
-    return Network(3, _cycles(BeamSplitter(0, 1, chain.outer_angle),
-                              BeamSplitter(1, 2, chain.inner_angle), marks, bit,
-                              BeamSplitter(0, 1, chain.final_angle)))
+    return _cycles(BeamSplitter(0, 1, chain.outer_angle), BeamSplitter(1, 2, chain.inner_angle),
+                   marks, bit, BeamSplitter(0, 1, chain.final_angle))
 
 
 def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:

@@ -367,6 +367,26 @@ class TestOptimizeAngles:
         assert min(p00, p11) == pytest.approx(result.objective_value, abs=1e-9)
         assert result.evaluations > 24 * 24
 
+    def test_min_success_reaches_the_closed_form_optimum(self):
+        """On the balance curve p = 1/((1+t^2)(1+(1-t/2)^2)) with t = tan
+        theta1; its maximum p* lies at the real root of 2t^3 - 6t^2 + 9t - 2,
+        found here by 50-digit bisection (the cubic rises everywhere, from
+        -2 at t = 0 to 3 at t = 1)."""
+        with localcontext() as context:
+            context.prec = 50
+            low, high = Decimal(0), Decimal(1)
+            for _ in range(200):
+                middle = (low + high) / 2
+                if ((2 * middle - 6) * middle + 9) * middle - 2 < 0:
+                    low = middle
+                else:
+                    high = middle
+            t = (low + high) / 2
+            optimum = 1 / ((1 + t * t) * (1 + (1 - t / 2) ** 2))
+        assert abs(optimum - Decimal("0.533154340656031")) < Decimal("1e-15")
+        result = optimize_angles("min-success", grid_points=24, refine_iters=200)
+        assert abs(result.objective_value - float(optimum)) <= 1e-12
+
     def test_mutual_info_dominates_balanced_reference(self):
         reference = mutual_information(
             channel_from_protocol(NestedConfig(THETA1, THETA2_BALANCED)), InputPrior(0.5)

@@ -6,7 +6,6 @@ inputs and the suite stays deterministic and fast.
 
 import json
 import math
-import random
 
 import numpy as np
 import pytest
@@ -23,11 +22,11 @@ from cfoptics import (
     Discard,
     DomainError,
     InputPrior,
-    InvalidNetworkError,
     ModeState,
     NestedConfig,
     Network,
     build_chain_network,
+    build_nested_network,
     capacity,
     mutual_information,
     propagate,
@@ -449,123 +448,31 @@ def test_plan_is_the_element_by_element_lowering(network):
     assert list(plan.checkpoint_rows.items()) == list(rows.items())
 
 
-CHANGES = ("none", "none", "same-modes", "same-modes", "same-modes", "same-modes", "subclass",
-           "other-modes", "invalid", "invalid", "checkpoint", "absorber", "length", "mode-count")
-
-
-@st.composite
-def template_variants(draw):
-    """A template from the shared-element pool, and a mode count and element
-    list to build like it: the template's own objects with up to three
-    changes.  A coupler object gives way, at one or all of its positions,
-    to an exact coupler on the same modes, a subclass one, one on other
-    modes or one with an invalid angle; or a position takes a fresh
-    checkpoint or absorber; or an element is dropped or added; or the mode
-    count changes; or nothing does."""
-    pooled = draw(shared_element_networks())
-    mode_count = pooled.mode_count
-    modes = st.integers(0, mode_count - 1)
-    # Every template holds an exact coupler, so every example can swap one.
-    first = BeamSplitter(*draw(st.lists(modes, min_size=2, max_size=2, unique=True)), draw(angles))
-    template = Network(mode_count, (first, *pooled.elements))
-    elements = list(template.elements)
-    # A seeded generator picks kinds and positions evenly, where hypothesis
-    # favours the first of a list; hypothesis draws modes and angles.
-    pick = random.Random(draw(st.integers(0, 2**32 - 1)))
-    for change in pick.choices(CHANGES, k=pick.randint(1, 3)):
-        couplers = [e for e in elements if isinstance(e, BeamSplitter)]
-        if change == "mode-count":
-            mode_count = draw(st.integers(min_value=1, max_value=mode_count + 1))
-        elif change == "length" and elements and pick.random() < 0.5:
-            del elements[pick.randrange(len(elements))]
-        elif change == "length":
-            elements.append(pick.choice(couplers or [Checkpoint("extra")]))
-        elif change == "checkpoint" and elements:
-            i = pick.randrange(len(elements))
-            same = isinstance(elements[i], Checkpoint) and pick.random() < 0.5
-            elements[i] = Checkpoint(elements[i].name if same else f"cp{draw(st.integers(0, 24))}")
-        elif change == "absorber" and elements:
-            kind = pick.choice((Blocker, Discard))
-            elements[pick.randrange(len(elements))] = kind(draw(modes), pick.choice("xyz"))
-        elif couplers and change in ("same-modes", "subclass", "other-modes", "invalid"):
-            old = pick.choice(couplers)
-            theta = draw(angles) if change != "invalid" else pick.choice((math.nan, math.inf, "x"))
-            if change == "other-modes":
-                new = BeamSplitter(*draw(st.lists(modes, min_size=2, max_size=2, unique=True)), theta)
-            else:
-                new = (TaggedSplitter if change == "subclass" else BeamSplitter)(old.mode_a, old.mode_b, theta)
-            positions = [i for i, e in enumerate(elements) if e is old]
-            if pick.random() < 0.5:
-                positions = [pick.choice(positions)]
-            for i in positions:
-                elements[i] = new
-    return template, mode_count, tuple(elements)
-
-
 def plan_columns(plan):
     return ([list(column) for column in plan[:4]], plan.ledger_labels,
             list(plan.checkpoint_rows.items()))
 
 
+@st.composite
+def layout_networks(draw):
+    """A chain of 1-6 outer and 1-40 inner cycles at random angles, or a
+    nested network with exact or detuned inner couplers, at either bit."""
+    bit = draw(bits)
+    if draw(st.booleans()):
+        chain = ChainConfig(draw(st.integers(1, 6)), draw(st.integers(1, 40)),
+                            draw(angles), draw(angles), draw(angles))
+        return build_chain_network(chain, bit)
+    return build_nested_network(NestedConfig(draw(angles), draw(angles), draw(offsets)), bit)
+
+
 @settings(PROPERTY, max_examples=150)
-@given(template_variants())
-def test_building_like_a_template_never_changes_the_network(case):
-    """``like`` is only a hint: the network, its plan and the first error
-    are those of building without it, and the template's plan is left as
-    it was."""
-    template, mode_count, elements = case
-    before = plan_columns(core.compile_network(template))
-
-    def build(**hint):
-        try:
-            return Network(mode_count, elements, **hint)
-        except InvalidNetworkError as exc:
-            return exc
-
-    plain, hinted = build(), build(like=template)
-    if isinstance(plain, InvalidNetworkError):
-        assert type(hinted) is InvalidNetworkError and str(hinted) == str(plain)
-    else:
-        assert hinted.mode_count == plain.mode_count
-        assert all(a is b for a, b in zip(hinted.elements, plain.elements))
-        assert len(hinted.elements) == len(plain.elements)
-        assert plan_columns(core.compile_network(hinted)) == plan_columns(
-            core.compile_network(plain))
-    assert plan_columns(core.compile_network(template)) == before
-
-
-@settings(PROPERTY, max_examples=40)
-@given(shared_element_networks(), angles,
-       st.lists(st.tuples(st.integers(0, 2**32 - 1), st.one_of(angles, st.just(math.nan))),
-                min_size=1, max_size=40))
-def test_building_like_a_template_in_sequence_never_changes_the_network(pooled, angle, steps):
-    """Builds in sequence, each with a new exact coupler at another angle in
-    place of one of the template's, dropped before the next build, so that a
-    new coupler may take the address of a dropped one: every network, plan
-    and first error is that of building without the hint (twice over for an
-    invalid coupler), and the template's plan is left as it was."""
-    template = Network(pooled.mode_count, (BeamSplitter(0, 1, angle), *pooled.elements))
-    before = plan_columns(core.compile_network(template))
-
-    def build(elements, **hint):
-        try:
-            return plan_columns(core.compile_network(Network(template.mode_count, elements, **hint)))
-        except InvalidNetworkError as exc:
-            return str(exc)
-
-    for seed, theta in steps:
-        pick = random.Random(seed)
-        elements = list(template.elements)
-        old = pick.choice([e for e in elements if type(e) is BeamSplitter])
-        new = BeamSplitter(old.mode_a, old.mode_b, theta)
-        positions = [i for i, e in enumerate(elements) if e is old]
-        for i in positions if pick.random() < 0.5 else [pick.choice(positions)]:
-            elements[i] = new
-        plain = build(elements)
-        assert build(elements, like=template) == plain
-        assert build(elements, like=template) == plain
-        del new, elements
-    assert plan_columns(core.compile_network(template)) == before
+@given(layout_networks())
+def test_tiled_plan_is_the_element_by_element_lowering(network):
+    """A layout's plan, one lowered outer cycle repeated with its snapshot
+    rows counting up (or the open nested plan with its outer couplers
+    spliced in), is the lowering of its elements one by one."""
+    assert plan_columns(core.compile_network(network)) == plan_columns(
+        core._lower(network.elements, 3))
 
 
 def reference_number(value):

@@ -14,7 +14,6 @@ from cfoptics import (
     InvalidNetworkError,
     MalformedOutcomeError,
     NestedConfig,
-    Network,
     ProtocolOutcome,
     UndecidableDecodingError,
     build_nested_network,
@@ -104,46 +103,52 @@ class TestNetworkStructure:
             ChainConfig(2, 3, **{name: np.True_})
 
 
-class TestNestedTemplates:
-    """Each bit's layout is lowered once, as a template network; every
-    nested build shares its constant elements and plan lists."""
+class TestNestedPlans:
+    """Each bit's open nested network is built once; every nested build
+    shares its constant elements and plan lists and lowers only its two
+    outer couplers, or, under ``inner_offset``, the whole layout."""
 
     @staticmethod
-    def snapshot():
-        return [([list(column) for column in template._plan[:4]],
-                 template._plan.ledger_labels, list(template._plan.checkpoint_rows.items()))
-                for template in protocols._NESTED_TEMPLATES]
+    def shared():
+        """Every list and dict the nested builds share, with its contents."""
+        plans = [base._plan for base in protocols._OPEN_NESTED]
+        return [(column, list(column)) for plan in plans for column in plan[:4]] + [
+            (plan.checkpoint_rows, list(plan.checkpoint_rows.items())) for plan in plans]
 
     @pytest.mark.parametrize("offset", [0.0, 0.01])
-    def test_builds_relower_only_the_couplers(self, offset):
+    def test_builds_splice_only_the_outer_couplers(self, offset):
         config = NestedConfig(0.3, 0.7, inner_offset=offset)
-        for bit, template in enumerate(protocols._NESTED_TEMPLATES):
+        for bit, base in enumerate(protocols._OPEN_NESTED):
             network = build_nested_network(config, bit)
-            plan, base = core.compile_network(network), core.compile_network(template)
-            assert plan.ops is base.ops and plan.checkpoint_rows is base.checkpoint_rows
+            plan, shared = core.compile_network(network), core.compile_network(base)
             assert network.elements[0] is config._outer_couplers[0]
             assert network.elements[-1] is config._outer_couplers[1]
-            kept = [a is b for a, b in zip(network.elements, template.elements)]
+            kept = [a is b for a, b in zip(network.elements, base.elements)]
             assert kept.count(False) == (4 if offset else 2)
-            assert plan == core.compile_network(Network(3, network.elements))
+            assert plan == core._lower(network.elements, 3)
+            lowered = [a is not b for a, b in zip(plan.coeff, shared.coeff)]
+            assert lowered.count(True) == (4 if offset else 2)
+            if not offset:
+                assert lowered[0] and lowered[-1]
+                assert all(getattr(plan, name) is getattr(shared, name) for name in (
+                    "ops", "arg_a", "arg_b", "ledger_labels", "checkpoint_rows"))
 
-    def test_template_plans_survive_many_evaluations_and_failed_builds(self):
-        plans, before = [t._plan for t in protocols._NESTED_TEMPLATES], self.snapshot()
-        for theta1 in np.linspace(0.05, 1.5, 40):
-            for offset in (0.0, -0.02):
-                channel_from_protocol(NestedConfig(theta1, 0.7, inner_offset=offset))
-            run_protocol(NestedConfig(theta1, -0.3), 0)
-        config = NestedConfig(0.3, 0.7)
+    def test_shared_plans_survive_many_evaluations_and_failed_builds(self):
+        before = self.shared()
+        for k, theta1 in enumerate(np.linspace(0.05, 1.5, 40)):
+            channel_from_protocol(NestedConfig(theta1, 0.7, inner_offset=-0.02 * (k % 2)))
+            run_protocol(NestedConfig(theta1, -0.3), k % 2)
         with pytest.raises(DomainError):
-            build_nested_network(config, 2)
-        for template in protocols._NESTED_TEMPLATES:
-            first, *middle, last = template.elements
-            for elements in ((BeamSplitter(0, 1, math.inf), *middle, last),
-                             (BeamSplitter(0, 1, 0.2), *middle, BeamSplitter(0, 1, math.nan))):
-                with pytest.raises(InvalidNetworkError):
-                    Network(3, elements, like=template)
-        assert self.snapshot() == before
-        assert all(t._plan is plan for t, plan in zip(protocols._NESTED_TEMPLATES, plans))
+            build_nested_network(NestedConfig(0.3, 0.7), 2)
+        for couplers in ((BeamSplitter(0, 1, math.nan), BeamSplitter(0, 1, 0.2)),
+                         (BeamSplitter(0, 1, 0.2), BeamSplitter(0, 1, math.nan))):
+            config = NestedConfig(0.3, 0.7)
+            object.__setattr__(config, "_outer_couplers", couplers)
+            for bit in (0, 1):
+                with pytest.raises(InvalidNetworkError, match="angle must be a finite"):
+                    build_nested_network(config, bit)
+        assert [(id(column), contents) for column, contents in self.shared()] == [
+            (id(column), contents) for column, contents in before]
 
 
 class TestRunProtocol:
