@@ -500,10 +500,14 @@ class TestPlanKeyword:
         plain = Network(3, elements)
         given = Network(3, elements, _plan=compile_network(plain))
         assert [f.name for f in fields(Network)] == ["mode_count", "elements", "_plan"]
-        assert compile_network(given) is compile_network(plain)
         assert given == plain and repr(given) == repr(plain) == repr(Network(3, elements))
         with pytest.raises(TypeError):
             Network(3, elements, compile_network(plain))
+
+    def test_a_given_plan_is_the_networks_plan(self):
+        elements = self.elements()
+        plan = compile_network(Network(3, elements))
+        assert compile_network(Network(3, elements, _plan=plan)) is plan
 
     def test_no_plan_lowers_the_elements(self):
         elements = self.elements()

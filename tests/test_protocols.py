@@ -133,6 +133,15 @@ class TestNestedPlans:
                 assert all(getattr(plan, name) is getattr(shared, name) for name in (
                     "ops", "arg_a", "arg_b", "ledger_labels", "checkpoint_rows"))
 
+    def test_a_splice_lowers_only_the_outer_coefficients(self):
+        for bit, base in enumerate(protocols._OPEN_NESTED):
+            shared = core.compile_network(base)
+            plan = core.compile_network(build_nested_network(NestedConfig(0.3, 0.7), bit))
+            assert plan.coeff[0] == (math.cos(0.3), 1j * math.sin(0.3))
+            assert plan.coeff[-1] == (math.cos(0.7), 1j * math.sin(0.7))
+            assert all(a is b for a, b in zip(plan.coeff[1:-1], shared.coeff[1:-1]))
+            assert shared.coeff[0] == shared.coeff[-1] == (1.0, 0j)
+
     def test_shared_plans_survive_many_evaluations_and_failed_builds(self):
         before = self.shared()
         for k, theta1 in enumerate(np.linspace(0.05, 1.5, 40)):
