@@ -19,7 +19,7 @@ import cmath
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -258,17 +258,19 @@ class Network:
     handled once per object (a chain repeats a few couplers, blockers and
     discards over thousands of positions), a subclass instance everywhere.
 
-    ``_plan`` (keyword only) takes a plan already lowered from these
-    elements by the same rules, as ``protocols`` tiles each layout's plan
-    from one lowered cycle; None, the default, lowers the elements here.
-    ``dataclasses.replace`` carries the plan over unless given ``_plan=None``.
+    ``_lowered`` (keyword only, not a field) takes a plan already lowered
+    from these elements by the same rules, as a nested protocol build
+    splices its outer couplers into a shared plan; None, the default,
+    lowers the elements here.  ``dataclasses.replace`` does not carry it
+    over, so a replaced network is lowered again.
     """
 
     mode_count: int
     elements: Tuple[Element, ...] = field(default_factory=tuple)
-    _plan: Optional[_Plan] = field(default=None, kw_only=True, repr=False, compare=False)
+    _plan: _Plan = field(init=False, repr=False, compare=False)
+    _lowered: InitVar[Optional[_Plan]] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, _lowered):
         if (mode_count := _integer(self.mode_count)) is None or not 1 <= mode_count <= MAX_MODES:
             raise InvalidNetworkError(f"mode_count must be an integer from 1 to {MAX_MODES}")
         object.__setattr__(self, "mode_count", mode_count)
@@ -280,8 +282,7 @@ class Network:
                 raise InvalidNetworkError("elements must be an iterable of elements") from None
             elements = tuple(iterator)
             object.__setattr__(self, "elements", elements)
-        if self._plan is None:
-            object.__setattr__(self, "_plan", _lower(elements, mode_count))
+        object.__setattr__(self, "_plan", _lowered or _lower(elements, mode_count))
 
 
 def _lower(elements, mode_count):

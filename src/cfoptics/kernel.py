@@ -5,9 +5,9 @@ and one array out: the amplitudes (Python complex) and the per-label
 absorbed probabilities are lists, the checkpoint snapshots one matrix.
 """
 
-# Opcodes.  A network is lowered to its plan once, when it is built, a
-# protocol layout's as one outer cycle repeated; a coupler's coeff is
-# computed once per distinct coupler object and shared by its uses.
+# Opcodes.  A network is lowered to its plan once, when it is built; a
+# coupler's coeff is computed once per distinct coupler object and shared by
+# its uses.
 OP_SPLIT = 0  # two-mode coupler: args = (mode_a, mode_b), coeff = (cos theta, 1j * sin theta)
 OP_ABSORB = 1  # perfect absorber: args = (mode, ledger_slot), coeff unused
 OP_SNAPSHOT = 2  # amplitude snapshot: args = (snapshot_row, unused), coeff unused

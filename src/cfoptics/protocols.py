@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import attrgetter
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -32,17 +30,15 @@ from .core import (
     Blocker,
     Checkpoint,
     Discard,
+    Element,
     ModeState,
     Network,
-    _Plan,
     _decimal,
     _finite_real,
     _integer,
-    _lower,
     _lower_element,
     propagate,
 )
-from .kernel import OP_SNAPSHOT
 from .errors import DomainError, MalformedOutcomeError, UndecidableDecodingError
 
 __all__ = [
@@ -132,14 +128,12 @@ _BOB_BLOCKER = Blocker(2, "bob")
 _DISCARD = Discard(2, "discard")
 
 
-def _cycles(outer, inner, marks, bit: int, final) -> Network:
-    """Network of the blockable nested layout, its elements in the order
-    that :func:`build_chain_network` states, with one outer cycle per entry
+def _cycles(outer, inner, marks, bit: int, final) -> Tuple[Element, ...]:
+    """Elements of the blockable nested layout, in the order that
+    :func:`build_chain_network` states, with one outer cycle per entry
     ``(to_charlie, to_bob, from_bob, to_alice)`` of ``marks``; ``to_bob``
     and ``from_bob`` hold one checkpoint per inner cycle, and ``final``
-    closes the layout.  Its plan is the first cycle lowered by the
-    network's rules and repeated, snapshot rows counting up per cycle, then
-    the final coupler's entry."""
+    closes the layout."""
     step = 4 if bit == 0 else 3
     run = [inner] * (step * len(marks[0][1]))
     if bit == 0:
@@ -152,25 +146,7 @@ def _cycles(outer, inner, marks, bit: int, final) -> Network:
         elements += run
         elements += (inner, to_alice, _DISCARD)
     elements.append(final)
-    elements = tuple(elements)
-    period, cycles = len(run) + 5, len(marks)
-    ops, arg_a, arg_b, coeff, labels, rows = _lower(islice(elements, period), 3)
-    # Only later cycles need the snapshot mask; a deep single cycle skips it.
-    marked = list(map(OP_SNAPSHOT.__eq__, ops)) if cycles > 1 else None
-    per_cycle = len(rows)
-    for cycle in range(1, cycles):
-        start, row = cycle * period, cycle * per_cycle
-        args = [a + row if mark else a for a, mark in zip(arg_a, marked)]
-        names = map(attrgetter("name"), compress(elements[start:start + period], marked))
-        rows.update(zip(names, compress(args, marked)))
-        arg_a += args
-    ops *= cycles
-    arg_b *= cycles
-    coeff *= cycles
-    closing = _lower_element(final, BeamSplitter, 3, None)
-    for column, value in zip((ops, arg_a, arg_b, coeff), closing):
-        column.append(value)
-    return Network(3, elements, _plan=_Plan(ops, arg_a, arg_b, coeff, labels, rows))
+    return tuple(elements)
 
 
 # The nested layout at each bit with open outer couplers, the one-cycle case
@@ -179,8 +155,8 @@ def _cycles(outer, inner, marks, bit: int, final) -> Network:
 _LEG_MARKS = [(Checkpoint(LEG_NAMES[0]), [Checkpoint(LEG_NAMES[1])], [Checkpoint(LEG_NAMES[2])],
                Checkpoint(LEG_NAMES[3]))]
 _INNER = BeamSplitter(1, 2, math.pi / 4)
-_OPEN_NESTED = tuple(_cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MARKS, bit,
-                             BeamSplitter(0, 1, 0.0)) for bit in (0, 1))
+_OPEN_NESTED = tuple(Network(3, _cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MARKS, bit,
+                                      BeamSplitter(0, 1, 0.0))) for bit in (0, 1))
 
 # Every run starts from one excitation in mode 0.  ``propagate`` never
 # writes to its input, so one read-only state serves every run.
@@ -204,12 +180,13 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
     bit = _validate_bit(bit)
     first, last = config._outer_couplers
     if config.inner_angle != _INNER.theta:
-        return _cycles(first, BeamSplitter(1, 2, config.inner_angle), _LEG_MARKS, bit, last)
+        return Network(3, _cycles(first, BeamSplitter(1, 2, config.inner_angle), _LEG_MARKS, bit,
+                                  last))
     base = _OPEN_NESTED[bit]
     plan = base._plan
     coeff = [_lower_element(first, BeamSplitter, 3, None)[3], *plan.coeff[1:-1],
              _lower_element(last, BeamSplitter, 3, None)[3]]
-    return Network(3, (first, *base.elements[1:-1], last), _plan=plan._replace(coeff=coeff))
+    return Network(3, (first, *base.elements[1:-1], last), _lowered=plan._replace(coeff=coeff))
 
 
 def _readout(final: ModeState) -> Tuple[float, float, Dict[str, float]]:
@@ -291,8 +268,8 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 
 # Work budget of one chained network, in elements.  A run's memory and time
 # grow linearly with its element count: run_chain(ChainConfig(50, 2000), b),
-# 400,251 elements at b = 0, takes 0.47-0.78 s in a process of 109-117 MB peak
-# RSS on a 2-vCPU Intel Xeon, so the budget holds one network to about 1 s
+# 400,251 elements at b = 0, takes 0.57-0.93 s in a process of 114-117 MB peak
+# RSS on a 2-vCPU Intel Xeon, so the budget holds one network to about 1.2 s
 # and 140 MB.  It is 15 times the 32,101 elements of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
 
@@ -412,8 +389,9 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     """
     bit = _validate_bit(bit)
     marks = _chain_checkpoints(chain.outer_cycles, chain.inner_cycles)
-    return _cycles(BeamSplitter(0, 1, chain.outer_angle), BeamSplitter(1, 2, chain.inner_angle),
-                   marks, bit, BeamSplitter(0, 1, chain.final_angle))
+    return Network(3, _cycles(BeamSplitter(0, 1, chain.outer_angle),
+                              BeamSplitter(1, 2, chain.inner_angle), marks, bit,
+                              BeamSplitter(0, 1, chain.final_angle)))
 
 
 def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:

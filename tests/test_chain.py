@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfoptics import core, protocols
+from cfoptics import protocols
 from cfoptics import (
     BeamSplitter,
     Blocker,
@@ -25,7 +25,6 @@ from cfoptics import (
     run_chain,
     run_protocol,
 )
-from cfoptics.core import compile_network
 from cfoptics.protocols import MAX_CHAIN_ELEMENTS, _chain_element_count
 from helpers import chain_matrix_oracle
 
@@ -129,18 +128,6 @@ class TestChainLayout:
                 families.setdefault(full_signature(element)[:3], set()).add(id(element))
         assert len(families) == (4 if bit == 0 else 3)
         assert all(len(objects) == 1 for objects in families.values())
-
-    @pytest.mark.parametrize("outer, inner", [(20, 400), (1, 124_000)])
-    def test_deep_tiled_plans_are_the_element_by_element_lowering(self, outer, inner):
-        """At both bits the tiled plan equals lowering every element, the
-        snapshot rows in the same order; 1 x 124000 is one cycle, 496,006
-        elements at b = 0, within the budget."""
-        chain = ChainConfig(outer, inner)
-        for bit in (0, 1):
-            network = build_chain_network(chain, bit)
-            plan, lowered = compile_network(network), core._lower(network.elements, 3)
-            assert plan == lowered
-            assert list(plan.checkpoint_rows) == list(lowered.checkpoint_rows)
 
     def test_both_bits_share_one_checkpoint_set(self):
         chain = ChainConfig(3, 5)

@@ -2,7 +2,7 @@
 
 import math
 from collections.abc import Mapping
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -488,32 +488,46 @@ class TestNetworkValidation:
 
 
 class TestPlanKeyword:
-    """``Network(m, elements, _plan=plan)`` takes a plan lowered elsewhere;
-    by default the network lowers its own elements."""
+    """``Network(m, elements, _lowered=plan)`` takes a plan lowered
+    elsewhere; by default, and under ``dataclasses.replace``, the network
+    lowers its own elements."""
 
     def elements(self):
         return (BeamSplitter(0, 1, 0.1), Checkpoint("a"), BeamSplitter(1, 2, 0.4),
                 Blocker(2, "x"), BeamSplitter(0, 1, 0.2))
 
-    def test_plan_is_a_keyword_only_field_outside_equality_and_repr(self):
+    def test_lowered_is_a_keyword_only_argument_not_a_field(self):
         elements = self.elements()
         plain = Network(3, elements)
-        given = Network(3, elements, _plan=compile_network(plain))
+        given = Network(3, elements, _lowered=compile_network(plain))
         assert [f.name for f in fields(Network)] == ["mode_count", "elements", "_plan"]
         assert given == plain and repr(given) == repr(plain) == repr(Network(3, elements))
         with pytest.raises(TypeError):
             Network(3, elements, compile_network(plain))
+        with pytest.raises(TypeError):
+            Network(3, elements, _plan=compile_network(plain))
 
     def test_a_given_plan_is_the_networks_plan(self):
         elements = self.elements()
         plan = compile_network(Network(3, elements))
-        assert compile_network(Network(3, elements, _plan=plan)) is plan
+        assert compile_network(Network(3, elements, _lowered=plan)) is plan
 
     def test_no_plan_lowers_the_elements(self):
         elements = self.elements()
-        assert compile_network(Network(3, elements, _plan=None)) == core._lower(elements, 3)
+        assert compile_network(Network(3, elements, _lowered=None)) == core._lower(elements, 3)
         with pytest.raises(InvalidNetworkError, match="out of range for 2 modes"):
-            Network(2, elements, _plan=None)
+            Network(2, elements, _lowered=None)
+
+    def test_replace_lowers_the_new_elements_and_checks_the_mode_count(self):
+        elements = self.elements()
+        network = Network(3, elements, _lowered=compile_network(Network(3, elements)))
+        other = (BeamSplitter(0, 2, 0.3), Checkpoint("b"), Discard(1, "y"))
+        replaced = replace(network, elements=other)
+        assert compile_network(replaced) == core._lower(other, 3)
+        assert compile_network(replaced) != compile_network(network)
+        with pytest.raises(InvalidNetworkError, match="out of range for 2 modes"):
+            replace(network, mode_count=2)
+        assert compile_network(replace(network, mode_count=4)) == core._lower(elements, 4)
 
 
 class TestModeState:

@@ -453,24 +453,13 @@ def plan_columns(plan):
             list(plan.checkpoint_rows.items()))
 
 
-@st.composite
-def layout_networks(draw):
-    """A chain of 1-6 outer and 1-40 inner cycles at random angles, or a
-    nested network with exact or detuned inner couplers, at either bit."""
-    bit = draw(bits)
-    if draw(st.booleans()):
-        chain = ChainConfig(draw(st.integers(1, 6)), draw(st.integers(1, 40)),
-                            draw(angles), draw(angles), draw(angles))
-        return build_chain_network(chain, bit)
-    return build_nested_network(NestedConfig(draw(angles), draw(angles), draw(offsets)), bit)
-
-
-@settings(PROPERTY, max_examples=150)
-@given(layout_networks())
-def test_tiled_plan_is_the_element_by_element_lowering(network):
-    """A layout's plan, one lowered outer cycle repeated with its snapshot
-    rows counting up (or the open nested plan with its outer couplers
-    spliced in), is the lowering of its elements one by one."""
+@settings(PROPERTY, max_examples=100)
+@given(angles, angles, offsets, bits)
+def test_nested_plan_is_the_element_by_element_lowering(theta1, theta2, offset, bit):
+    """A nested build's plan, the shared open plan with its outer couplers'
+    coefficients spliced in (or, under an inner offset, the layout lowered
+    in full), is the lowering of its elements one by one."""
+    network = build_nested_network(NestedConfig(theta1, theta2, offset), bit)
     assert plan_columns(core.compile_network(network)) == plan_columns(
         core._lower(network.elements, 3))
 

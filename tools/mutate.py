@@ -38,14 +38,6 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("tiled rows not offset per cycle", "protocols.py",
-           "args = [a + row if mark else a for a, mark in zip(arg_a, marked)]",
-           "args = arg_a[:period]",
-           ("tests/test_properties.py",)),
-    Mutant("cycle length off by one", "protocols.py",
-           "period, cycles = len(run) + 5, len(marks)",
-           "period, cycles = len(elements) // len(marks), len(marks)",
-           ("tests/test_properties.py",)),
     Mutant("splice writes into the shared plan", "protocols.py",
            "coeff = [_lower_element(first, BeamSplitter, 3, None)[3], *plan.coeff[1:-1],\n"
            "             _lower_element(last, BeamSplitter, 3, None)[3]]",
