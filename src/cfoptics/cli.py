@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -196,6 +197,8 @@ def _as_int(value, name: str) -> int:
         try:
             return int(value, 10)
         except ValueError:
+            if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", value):  # int() refused only its length
+                raise CliUsageError(f"{name} has too many digits to read as an integer") from None
             try:
                 number = float(value)
             except ValueError:
@@ -481,12 +484,14 @@ def main(argv=None) -> int:
         if fmt not in ("json", "csv"):
             raise CliUsageError(f"format must be json or csv, got {fmt!r}")
         out = spec.get("out")
+        if out is not None and not isinstance(out, str):
+            raise CliUsageError(f"out must be a path string, got {out!r}")
         echo, results = _COMMANDS[args.command](spec)
         document = {"command": args.command, "spec": echo, "version": __version__, "results": results}
         rendered = _render(document, fmt)
         if out is not None:
             try:
-                with open(str(out), "w", encoding="utf-8", newline="\n") as handle:
+                with open(out, "w", encoding="utf-8", newline="\n") as handle:
                     handle.write(rendered)
             except OSError as exc:
                 raise CliUsageError(f"cannot write output file: {exc}") from None
@@ -496,7 +501,7 @@ def main(argv=None) -> int:
         print(f"cfoptics {args.command}: error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    destination = str(out) if out is not None else "stdout"
+    destination = out if out is not None else "stdout"
     print(f"cfoptics {args.command}: wrote {destination} in {elapsed:.3f}s", file=sys.stderr)
     return 0
 

@@ -78,33 +78,25 @@ def _validate_angle(name: str, value) -> float:
 class NestedConfig:
     """Angles of the two outer couplers; the inner pair is fixed at pi/4.
 
-    ``inner_offset`` detunes both inner couplers away from pi/4.  It exists
-    only as a diagnostic to show how fragile the exact return-leg
-    cancellation is, and defaults to off.
+    The layout with both inner couplers detuned to ``pi/4 + delta``, which
+    shows how fragile the exact return-leg cancellation is, is the
+    one-cycle chain ``ChainConfig(1, 1, theta1, pi/4 + delta, theta2)``.
     """
 
     theta1: float
     theta2: float
-    inner_offset: float = 0.0
 
     def __post_init__(self):
         theta1 = _validate_angle("theta1", self.theta1)
         theta2 = _validate_angle("theta2", self.theta2)
-        if (offset := _finite_real(self.inner_offset)) is None:
-            raise DomainError("inner_offset must be a finite real number")
         # A float angle is its own validated value and needs no store.
         if theta1 is not self.theta1:
             object.__setattr__(self, "theta1", theta1)
         if theta2 is not self.theta2:
             object.__setattr__(self, "theta2", theta2)
-        object.__setattr__(self, "inner_offset", offset)
         # Not a field: both bit networks of an evaluation share these couplers.
         outer = (BeamSplitter(0, 1, theta1), BeamSplitter(0, 1, theta2))
         object.__setattr__(self, "_outer_couplers", outer)
-
-    @property
-    def inner_angle(self) -> float:
-        return math.pi / 4 + self.inner_offset
 
 
 @dataclass(frozen=True)
@@ -174,14 +166,10 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
 
     The network is its bit's open layout with the two outer couplers (made
     once per ``config``) in place: only their coefficient pairs are lowered
-    and spliced into the shared plan.  Under ``inner_offset`` the inner
-    pair differs too, and the layout is built in full.
+    and spliced into the shared plan.
     """
     bit = _validate_bit(bit)
     first, last = config._outer_couplers
-    if config.inner_angle != _INNER.theta:
-        return Network(3, _cycles(first, BeamSplitter(1, 2, config.inner_angle), _LEG_MARKS, bit,
-                                  last))
     base = _OPEN_NESTED[bit]
     plan = base._plan
     coeff = [_lower_element(first, BeamSplitter, 3, None)[3], *plan.coeff[1:-1],
@@ -229,7 +217,9 @@ def counterfactual_witness(outcome: ProtocolOutcome, bit: int) -> Tuple[float, f
 
     Returns ``(|bob_to_charlie|^2, |charlie_to_alice|^2)``.  The first is
     exactly zero whenever ``bit == 0`` (the blocker empties the arm); the
-    second vanishes for ``bit == 1`` with exact 50-50 inner couplers.
+    second vanishes for ``bit == 1`` up to rounding, as a nested run's
+    inner couplers are exactly 50-50 (the detuned layout, a one-cycle
+    :class:`ChainConfig`, leaks onto that leg).
     Each leg must be a ``numbers.Complex`` but no ``bool``.
     """
     _validate_bit(bit)
@@ -292,7 +282,8 @@ class ChainConfig:
     Both layouts come from one cycle function, the nested one as its
     one-cycle case, so with one cycle each, ``outer_angle = theta1``,
     ``final_angle = theta2`` and ``inner_angle = pi/4`` this reduces
-    element-for-element to :func:`build_nested_network` by construction.
+    element-for-element to :func:`build_nested_network` by construction;
+    any other ``inner_angle`` gives the nested layout detuned.
 
     Cycle counts whose network would exceed :data:`MAX_CHAIN_ELEMENTS`
     elements (counted at ``b = 0``, the longer of the two) are rejected

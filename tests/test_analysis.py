@@ -105,13 +105,10 @@ class TestChannelFromProtocol:
     def test_rows_are_the_run_protocol_detectors_exactly(self):
         """A row reads only the run's two detectors and equals the full
         outcome's bit for bit.  A modulus squared another way differs in
-        the last bit for about one value in 1,300, hence 2,000 configs,
-        detuned inner couplers on every other one."""
+        the last bit for about one value in 1,300, hence 2,000 configs."""
         rng = np.random.default_rng(20261018)
-        for k in range(2000):
-            theta1, theta2 = rng.uniform(-math.pi + 1e-9, math.pi, size=2)
-            offset = rng.uniform(-0.5, 0.5) if k % 2 else 0.0
-            config = NestedConfig(theta1, theta2, inner_offset=offset)
+        for _ in range(2000):
+            config = NestedConfig(*rng.uniform(-math.pi + 1e-9, math.pi, size=2))
             rows = []
             for bit in (0, 1):
                 outcome = run_protocol(config, bit)

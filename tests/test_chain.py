@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfoptics import protocols
+from cfoptics import core, protocols
 from cfoptics import (
     BeamSplitter,
     Blocker,
@@ -166,26 +166,37 @@ class TestChainLayout:
 
 
 class TestReduction:
-    def test_single_cycle_network_matches_basic_layout(self):
-        theta1, theta2 = 0.25, 0.7173152392961322
-        chain = ChainConfig(1, 1, outer_angle=theta1, inner_angle=math.pi / 4, final_angle=theta2)
-        for bit in (0, 1):
-            chained = build_chain_network(chain, bit)
-            basic = build_nested_network(NestedConfig(theta1, theta2), bit)
-            assert [element_signature(e) for e in chained.elements] == [
-                element_signature(e) for e in basic.elements
-            ]
+    """The one-cycle chain at inner angle pi/4 is the nested layout, exactly:
+    the same elements and plan, and the same run, bit for bit."""
 
-    def test_single_cycle_outcome_matches_basic_protocol(self):
-        theta1, theta2 = 0.25, 0.7173152392961322
-        chain = ChainConfig(1, 1, outer_angle=theta1, inner_angle=math.pi / 4, final_angle=theta2)
-        for bit in (0, 1):
-            chained = run_chain(chain, bit)
-            basic = run_protocol(NestedConfig(theta1, theta2), bit)
-            assert chained.p_d1 == pytest.approx(basic.p_d1, abs=1e-12)
-            assert chained.p_d2 == pytest.approx(basic.p_d2, abs=1e-12)
-            for label in ("bob", "discard"):
-                assert chained.absorbed[label] == pytest.approx(basic.absorbed[label], abs=1e-12)
+    angles = st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True)
+
+    @staticmethod
+    def configs(theta1, theta2):
+        return ChainConfig(1, 1, theta1, math.pi / 4, theta2), NestedConfig(theta1, theta2)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(angles, angles, st.sampled_from((0, 1)))
+    def test_single_cycle_network_matches_basic_layout(self, theta1, theta2, bit):
+        chain, nested = self.configs(theta1, theta2)
+        chained, basic = build_chain_network(chain, bit), build_nested_network(nested, bit)
+        assert [element_signature(e) for e in chained.elements] == [
+            element_signature(e) for e in basic.elements
+        ]
+        chained, basic = core.compile_network(chained), core.compile_network(basic)
+        for name in ("ops", "arg_a", "arg_b", "coeff"):
+            assert list(getattr(chained, name)) == list(getattr(basic, name)), name
+        assert chained.ledger_labels == basic.ledger_labels
+        assert list(chained.checkpoint_rows.values()) == list(basic.checkpoint_rows.values())
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(angles, angles, st.sampled_from((0, 1)))
+    def test_single_cycle_outcome_matches_basic_protocol(self, theta1, theta2, bit):
+        chain, nested = self.configs(theta1, theta2)
+        chained, basic = run_chain(chain, bit), run_protocol(nested, bit)
+        assert (chained.p_d1, chained.p_d2) == (basic.p_d1, basic.p_d2)
+        assert chained.absorbed == basic.absorbed
+        assert chained.leg_peaks == {leg: abs(z) ** 2 for leg, z in basic.legs.items()}
 
 
 class TestAgainstMatrixOracle:

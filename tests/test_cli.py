@@ -344,6 +344,21 @@ class TestRendering:
         assert err.startswith("cfoptics simulate: error: cannot write output file: ")
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("out", [None, True, 5, 1.5, [], {}, ["a.json"]])
+    def test_config_out_must_be_a_string_or_null(self, out, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"theta1": 0.25, "balanced": True, "bit": 0, "out": out}))
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(config))
+        if out is None:  # null is no file: the document goes to stdout
+            assert code == 0
+            assert json.loads(stdout)["command"] == "simulate"
+        else:
+            assert code == 2
+            assert stdout == ""
+            assert err.startswith("cfoptics simulate: error: out must be a path string, got ")
+        assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
     def test_twelve_significant_digits(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--theta1", "0.25", "--balanced", "--bit", "1")
         assert code == 0
@@ -386,6 +401,22 @@ class TestIntegerParameters:
                 assert flag_code == 2
                 assert key in flag_err and key in config_err
         assert 0 < len(accepted) < len(self.VALUES[key])
+
+    @pytest.mark.parametrize("text", ["1" + "0" * 5000, " -" + "9_" * 4300 + "9 "],
+                             ids=["5,001 digits", "4,301 digits, signed and grouped"])
+    @pytest.mark.parametrize("key", [*sorted(CASES), "outer", "inner"])
+    def test_flag_with_too_many_digits_is_refused_unechoed(self, key, text, capsys):
+        """``int`` refuses text over Python's 4,300-digit limit; such a
+        flag is called too long, not a non-integer, and is not echoed."""
+        if key in ("outer", "inner"):
+            other = "inner" if key == "outer" else "outer"
+            argv = ("chain", f"--{other}", "2", f"--{key}", "3," + text)
+        else:
+            argv = (*self.CASES[key][0], f"--{key}", text)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"cfoptics {argv[0]}: error: {key} has too many digits to read as an integer\n"
 
 
 class TestRealParameters:

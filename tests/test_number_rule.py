@@ -80,8 +80,6 @@ REAL = {
         lambda v: ModeState([1, 0], {"x": v}).absorbed, InvalidNetworkError, 0.25, 1),
     "NestedConfig theta1": (lambda v: run_protocol(NestedConfig(v, 0.3), 1).p_d1, DomainError, 0.25, 1),
     "NestedConfig theta2": (lambda v: run_protocol(NestedConfig(0.25, v), 1).p_d1, DomainError, 0.25, 1),
-    "NestedConfig inner_offset": (
-        lambda v: run_protocol(NestedConfig(0.25, 0.3, v), 1).p_d1, DomainError, 0.25, 0),
     "ChainConfig outer_angle": (lambda v: _chain(ChainConfig(2, 3, outer_angle=v)), DomainError, 0.25, 1),
     "ChainConfig inner_angle": (lambda v: _chain(ChainConfig(2, 3, inner_angle=v)), DomainError, 0.25, 1),
     "ChainConfig final_angle": (lambda v: _chain(ChainConfig(2, 3, final_angle=v)), DomainError, 0.25, 1),
@@ -165,7 +163,6 @@ OUT_OF_DOMAIN = {
     "ModeState ledger value": (-0.25,),
     "NestedConfig theta1": (-4.0, 4.0),
     "NestedConfig theta2": (-4.0, 4.0),
-    "NestedConfig inner_offset": (),
     "ChainConfig outer_angle": (-4.0, 4.0),
     "ChainConfig inner_angle": (-4.0, 4.0),
     "ChainConfig final_angle": (-4.0, 4.0),
@@ -261,9 +258,8 @@ def test_numpy_integers_count_as_the_python_int(name):
 
 
 def test_converted_values_are_stored_as_python_numbers():
-    nested = NestedConfig(np.float32(0.25), np.float64(0.3), np.float32(0.25))
-    assert [type(v) for v in (nested.theta1, nested.theta2, nested.inner_offset)] == [float] * 3
-    assert nested.inner_angle == math.pi / 4 + 0.25
+    nested = NestedConfig(np.float32(0.25), np.float64(0.3))
+    assert [type(v) for v in (nested.theta1, nested.theta2)] == [float] * 2
     chain = ChainConfig(np.int64(2), np.int64(3), outer_angle=np.float32(0.25))
     assert [type(v) for v in _chain(chain)] == [int, int, float, float, float]
     assert type(InputPrior(np.float32(0.25)).p0) is float

@@ -155,16 +155,12 @@ def test_open_arm_returns_nothing_to_alice(theta1, theta2):
     assert abs(leg) ** 2 < 1e-30
 
 
-# Inner-coupler detuning: exact 50-50 couplers and detuned ones.
-offsets = st.one_of(st.just(0.0), st.floats(min_value=-0.5, max_value=0.5))
-
-
 @PROPERTY
-@given(angles, angles, offsets, st.floats(min_value=1e-3, max_value=1e9))
-def test_detector_only_runs_are_run_protocol(theta1, theta2, offset, intensity):
+@given(angles, angles, st.floats(min_value=1e-3, max_value=1e9))
+def test_detector_only_runs_are_run_protocol(theta1, theta2, intensity):
     """Channel rows and bright-pulse intensities read only the detectors;
     they equal what the full ``run_protocol`` outcome gives, bit for bit."""
-    config = NestedConfig(theta1, theta2, inner_offset=offset)
+    config = NestedConfig(theta1, theta2)
     expected = []
     for bit in (0, 1):
         outcome = run_protocol(config, bit)
@@ -454,12 +450,11 @@ def plan_columns(plan):
 
 
 @settings(PROPERTY, max_examples=100)
-@given(angles, angles, offsets, bits)
-def test_nested_plan_is_the_element_by_element_lowering(theta1, theta2, offset, bit):
+@given(angles, angles, bits)
+def test_nested_plan_is_the_element_by_element_lowering(theta1, theta2, bit):
     """A nested build's plan, the shared open plan with its outer couplers'
-    coefficients spliced in (or, under an inner offset, the layout lowered
-    in full), is the lowering of its elements one by one."""
-    network = build_nested_network(NestedConfig(theta1, theta2, offset), bit)
+    coefficients spliced in, is the lowering of its elements one by one."""
+    network = build_nested_network(NestedConfig(theta1, theta2), bit)
     assert plan_columns(core.compile_network(network)) == plan_columns(
         core._lower(network.elements, 3))
 

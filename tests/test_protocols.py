@@ -67,14 +67,11 @@ class TestNetworkStructure:
             NestedConfig(math.nan, 0.1)
         with pytest.raises(DomainError):
             NestedConfig(0.1, 3.5)  # outside (-pi, pi]
-        with pytest.raises(DomainError):
-            NestedConfig(0.25, 0.7, "x")  # non-numeric inner_offset
 
     @pytest.mark.parametrize("kwargs", [
         {"theta1": True, "theta2": 0.3},
         {"theta1": 0.3, "theta2": False},
-        {"theta1": 0.3, "theta2": 0.4, "inner_offset": True},
-    ], ids=["theta1", "theta2", "inner_offset"])
+    ], ids=["theta1", "theta2"])
     def test_nested_config_refuses_booleans(self, kwargs):
         # float(True) is 1.0: a boolean must not pass as an angle
         with pytest.raises(DomainError):
@@ -92,11 +89,6 @@ class TestNetworkStructure:
             with pytest.raises(DomainError, match=name):
                 NestedConfig(**{"theta1": 0.3, "theta2": 0.4, name: flag})
 
-    @pytest.mark.parametrize("offset", [np.True_, np.False_])
-    def test_nested_config_refuses_numpy_boolean_inner_offset(self, offset):
-        with pytest.raises(DomainError, match="inner_offset"):
-            NestedConfig(0.3, 0.4, inner_offset=offset)
-
     @pytest.mark.parametrize("name", ["outer_angle", "inner_angle", "final_angle"])
     def test_chain_config_refuses_numpy_boolean_angles(self, name):
         with pytest.raises(DomainError, match=name):
@@ -106,7 +98,7 @@ class TestNetworkStructure:
 class TestNestedPlans:
     """Each bit's open nested network is built once; every nested build
     shares its constant elements and plan lists and lowers only its two
-    outer couplers, or, under ``inner_offset``, the whole layout."""
+    outer couplers."""
 
     @staticmethod
     def shared():
@@ -115,23 +107,20 @@ class TestNestedPlans:
         return [(column, list(column)) for plan in plans for column in plan[:4]] + [
             (plan.checkpoint_rows, list(plan.checkpoint_rows.items())) for plan in plans]
 
-    @pytest.mark.parametrize("offset", [0.0, 0.01])
-    def test_builds_splice_only_the_outer_couplers(self, offset):
-        config = NestedConfig(0.3, 0.7, inner_offset=offset)
+    def test_builds_splice_only_the_outer_couplers(self):
+        config = NestedConfig(0.3, 0.7)
         for bit, base in enumerate(protocols._OPEN_NESTED):
             network = build_nested_network(config, bit)
             plan, shared = core.compile_network(network), core.compile_network(base)
             assert network.elements[0] is config._outer_couplers[0]
             assert network.elements[-1] is config._outer_couplers[1]
             kept = [a is b for a, b in zip(network.elements, base.elements)]
-            assert kept.count(False) == (4 if offset else 2)
+            assert kept.count(False) == 2
             assert plan == core._lower(network.elements, 3)
             lowered = [a is not b for a, b in zip(plan.coeff, shared.coeff)]
-            assert lowered.count(True) == (4 if offset else 2)
-            if not offset:
-                assert lowered[0] and lowered[-1]
-                assert all(getattr(plan, name) is getattr(shared, name) for name in (
-                    "ops", "arg_a", "arg_b", "ledger_labels", "checkpoint_rows"))
+            assert lowered.count(True) == 2 and lowered[0] and lowered[-1]
+            assert all(getattr(plan, name) is getattr(shared, name) for name in (
+                "ops", "arg_a", "arg_b", "ledger_labels", "checkpoint_rows"))
 
     def test_a_splice_lowers_only_the_outer_coefficients(self):
         for bit, base in enumerate(protocols._OPEN_NESTED):
@@ -145,8 +134,10 @@ class TestNestedPlans:
     def test_shared_plans_survive_many_evaluations_and_failed_builds(self):
         before = self.shared()
         for k, theta1 in enumerate(np.linspace(0.05, 1.5, 40)):
-            channel_from_protocol(NestedConfig(theta1, 0.7, inner_offset=-0.02 * (k % 2)))
+            channel_from_protocol(NestedConfig(theta1, 0.7))
             run_protocol(NestedConfig(theta1, -0.3), k % 2)
+            # The detuned layout is a one-cycle chain with its own plan.
+            run_chain(ChainConfig(1, 1, theta1, math.pi / 4 - 0.02, 0.7), k % 2)
         with pytest.raises(DomainError):
             build_nested_network(NestedConfig(0.3, 0.7), 2)
         for couplers in ((BeamSplitter(0, 1, math.nan), BeamSplitter(0, 1, 0.2)),
@@ -250,9 +241,8 @@ class TestCounterfactualWitness:
             assert backward < 1e-24
 
     def test_detuned_inner_couplers_break_the_cancellation(self):
-        outcome = run_protocol(NestedConfig(THETA1, THETA2, inner_offset=0.01), 1)
-        _, backward = counterfactual_witness(outcome, 1)
-        assert backward > 1e-8
+        chain = ChainConfig(1, 1, THETA1, math.pi / 4 + 0.01, THETA2)
+        assert run_chain(chain, 1).leg_peaks["charlie_to_alice"] > 1e-8
 
     def test_missing_legs_rejected(self):
         outcome = ProtocolOutcome(p_d1=0.5, p_d2=0.5, absorbed={}, legs={})
@@ -372,7 +362,7 @@ class TestTracingHooks:
         count(core, "compile_network", "compile")
         count(kernel, "run_plan", "run_plan")
         count(analysis, "channel_from_protocol", "channel")
-        config = NestedConfig(0.3, 0.7, inner_offset=0.01)
+        config = NestedConfig(0.3, 0.7)
         if run == "channel":
             analysis.channel_from_protocol(config)
         elif run == "bright-pulse":

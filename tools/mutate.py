@@ -90,6 +90,14 @@ MUTANTS = (
            "math.atan(1.0 - 0.5 * math.tan(_check_theta1(theta1)))",
            "math.atan(1.0 - 0.25 * math.tan(_check_theta1(theta1)))",
            ("tests/test_acceptance.py",)),
+    Mutant("nested inner coupler detuned", "protocols.py",
+           "_INNER = BeamSplitter(1, 2, math.pi / 4)",
+           "_INNER = BeamSplitter(1, 2, math.pi / 4 + 1e-3)",
+           ("tests/test_acceptance.py",)),
+    Mutant("chain ignores inner_angle", "protocols.py",
+           "BeamSplitter(1, 2, chain.inner_angle)",
+           "BeamSplitter(1, 2, chain.outer_angle)",
+           ("tests/test_chain.py",)),
     Mutant("bool taken as an integer", "core.py",
            "isinstance(value, numbers.Integral) and not isinstance(value, bool)",
            "isinstance(value, numbers.Integral)",
