@@ -14,9 +14,9 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
-import math
 import re
 import sys
 import time
@@ -136,6 +136,19 @@ def _render(document: dict, fmt: str) -> str:
 # Longest config file read, in bytes; a longer one is refused unparsed.
 _MAX_CONFIG_BYTES = 1 << 20
 
+# The form of the text ``int`` reads, and what ``_read_int`` returns where
+# ``int`` refuses only its length (over 4,300 digits by default): no number
+# and no string, so every parameter refuses it.
+_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")
+_TOO_MANY_DIGITS = object()
+
+
+def _read_int(text: str):
+    try:
+        return int(text, 10)
+    except ValueError:
+        return _TOO_MANY_DIGITS
+
 
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
@@ -148,7 +161,7 @@ def _load_config(path: Optional[str]) -> dict:
     if len(data) > _MAX_CONFIG_BYTES:
         raise CliUsageError(f"config file is longer than {_MAX_CONFIG_BYTES} bytes")
     try:  # ValueError covers JSONDecodeError and UnicodeDecodeError
-        config = json.loads(data.decode("utf-8"))
+        config = json.loads(data.decode("utf-8"), parse_int=_read_int)
     except (ValueError, RecursionError) as exc:
         raise CliUsageError(f"config file is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(config, dict):
@@ -174,51 +187,44 @@ def _require(spec: Dict[str, object], key: str):
 
 
 def _as_float(value, name: str) -> float:
-    """Real parameter from a flag's text, read as the number it spells, or a
-    config value; a JSON boolean is not a number here."""
-    try:
-        number = float(value) if isinstance(value, str) else value
-    except ValueError:
-        number = None
-    result = number if type(number) is float else _finite_real(number)
-    if result is None:
-        raise CliUsageError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(result):
-        raise CliUsageError(f"{name} must be finite, got {value!r}")
+    """Real parameter from a flag or config value.  A string, as every flag
+    value is, is read by ``float``; a JSON boolean is not a number here."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    if (result := _finite_real(value)) is None:
+        raise CliUsageError(f"{name} must be a finite real number")
     return result
 
 
 def _as_int(value, name: str) -> int:
     """Integer parameter from a flag or config value.  A string, as every
-    flag value is, counts as the JSON number it spells, so ``--bit 1.0``
-    and ``{"bit": 1.0}`` are accepted or rejected alike."""
-    number = value
+    flag value is, is read by ``int`` where it has the form of an integer
+    and else by ``float``, so ``--bit 1.0`` and ``{"bit": 1.0}`` are
+    accepted or rejected alike."""
     if isinstance(value, str):
         try:
-            return int(value, 10)
-        except ValueError:
-            if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", value):  # int() refused only its length
-                raise CliUsageError(f"{name} has too many digits to read as an integer") from None
-            try:
-                number = float(value)
-            except ValueError:
-                pass
-    if type(number) is float and number.is_integer():
-        return int(number)
-    if (result := _integer(number)) is None:
-        raise CliUsageError(f"{name} must be an integer, got {value!r}")
+            value = _read_int(value) if _INTEGER_TEXT.fullmatch(value) else float(value)
+        except ValueError:  # float() refused it too
+            pass
+    if value is _TOO_MANY_DIGITS:
+        raise CliUsageError(f"{name} has too many digits to read as an integer")
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if (result := _integer(value)) is None:
+        raise CliUsageError(f"{name} must be an integer")
     return result
 
 
 def _parse_range(value) -> Tuple[float, float]:
     parts = value.split(":") if isinstance(value, str) else value
-    if isinstance(value, str) and len(parts) != 2:
-        raise CliUsageError(f"theta1 range must look like START:STOP, got {value!r}")
     if not isinstance(parts, (list, tuple)) or len(parts) != 2:
-        raise CliUsageError(f"theta1 range must be START:STOP or a 2-element list, got {value!r}")
+        raise CliUsageError("theta1 range must be START:STOP or a 2-element list")
     lo, hi = (_as_float(part, "theta1 range endpoint") for part in parts)
     if not lo < hi:
-        raise CliUsageError(f"theta1 range is empty: {lo!r} >= {hi!r}")
+        raise CliUsageError("theta1 range is empty: START must be below STOP")
     return lo, hi
 
 
@@ -240,7 +246,7 @@ def _theta2_rule(spec: Dict[str, object]) -> Tuple[bool, Optional[float]]:
     any other value, the string ``"false"`` included, is refused."""
     balanced, theta2 = spec.get("balanced"), spec.get("theta2")
     if balanced is not None and not isinstance(balanced, bool):
-        raise CliUsageError(f"balanced must be true or false, got {balanced!r}")
+        raise CliUsageError("balanced must be true or false")
     if balanced and theta2 is not None:
         raise CliUsageError("--balanced and --theta2 are mutually exclusive")
     if not balanced and theta2 is None:
@@ -292,7 +298,7 @@ def _cmd_sweep(spec: Dict[str, object]) -> Tuple[dict, dict]:
     lo, hi = _parse_range(_require(spec, "theta1"))
     steps = _as_int(spec.get("steps") if spec.get("steps") is not None else 20, "steps")
     if steps < 2:
-        raise CliUsageError(f"steps must be >= 2, got {steps}")
+        raise CliUsageError("steps must be >= 2")
     if steps > MAX_SWEEP_STEPS:
         raise CliUsageError(f"steps {steps} is above the budget of {MAX_SWEEP_STEPS} rows")
     balanced, fixed_theta2 = _theta2_rule(spec)
@@ -316,18 +322,11 @@ def _cmd_sweep(spec: Dict[str, object]) -> Tuple[dict, dict]:
 
 
 def _cmd_optimize(spec: Dict[str, object]) -> Tuple[dict, dict]:
-    objective = str(_require(spec, "objective"))
+    objective = _require(spec, "objective")
     grid = _as_int(spec.get("grid") if spec.get("grid") is not None else 32, "grid")
     refine = _as_int(spec.get("refine") if spec.get("refine") is not None else 200, "refine")
     result = optimize_angles(objective, grid_points=grid, refine_iters=refine)
-    results = {
-        "theta1": result.theta1,
-        "theta2": result.theta2,
-        "objective_value": result.objective_value,
-        "objective_name": result.objective_name,
-        "evaluations": result.evaluations,
-    }
-    return {"objective": objective, "grid": grid, "refine": refine}, results
+    return {"objective": objective, "grid": grid, "refine": refine}, dataclasses.asdict(result)
 
 
 def _cmd_capacity(spec: Dict[str, object]) -> Tuple[dict, dict]:
@@ -357,7 +356,7 @@ def _cmd_classical(spec: Dict[str, object]) -> Tuple[dict, dict]:
     if isinstance(raw, str) and len(raw) > MAX_CLASSICAL_BITS:
         raise CliUsageError(f"{len(raw)} bits is above the budget of {MAX_CLASSICAL_BITS} bits")
     if not isinstance(raw, str) or not raw or any(ch not in "01" for ch in raw):
-        raise CliUsageError(f"bits must be a non-empty string of 0s and 1s, got {raw!r}")
+        raise CliUsageError("bits must be a non-empty string of 0s and 1s")
     bits = [int(ch) for ch in raw]
     billiard_decoded = []
     billiard_audits = []
@@ -429,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default=None, help="output format (default json)")
+    common.add_argument("--format", default=None, help="output format, json (the default) or csv")
     common.add_argument("--out", default=None, metavar="PATH", help="write the document to PATH instead of stdout")
     common.add_argument("--config", default=None, metavar="PATH", help="JSON document with the same keys as the flags; flags override")
 
@@ -442,13 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--bit", default=None, help="sender bit (0 blocks the emitter arm, 1 leaves it open)")
 
     sweep = sub.add_parser("sweep", parents=[common], help="tabulate the channel over a theta1 range")
-    sweep.add_argument("--theta1", type=str, default=None, metavar="START:STOP", help="theta1 range")
+    sweep.add_argument("--theta1", default=None, metavar="START:STOP", help="theta1 range")
     sweep.add_argument("--theta2", default=None, help="fixed theta2 rule")
     sweep.add_argument("--balanced", action="store_const", const=True, default=None, help="balanced theta2 rule")
     sweep.add_argument("--steps", default=None, help="number of rows (default 20)")
 
     optimize = sub.add_parser("optimize", parents=[common], help="search for optimal coupling angles")
-    optimize.add_argument("--objective", choices=("min-success", "mutual-info-uniform"), default=None)
+    optimize.add_argument("--objective", default=None, help="min-success or mutual-info-uniform")
     optimize.add_argument("--grid", default=None, help="grid points per axis (default 32)")
     optimize.add_argument("--refine", default=None, help="refinement iterations (default 200)")
 
@@ -459,11 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--tol", default=None, help="capacity search tolerance (default 1e-10)")
 
     classical = sub.add_parser("classical", parents=[common], help="run both classical relays over a bit string")
-    classical.add_argument("--bits", type=str, default=None, help="bit string, e.g. 0110")
+    classical.add_argument("--bits", default=None, help="bit string, e.g. 0110")
 
     chain = sub.add_parser("chain", parents=[common], help="chained-network grid over cycle counts")
-    chain.add_argument("--outer", type=str, default=None, metavar="N1,N2,...", help="outer cycle counts")
-    chain.add_argument("--inner", type=str, default=None, metavar="M1,M2,...", help="inner cycle counts")
+    chain.add_argument("--outer", default=None, metavar="N1,N2,...", help="outer cycle counts")
+    chain.add_argument("--inner", default=None, metavar="M1,M2,...", help="inner cycle counts")
 
     return parser
 
@@ -480,12 +479,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         spec = _resolve(args)
-        fmt = spec.get("format") or "json"
+        fmt = "json" if spec["format"] is None else spec["format"]
         if fmt not in ("json", "csv"):
-            raise CliUsageError(f"format must be json or csv, got {fmt!r}")
-        out = spec.get("out")
+            raise CliUsageError("format must be json or csv")
+        out = spec["out"]
         if out is not None and not isinstance(out, str):
-            raise CliUsageError(f"out must be a path string, got {out!r}")
+            raise CliUsageError("out must be a path string")
         echo, results = _COMMANDS[args.command](spec)
         document = {"command": args.command, "spec": echo, "version": __version__, "results": results}
         rendered = _render(document, fmt)

@@ -96,7 +96,7 @@ class ModeState:
         complex128 vector.
     absorbed : mapping str -> float, optional
         Probability already absorbed, keyed by absorber label; anything
-        ``dict`` takes, such as a sequence of pairs.
+        ``dict`` takes, such as a sequence of pairs.  ``None`` is no ledger.
     """
 
     __slots__ = ("amplitudes", "absorbed")
@@ -115,7 +115,7 @@ class ModeState:
                                    for z in amplitudes):
             raise InvalidNetworkError("amplitudes must be complex numbers")
         try:
-            ledger = dict(absorbed) if absorbed else {}
+            ledger = {} if absorbed is None else dict(absorbed)
         except (TypeError, ValueError):
             raise InvalidNetworkError(
                 "absorbed must map absorber labels to probabilities") from None

@@ -21,6 +21,34 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def timing_masked(text):
+    """``text`` with the run time of a success line replaced by ``<t>``."""
+    return re.sub(r" in [0-9.]+s$", " in <t>s", text, flags=re.MULTILINE)
+
+
+def run_flag_and_config(capsys, tmp_path, argv, config_text):
+    """(exit code, stdout, timing-masked stderr) of ``argv`` and of its
+    command with the JSON ``config_text`` as ``--config``.  An argparse
+    exit counts as its exit code."""
+    config = tmp_path / "run.json"
+    config.write_text(config_text)
+    results = []
+    for call in (argv, (argv[0], "--config", str(config))):
+        try:
+            code = main(list(call))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, timing_masked(captured.err)))
+    return results
+
+
+def with_json_text(document, key, text):
+    """``document`` as JSON with ``key`` set to the JSON ``text``, which
+    ``json.dumps`` cannot write for an integer of over 4,300 digits."""
+    return json.dumps(dict(document, **{key: "<text>"})).replace('"<text>"', text)
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -356,7 +384,7 @@ class TestRendering:
         else:
             assert code == 2
             assert stdout == ""
-            assert err.startswith("cfoptics simulate: error: out must be a path string, got ")
+            assert err == "cfoptics simulate: error: out must be a path string\n"
         assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
     def test_twelve_significant_digits(self, capsys):
@@ -366,8 +394,11 @@ class TestRendering:
 
 
 class TestIntegerParameters:
-    """An integer flag and its config key accept and reject the same values:
-    a flag's text counts as the JSON number it spells."""
+    """An integer flag and its config key accept and reject the same values
+    with the same diagnostic.  A flag's text is read by ``int`` where it has
+    the form of an integer and else by ``float``, as a config string is; so
+    beside the JSON numbers it also reads ``+1``, ``1_000`` and non-ASCII
+    decimal digits."""
 
     CASES = {
         "bit": (("simulate", "--theta1", "0.25", "--balanced"), {"theta1": 0.25, "balanced": True}),
@@ -387,42 +418,46 @@ class TestIntegerParameters:
     @pytest.mark.parametrize("key", sorted(CASES))
     def test_flag_and_config_key_agree(self, key, capsys, tmp_path):
         argv, base = self.CASES[key]
-        config = tmp_path / "run.json"
         accepted = {}  # value -> document; 2, 2.0 and 2e0 share a key
         for text in self.VALUES[key]:
             value = json.loads(text)
-            config.write_text(json.dumps(dict(base, **{key: value})))
-            flag_code, flag_out, flag_err = run_cli(capsys, *argv, f"--{key}", text)
-            config_code, config_out, config_err = run_cli(capsys, argv[0], "--config", str(config))
-            assert (flag_code, flag_out) == (config_code, config_out), text
-            if flag_code == 0:
-                assert accepted.setdefault(value, flag_out) == flag_out, text
+            from_flag, from_config = run_flag_and_config(
+                capsys, tmp_path, (*argv, f"--{key}", text), json.dumps(dict(base, **{key: value})))
+            assert from_flag == from_config, text
+            code, out, err = from_flag
+            if code == 0:
+                assert accepted.setdefault(value, out) == out, text
             else:
-                assert flag_code == 2
-                assert key in flag_err and key in config_err
+                assert code == 2 and key in err, text
         assert 0 < len(accepted) < len(self.VALUES[key])
 
     @pytest.mark.parametrize("text", ["1" + "0" * 5000, " -" + "9_" * 4300 + "9 "],
                              ids=["5,001 digits", "4,301 digits, signed and grouped"])
     @pytest.mark.parametrize("key", [*sorted(CASES), "outer", "inner"])
-    def test_flag_with_too_many_digits_is_refused_unechoed(self, key, text, capsys):
+    def test_flag_with_too_many_digits_is_refused_unechoed(self, key, text, capsys, tmp_path):
         """``int`` refuses text over Python's 4,300-digit limit; such a
-        flag is called too long, not a non-integer, and is not echoed."""
+        flag, and a config integer of the same digits, alone or in a list,
+        is called too long, not a non-integer, and is not echoed."""
+        digits = text.replace("_", "").strip()  # the JSON integer
         if key in ("outer", "inner"):
             other = "inner" if key == "outer" else "outer"
             argv = ("chain", f"--{other}", "2", f"--{key}", "3," + text)
+            config = with_json_text({other: [2]}, key, f"[3, {digits}]")
         else:
             argv = (*self.CASES[key][0], f"--{key}", text)
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == f"cfoptics {argv[0]}: error: {key} has too many digits to read as an integer\n"
+            config = with_json_text(self.CASES[key][1], key, digits)
+        for code, out, err in run_flag_and_config(capsys, tmp_path, argv, config):
+            assert code == 2
+            assert out == ""
+            assert err == f"cfoptics {argv[0]}: error: {key} has too many digits to read as an integer\n"
 
 
 class TestRealParameters:
-    """A real flag and its config key accept and reject the same values: a
-    flag's text counts as the JSON value it spells, and a JSON boolean is
-    not a number.  A theta1 range flag ``START:STOP`` is the config list
+    """A real flag and its config key accept and reject the same values
+    with the same diagnostic.  A flag's text is read by ``float``, as a
+    config string is; so beside the JSON numbers it also reads ``.25``,
+    ``+1``, ``1_000`` and non-ASCII decimal digits.  A JSON boolean
+    is not a number.  A theta1 range flag ``START:STOP`` is the config list
     ``[START, STOP]``."""
 
     CASES = {
@@ -442,22 +477,20 @@ class TestRealParameters:
     def test_flag_and_config_key_agree(self, case, capsys, tmp_path):
         argv, base = self.CASES[case]
         key = case.split("-")[0]
-        config = tmp_path / "run.json"
         accepted = {}  # value -> document; 0.25 and 2.5e-1 share a key
         for text in self.VALUES[case]:
             if case == "theta1-range":
                 value = [json.loads(part) for part in text.split(":")]
             else:
                 value = json.loads(text)
-            config.write_text(json.dumps(dict(base, **{key: value})))
-            flag_code, flag_out, flag_err = run_cli(capsys, *argv, f"--{key}={text}")
-            config_code, config_out, config_err = run_cli(capsys, argv[0], "--config", str(config))
-            assert (flag_code, flag_out) == (config_code, config_out), text
-            if flag_code == 0:
-                assert accepted.setdefault(json.dumps(value), flag_out) == flag_out, text
+            from_flag, from_config = run_flag_and_config(
+                capsys, tmp_path, (*argv, f"--{key}={text}"), json.dumps(dict(base, **{key: value})))
+            assert from_flag == from_config, text
+            code, out, err = from_flag
+            if code == 0:
+                assert accepted.setdefault(json.dumps(value), out) == out, text
             else:
-                assert flag_code == 2
-                assert key in flag_err and key in config_err
+                assert code == 2 and key in err, text
         assert 0 < len(accepted) < len(self.VALUES[case])
 
 
@@ -474,19 +507,21 @@ class TestSwitchParameters:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_flag_and_config_key_agree(self, command, capsys, tmp_path):
         argv, base = self.COMMANDS[command]
-        config = tmp_path / "run.json"
         succeeded = 0
         for fixed in ((), ("--theta2", "0.3")):
             for value in (True, False, None, "false", "true", 0, 1):
-                document = dict(base, balanced=value, **({"theta2": 0.3} if fixed else {}))
-                config.write_text(json.dumps(document))
-                code, out, err = run_cli(capsys, command, "--config", str(config))
+                document = json.dumps(dict(base, balanced=value, **({"theta2": 0.3} if fixed else {})))
                 if value is None or isinstance(value, bool):
                     switch = ("--balanced",) if value else ()
-                    assert (code, out) == run_cli(capsys, command, *argv, *fixed, *switch)[:2]
-                    succeeded += code == 0
+                    from_flag, from_config = run_flag_and_config(
+                        capsys, tmp_path, (command, *argv, *fixed, *switch), document)
+                    assert from_config == from_flag, value
+                    succeeded += from_config[0] == 0
                 else:
-                    assert code == 2 and "balanced" in err, value
+                    (tmp_path / "run.json").write_text(document)
+                    code, out, err = run_cli(capsys, command, "--config", str(tmp_path / "run.json"))
+                    assert (code, out) == (2, ""), value
+                    assert err == f"cfoptics {command}: error: balanced must be true or false\n", value
         assert succeeded == 3  # balanced without theta2, and theta2 not balanced (false, null)
 
 
@@ -529,7 +564,7 @@ class TestRefusals:
         "config-not-an-object": (("simulate",), [1, 2], "config document must be a JSON object"),
         "config-is-a-directory": (("simulate",), "directory", "cannot read config file"),
         "range-without-colon": (("sweep", "--theta1", "0.1", "--balanced"), None,
-                                "theta1 range must look like START:STOP"),
+                                "theta1 range must be START:STOP or a 2-element list"),
         "range-list-of-one": (("sweep",), {"theta1": [0.1], "balanced": True},
                               "theta1 range must be START:STOP or a 2-element list"),
         "empty-cycle-list": (("chain", "--outer", ",", "--inner", "4"), None,
@@ -553,6 +588,71 @@ class TestRefusals:
         assert code == 2
         assert out == ""
         assert err.startswith(f"cfoptics {argv[0]}: error: {message}")
+
+    @pytest.mark.parametrize("value", ["xml", ""])
+    def test_format_flag_and_config_key_agree(self, value, capsys, tmp_path):
+        """``format`` is checked once, after flags and config merge, so a
+        refused flag reads as the refused key does."""
+        from_flag, from_config = run_flag_and_config(
+            capsys, tmp_path, ("classical", "--bits", "01", "--format", value),
+            json.dumps({"bits": "01", "format": value}))
+        assert from_flag == from_config
+        assert from_flag == (2, "", "cfoptics classical: error: format must be json or csv\n")
+
+    @pytest.mark.parametrize("value", ["", False, 0, [], {}])
+    def test_a_false_format_is_refused(self, value, capsys, tmp_path):
+        """Only an absent or null ``format`` means json."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"bits": "01", "format": value}))
+        code, out, err = run_cli(capsys, "classical", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "cfoptics classical: error: format must be json or csv\n"
+
+    # case -> (command and flags without it, config without it).  The key is
+    # the case name up to any "-".
+    UNECHOED = {
+        "theta1": (("simulate", "--balanced", "--bit", "1"), {"balanced": True, "bit": 1}),
+        "theta2": (("simulate", "--theta1", "0.25", "--bit", "1"), {"theta1": 0.25, "bit": 1}),
+        "balanced": (("simulate", "--theta1", "0.25", "--bit", "1"), {"theta1": 0.25, "bit": 1}),
+        "bit": (("simulate", "--theta1", "0.25", "--balanced"), {"theta1": 0.25, "balanced": True}),
+        "tol": (("capacity", "--theta1", "0.25", "--balanced"), {"theta1": 0.25, "balanced": True}),
+        "theta1-range": (("sweep", "--balanced"), {"balanced": True}),
+        "theta1-range-endpoint": (("sweep", "--balanced"), {"balanced": True}),
+        "steps": (("sweep", "--theta1", "0.1:0.5", "--balanced"), {"theta1": "0.1:0.5", "balanced": True}),
+        "objective": (("optimize", "--grid", "8", "--refine", "2"), {"grid": 8, "refine": 2}),
+        "grid": (("optimize", "--objective", "min-success"), {"objective": "min-success"}),
+        "refine": (("optimize", "--objective", "min-success"), {"objective": "min-success"}),
+        "bits": (("classical",), {}),
+        "format": (("classical", "--bits", "01"), {"bits": "01"}),
+        "out": (("classical", "--bits", "01"), {"bits": "01"}),
+        "outer": (("chain", "--inner", "4"), {"inner": [4]}),
+        "inner": (("chain", "--outer", "2"), {"outer": [2]}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNECHOED))
+    def test_refusal_does_not_repeat_a_5000_character_value(self, case, capsys, tmp_path):
+        """Each value check refuses a 5,000-character flag or config value
+        with one line of at most 200 bytes, which names the parameter and so
+        cannot repeat the value."""
+        argv, base = self.UNECHOED[case]
+        key = case.split("-")[0]
+        texts = ["9" * 5000, "x" * 5000]
+        if case == "theta1-range-endpoint":
+            texts = [text + ":0.5" for text in texts]
+        documents = [with_json_text(base, key, "9" * 5000)]
+        results = []
+        if key != "out":  # a string out is a path, whose OS error names it
+            documents += [json.dumps(dict(base, **{key: text})) for text in texts]
+            if key != "balanced":  # a switch takes no value
+                results += [run_cli(capsys, *argv, f"--{key}={text}") for text in texts]
+        config = tmp_path / "run.json"
+        for document in documents:
+            config.write_text(document)
+            results.append(run_cli(capsys, argv[0], "--config", str(config)))
+        for code, out, err in results:
+            assert (code, out) == (2, "")
+            assert err.startswith(f"cfoptics {argv[0]}: error: ") and err.count("\n") == 1, err[:200]
+            assert key in err and len(err.encode()) <= 200, err[:200]
 
     def test_config_cycle_lists_write_the_flags_bytes(self, capsys, tmp_path):
         config = tmp_path / "run.json"
@@ -613,9 +713,6 @@ class TestSubprocessContract:
             ("chain",),
             ("simulate", "--theta1", "0.25", "--balanced", "--bit", "1"),
         ]
-
-        def timing_masked(text):
-            return re.sub(r" in [0-9.]+s$", " in <t>s", text, flags=re.MULTILINE)
 
         for argv in calls:
             fresh = subprocess.run(

@@ -543,13 +543,15 @@ class TestModeState:
             with pytest.raises(InvalidNetworkError):
                 ModeState(amplitudes)
 
-    @pytest.mark.parametrize("absorbed", [5, "ab", object(), [("x", 0.1, 0.2)], [1.5]])
+    @pytest.mark.parametrize("absorbed", [5, "ab", object(), [("x", 0.1, 0.2)], [1.5], 0, 0.0, False])
     def test_a_ledger_that_is_no_mapping_is_refused(self, absorbed):
+        """Only ``None`` means no ledger; a false number is refused."""
         with pytest.raises(InvalidNetworkError, match="^absorbed must map absorber labels"):
             ModeState([1, 0], absorbed)
 
     @pytest.mark.parametrize("absorbed, ledger", [
         (None, {}), ((), {}), ({"x": 0.25}, {"x": 0.25}), ([("x", 1)], {"x": 1.0}),
+        ("", {}), ([], {}), ({}, {}),
     ])
     def test_a_ledger_is_anything_dict_takes(self, absorbed, ledger):
         assert ModeState([1, 0], absorbed).absorbed == ledger

@@ -98,6 +98,14 @@ MUTANTS = (
            "BeamSplitter(1, 2, chain.inner_angle)",
            "BeamSplitter(1, 2, chain.outer_angle)",
            ("tests/test_chain.py",)),
+    Mutant("format checked by argparse again", "cli.py",
+           'common.add_argument("--format", default=None,',
+           'common.add_argument("--format", choices=("json", "csv"), default=None,',
+           ("tests/test_cli.py",)),
+    Mutant("a refusal repeats its value", "cli.py",
+           'raise CliUsageError(f"{name} must be a finite real number")',
+           'raise CliUsageError(f"{name} must be a finite real number, got {value!r}")',
+           ("tests/test_cli.py",)),
     Mutant("bool taken as an integer", "core.py",
            "isinstance(value, numbers.Integral) and not isinstance(value, bool)",
            "isinstance(value, numbers.Integral)",
