@@ -22,7 +22,7 @@ import numpy as np
 from .core import _decimal, _finite_real, _integer
 from .errors import BracketError, DomainError
 # ``run_protocol`` stays a name of this module: perfbench wraps it here.
-from .protocols import NestedConfig, _detector_probabilities, run_protocol
+from .protocols import NestedConfig, _detector_probabilities, _validate_bit, run_protocol
 
 __all__ = [
     "OUTCOME_LABELS",
@@ -86,7 +86,7 @@ class ChannelModel:
         object.__setattr__(self, "p_given_b", np.array(((a, b, c), (d, e, f))))
 
     def row(self, bit: int) -> np.ndarray:
-        return self.p_given_b[bit]
+        return self.p_given_b[_validate_bit(bit)]
 
 
 @dataclass(frozen=True)

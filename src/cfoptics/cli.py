@@ -33,7 +33,7 @@ from .analysis import (
     success_probabilities,
 )
 from .classical import carrier_span_audit, decode_billiard, run_billiard, run_pulse_relay
-from .core import _finite_real, _integer
+from .core import _decimal, _finite_real, _integer
 from .errors import CfOpticsError
 from .protocols import (
     LEG_NAMES,
@@ -136,10 +136,11 @@ def _render(document: dict, fmt: str) -> str:
 # Longest config file read, in bytes; a longer one is refused unparsed.
 _MAX_CONFIG_BYTES = 1 << 20
 
-# The form of the text ``int`` reads, and what ``_read_int`` returns where
-# ``int`` refuses only its length (over 4,300 digits by default): no number
-# and no string, so every parameter refuses it.
-_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")
+# The form of the text ``int`` reads (the whitespace it strips is ``\s``
+# without U+001C to U+001F), and what ``_read_int`` returns where ``int``
+# refuses only its length (over 4,300 digits by default): no number and no
+# string, so every parameter refuses it.
+_INTEGER_TEXT = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(_\d+)*[^\S\x1c-\x1f]*")
 _TOO_MANY_DIGITS = object()
 
 
@@ -300,7 +301,7 @@ def _cmd_sweep(spec: Dict[str, object]) -> Tuple[dict, dict]:
     if steps < 2:
         raise CliUsageError("steps must be >= 2")
     if steps > MAX_SWEEP_STEPS:
-        raise CliUsageError(f"steps {steps} is above the budget of {MAX_SWEEP_STEPS} rows")
+        raise CliUsageError(f"steps {_decimal(steps)} is above the budget of {MAX_SWEEP_STEPS} rows")
     balanced, fixed_theta2 = _theta2_rule(spec)
     columns = ("theta1", "theta2", "p00", "p11", "loss", "mi_uniform")
     rows = []

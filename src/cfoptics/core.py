@@ -177,12 +177,9 @@ def _integer(value) -> Optional[int]:
 
 
 def _decimal(number: int) -> str:
-    """``number`` in decimal for a message, or its bit length where ``str``
-    refuses that many digits (over 4,300 by default)."""
-    try:
-        return str(number)
-    except ValueError:
-        return f"<{number.bit_length()}-bit integer>"
+    """``number`` in decimal for a message, or its bit length where it has
+    over 100 bits (about 30 digits), so no message grows with its input."""
+    return str(number) if number.bit_length() <= 100 else f"<{number.bit_length()}-bit integer>"
 
 
 def _check_mode(index, mode_count, what) -> int:
@@ -195,37 +192,26 @@ def _check_mode(index, mode_count, what) -> int:
     return mode
 
 
-_ELEMENT_TYPES = (BeamSplitter, Blocker, Discard, Checkpoint)
+def _coupler_coeff(theta: float) -> Tuple[float, complex]:
+    """The kernel's coefficient pair ``(cos theta, 1j * sin theta)`` of a coupler."""
+    return math.cos(theta), 1j * math.sin(theta)
 
 
-def _element_base(element):
-    """First of ``_ELEMENT_TYPES`` that a subclass instance is an instance
-    of, whose rules then apply to it; None for any other object."""
-    for base in _ELEMENT_TYPES:
-        if isinstance(element, base):
-            return base
-    return None
-
-
-def _lower_element(element, kind, mode_count, slots):
-    """Validate a coupler or absorber by the rules of ``kind``; return its plan
-    entry ``(op, a, b, coeff)``, giving a new absorber label its slot."""
-    if kind is BeamSplitter:
-        mode_a, mode_b = element.mode_a, element.mode_b
-        if type(mode_a) is not int or not 0 <= mode_a < mode_count:
-            mode_a = _check_mode(mode_a, mode_count, "beam-splitter mode_a")
-        if type(mode_b) is not int or not 0 <= mode_b < mode_count:
-            mode_b = _check_mode(mode_b, mode_count, "beam-splitter mode_b")
+def _lower_element(element, mode_count, slots):
+    """Validate a coupler or absorber; return its plan entry ``(op, a, b,
+    coeff)``, giving a new absorber label its slot."""
+    if isinstance(element, BeamSplitter):
+        mode_a = _check_mode(element.mode_a, mode_count, "beam-splitter mode_a")
+        mode_b = _check_mode(element.mode_b, mode_count, "beam-splitter mode_b")
         if mode_a == mode_b:
             raise InvalidNetworkError("beam splitter needs two distinct modes")
         if (theta := _finite_real(element.theta)) is None:
             raise InvalidNetworkError("beam-splitter angle must be a finite real number")
-        return OP_SPLIT, mode_a, mode_b, (math.cos(theta), 1j * math.sin(theta))
-    if kind is None:
+        return OP_SPLIT, mode_a, mode_b, _coupler_coeff(theta)
+    if not isinstance(element, (Blocker, Discard)):
         raise InvalidNetworkError(f"unknown element type {type(element).__name__}")
-    mode, label = element.mode, element.label
-    if type(mode) is not int or not 0 <= mode < mode_count:
-        mode = _check_mode(mode, mode_count, "absorber mode")
+    mode = _check_mode(element.mode, mode_count, "absorber mode")
+    label = element.label
     if not isinstance(label, str) or not label:
         raise InvalidNetworkError("absorber label must be a non-empty string")
     return OP_ABSORB, mode, slots.setdefault(label, len(slots)), None
@@ -235,11 +221,11 @@ class _Plan(NamedTuple):
     """Element plan consumed by the propagation kernel.
 
     ``ops``, ``arg_a``, ``arg_b`` and ``coeff`` are parallel lists, one
-    entry per element.  ``coeff`` holds each coupler's kernel coefficients
-    ``(cos theta, 1j * sin theta)`` and None for every other element; the
-    uses of one coupler object share one pair.  Ledger slots and snapshot
-    rows (``checkpoint_rows``: name -> row) are numbered in plan order.  A
-    plan is read-only, so networks may share its lists.
+    entry per element.  ``coeff`` holds each coupler's :func:`_coupler_coeff`
+    pair and None for every other element; the positions of one coupler
+    object share one pair.  Ledger slots and snapshot rows
+    (``checkpoint_rows``: name -> row) are numbered in plan order.  A plan
+    is read-only, so networks may share its lists.
     """
 
     ops: List[int]
@@ -254,13 +240,15 @@ class _Plan(NamedTuple):
 class Network:
     """Ordered element list over a fixed mode count, validated in order and
     lowered to the kernel's plan in one pass on construction.  Each
-    checkpoint takes the next snapshot row; any other exact-type element is
-    handled once per object (a chain repeats a few couplers, blockers and
-    discards over thousands of positions), a subclass instance everywhere.
+    checkpoint takes the next snapshot row; any other element is read and
+    checked once per object (a chain repeats a few couplers, blockers and
+    discards over thousands of positions), so a subclass instance whose
+    fields change between reads is read once per network.  An object that
+    is a :class:`Checkpoint` and another element type is a checkpoint.
 
     ``_lowered`` (keyword only, not a field) takes a plan already lowered
-    from these elements by the same rules, as a nested protocol build
-    splices its outer couplers into a shared plan; None, the default,
+    from these elements, as a nested protocol build puts the coefficient
+    pairs of its two outer couplers into a shared plan; None, the default,
     lowers the elements here.  ``dataclasses.replace`` does not carry it
     over, so a replaced network is lowered again.
     """
@@ -290,10 +278,7 @@ def _lower(elements, mode_count):
     slots, rows, lowered = {}, {}, {}  # label -> slot, name -> row, id -> entry
     ops, arg_a, arg_b, coeff = [], [], [], []
     for element in elements:
-        kind = type(element)
-        if kind is not Checkpoint and kind not in _ELEMENT_TYPES:
-            kind = _element_base(element)
-        if kind is Checkpoint:
+        if isinstance(element, Checkpoint):
             name = element.name
             if not isinstance(name, str) or not name:
                 raise InvalidNetworkError("checkpoint name must be a non-empty string")
@@ -307,9 +292,7 @@ def _lower(elements, mode_count):
             continue
         entry = lowered.get(id(element))
         if entry is None:
-            entry = _lower_element(element, kind, mode_count, slots)
-            if kind is type(element):
-                lowered[id(element)] = entry
+            entry = lowered[id(element)] = _lower_element(element, mode_count, slots)
         op, a, b, k = entry
         ops.append(op)
         arg_a.append(a)

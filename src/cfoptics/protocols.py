@@ -33,10 +33,10 @@ from .core import (
     Element,
     ModeState,
     Network,
+    _coupler_coeff,
     _decimal,
     _finite_real,
     _integer,
-    _lower_element,
     propagate,
 )
 from .errors import DomainError, MalformedOutcomeError, UndecidableDecodingError
@@ -165,15 +165,14 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
     checkpoints surround the blocker slot and the inner couplers.
 
     The network is its bit's open layout with the two outer couplers (made
-    once per ``config``) in place: only their coefficient pairs are lowered
-    and spliced into the shared plan.
+    once per ``config`` from checked angles) in place: only their
+    coefficient pairs are computed and spliced into the shared plan.
     """
     bit = _validate_bit(bit)
     first, last = config._outer_couplers
     base = _OPEN_NESTED[bit]
     plan = base._plan
-    coeff = [_lower_element(first, BeamSplitter, 3, None)[3], *plan.coeff[1:-1],
-             _lower_element(last, BeamSplitter, 3, None)[3]]
+    coeff = [_coupler_coeff(first.theta), *plan.coeff[1:-1], _coupler_coeff(last.theta)]
     return Network(3, (first, *base.elements[1:-1], last), _lowered=plan._replace(coeff=coeff))
 
 

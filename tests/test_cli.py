@@ -451,6 +451,22 @@ class TestIntegerParameters:
             assert out == ""
             assert err == f"cfoptics {argv[0]}: error: {key} has too many digits to read as an integer\n"
 
+    def test_integer_text_agrees_with_int_at_every_code_point(self):
+        """A flag is read by ``int`` where ``_INTEGER_TEXT`` matches it, so
+        the form must take the whitespace that ``int`` strips and no more:
+        ``\\s`` also matches U+001C to U+001F, which ``int`` refuses."""
+        mismatches = []
+        for point in range(sys.maxunicode + 1):
+            text = chr(point) + "1" + chr(point)
+            try:
+                int(text)
+                readable = True
+            except ValueError:
+                readable = False
+            if readable != bool(cli._INTEGER_TEXT.fullmatch(text)):
+                mismatches.append(hex(point))
+        assert mismatches == []
+
 
 class TestRealParameters:
     """A real flag and its config key accept and reject the same values
@@ -653,6 +669,19 @@ class TestRefusals:
             assert (code, out) == (2, "")
             assert err.startswith(f"cfoptics {argv[0]}: error: ") and err.count("\n") == 1, err[:200]
             assert key in err and len(err.encode()) <= 200, err[:200]
+
+    @pytest.mark.parametrize("argv", [
+        ("chain", "--inner", "1", "--outer"),
+        ("sweep", "--theta1", "0.1:0.5", "--balanced", "--steps"),
+        ("optimize", "--objective", "min-success", "--refine", "2", "--grid"),
+    ], ids=["chain-outer", "sweep-steps", "optimize-grid"])
+    def test_a_budget_message_states_a_4001_digit_count_briefly(self, argv, capsys):
+        """A budget message states the refused count, as its bit length
+        where the count has over 100 bits."""
+        code, out, err = run_cli(capsys, *argv, "1" + "0" * 4000)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "budget" in err and "-bit integer>" in err, err[:200]
+        assert len(err.encode()) <= 200, err[:200]
 
     def test_config_cycle_lists_write_the_flags_bytes(self, capsys, tmp_path):
         config = tmp_path / "run.json"

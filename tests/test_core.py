@@ -428,10 +428,10 @@ class TestNetworkValidation:
                 Network(2, elements)
             assert str(excinfo.value) == message
 
-    def test_subclass_instance_is_read_at_every_position(self):
-        """Only exact element types are lowered once per object; a subclass
-        instance, whose attributes may be computed, is read at each of its
-        positions, as a position-by-position walk would."""
+    def test_subclass_instance_is_read_once_per_network(self):
+        """Every element object other than a checkpoint is lowered once per
+        network, a subclass instance whose attributes are computed too: its
+        positions share the pair of its one read."""
 
         class DriftingSplitter(BeamSplitter):
             reads = 0
@@ -448,7 +448,17 @@ class TestNetworkValidation:
         drifting = DriftingSplitter(0, 1, 0.0)
         plan = compile_network(Network(2, (drifting, Checkpoint("mid"), drifting)))
         assert plan.coeff[0] == (math.cos(0.25), 1j * math.sin(0.25))
-        assert plan.coeff[2] == (math.cos(0.5), 1j * math.sin(0.5))
+        assert plan.coeff[0] is plan.coeff[2]
+        assert DriftingSplitter.reads == 1
+
+    def test_a_checkpoint_that_is_also_a_coupler_is_a_checkpoint(self):
+        class CheckpointSplitter(Checkpoint, BeamSplitter):
+            def __init__(self):
+                object.__setattr__(self, "name", "mark")
+                object.__setattr__(self, "theta", 0.3)
+
+        plan = compile_network(Network(2, (CheckpointSplitter(),)))
+        assert plan.ops == [core.OP_SNAPSHOT] and plan.checkpoint_rows == {"mark": 0}
 
     def test_element_subclass_accepted(self):
         """A subclass of an element type is validated and propagated exactly

@@ -125,6 +125,7 @@ INTEGER = {
         lambda v: _optimum(optimize_angles("min-success", 8, v)), DomainError, 2),
     "run_billiard bit": (lambda v: run_billiard(v).observation, DomainError, 1),
     "run_pulse_relay bit": (lambda v: run_pulse_relay([v]).decoded, DomainError, 1),
+    "ChannelModel.row bit": (lambda v: CHANNEL.row(v).tolist(), DomainError, 1),
 }
 
 NOT_NUMBERS = {
@@ -189,6 +190,7 @@ OUT_OF_DOMAIN = {
     "optimize_angles refine_iters": (-1,),
     "run_billiard bit": (-1, 2),
     "run_pulse_relay bit": (-1, 2),
+    "ChannelModel.row bit": (-1, 2),
 }
 
 # Parameters whose large integers meet a message that states a number: a

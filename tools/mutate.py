@@ -39,11 +39,10 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("splice writes into the shared plan", "protocols.py",
-           "coeff = [_lower_element(first, BeamSplitter, 3, None)[3], *plan.coeff[1:-1],\n"
-           "             _lower_element(last, BeamSplitter, 3, None)[3]]",
+           "coeff = [_coupler_coeff(first.theta), *plan.coeff[1:-1], _coupler_coeff(last.theta)]",
            "coeff = plan.coeff\n"
-           "    coeff[0] = _lower_element(first, BeamSplitter, 3, None)[3]\n"
-           "    coeff[-1] = _lower_element(last, BeamSplitter, 3, None)[3]",
+           "    coeff[0] = _coupler_coeff(first.theta)\n"
+           "    coeff[-1] = _coupler_coeff(last.theta)",
            ("tests/test_protocols.py",)),
     Mutant("snapshot rows returned as copies", "core.py",
            "return self.matrix[self._rows[name]]",
@@ -52,16 +51,16 @@ MUTANTS = (
     Mutant("absorbers memoized by label", "core.py",
            "entry = lowered.get(id(element))\n"
            "        if entry is None:\n"
-           "            entry = _lower_element(element, kind, mode_count, slots)\n"
-           "            if kind is type(element):\n"
-           "                lowered[id(element)] = entry",
+           "            entry = lowered[id(element)] = _lower_element(element, mode_count, slots)",
            "key = getattr(element, \"label\", id(element))\n"
            "        entry = lowered.get(key)\n"
            "        if entry is None:\n"
-           "            entry = _lower_element(element, kind, mode_count, slots)\n"
-           "            if kind is type(element):\n"
-           "                lowered[key] = entry",
+           "            entry = lowered[key] = _lower_element(element, mode_count, slots)",
            ("tests/test_properties.py",)),
+    Mutant("elements lowered at every position", "core.py",
+           "entry = lowered[id(element)] = _lower_element(element, mode_count, slots)",
+           "entry = _lower_element(element, mode_count, slots)",
+           ("tests/test_core.py",)),
     Mutant("a second compile per propagation", "core.py",
            "    plan = compile_network(network)\n",
            "    plan = compile_network(network)\n    compile_network(network)\n",
@@ -109,6 +108,18 @@ MUTANTS = (
     Mutant("bool taken as an integer", "core.py",
            "isinstance(value, numbers.Integral) and not isinstance(value, bool)",
            "isinstance(value, numbers.Integral)",
+           ("tests/test_number_rule.py",)),
+    Mutant("integer text whitespace read by \\s", "cli.py",
+           r'_INTEGER_TEXT = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(_\d+)*[^\S\x1c-\x1f]*")',
+           r'_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")',
+           ("tests/test_cli.py",)),
+    Mutant("long stated numbers printed whole", "core.py",
+           "number.bit_length() <= 100 else",
+           "number.bit_length() <= 100_000 else",
+           ("tests/test_cli.py",)),
+    Mutant("channel row takes any index", "analysis.py",
+           "return self.p_given_b[_validate_bit(bit)]",
+           "return self.p_given_b[bit]",
            ("tests/test_number_rule.py",)),
 )
 
