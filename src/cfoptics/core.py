@@ -224,8 +224,11 @@ class _Plan(NamedTuple):
     entry per element.  ``coeff`` holds each coupler's :func:`_coupler_coeff`
     pair and None for every other element; the positions of one coupler
     object share one pair.  Ledger slots and snapshot rows
-    (``checkpoint_rows``: name -> row) are numbered in plan order.  A plan
-    is read-only, so networks may share its lists.
+    (``checkpoint_rows``: name -> row, the only place rows are numbered)
+    follow plan order; a snapshot entry's arguments are 0.  As no entry
+    holds a per-cycle value, a chain's plan is one outer cycle's entries
+    repeated.  A plan is read-only, so networks may share its lists and
+    its ``checkpoint_rows``.
     """
 
     ops: List[int]
@@ -247,10 +250,11 @@ class Network:
     is a :class:`Checkpoint` and another element type is a checkpoint.
 
     ``_lowered`` (keyword only, not a field) takes a plan already lowered
-    from these elements, as a nested protocol build puts the coefficient
-    pairs of its two outer couplers into a shared plan; None, the default,
-    lowers the elements here.  ``dataclasses.replace`` does not carry it
-    over, so a replaced network is lowered again.
+    from these elements: a nested protocol build puts the coefficient
+    pairs of its two outer couplers into a shared plan, and a chain passes
+    its first outer cycle's plan repeated over every cycle.  None, the
+    default, lowers the elements here.  ``dataclasses.replace`` does not
+    carry it over, so a replaced network is lowered again.
     """
 
     mode_count: int
@@ -284,9 +288,9 @@ def _lower(elements, mode_count):
                 raise InvalidNetworkError("checkpoint name must be a non-empty string")
             if name in rows:
                 raise InvalidNetworkError(f"duplicate checkpoint name {name!r}")
-            rows[name] = row = len(rows)
+            rows[name] = len(rows)
             ops.append(OP_SNAPSHOT)
-            arg_a.append(row)
+            arg_a.append(0)
             arg_b.append(0)
             coeff.append(None)
             continue

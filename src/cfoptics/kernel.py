@@ -10,7 +10,7 @@ absorbed probabilities are lists, the checkpoint snapshots one matrix.
 # its uses.
 OP_SPLIT = 0  # two-mode coupler: args = (mode_a, mode_b), coeff = (cos theta, 1j * sin theta)
 OP_ABSORB = 1  # perfect absorber: args = (mode, ledger_slot), coeff unused
-OP_SNAPSHOT = 2  # amplitude snapshot: args = (snapshot_row, unused), coeff unused
+OP_SNAPSHOT = 2  # amplitude snapshot: args = (unused, unused); rows are taken in plan order
 
 
 def run_plan(ops, arg_a, arg_b, coeff, amps, absorbed, snaps):

@@ -18,6 +18,7 @@ outer arm (D2), mode 2 the inner far arm on Bob's side.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ from .core import (
     _decimal,
     _finite_real,
     _integer,
+    _lower,
+    _Plan,
     propagate,
 )
 from .errors import DomainError, MalformedOutcomeError, UndecidableDecodingError
@@ -257,9 +260,11 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 
 # Work budget of one chained network, in elements.  A run's memory and time
 # grow linearly with its element count: run_chain(ChainConfig(50, 2000), b),
-# 400,251 elements at b = 0, takes 0.57-0.93 s in a process of 114-117 MB peak
-# RSS on a 2-vCPU Intel Xeon, so the budget holds one network to about 1.2 s
-# and 140 MB.  It is 15 times the 32,101 elements of a 20 x 400 chain.
+# 400,251 elements at b = 0, takes 0.42-0.45 s when it makes the checkpoints
+# it shares with the other bit and 0.15 s when it reuses them (best of 5), in
+# a process of 123 MB peak RSS on a 2-vCPU Intel Xeon, so the budget holds
+# one network to under 1 s and 150 MB.  It is 15 times the 32,101 elements
+# of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
 
 
@@ -337,28 +342,33 @@ class ChainOutcome:
 # bob_to_charlie[k.j] of its inner cycles j, and charlie_to_alice[k].
 _CycleMarks = Tuple[Checkpoint, List[Checkpoint], List[Checkpoint], Checkpoint]
 
-# Checkpoint names depend only on the cycle counts, so the two bit runs of a
-# chain share one set: the first build makes it and leaves it here, the next
-# build of the same cycle counts takes it out.  At most one set waits here,
-# and none once its pair is built.
-_spare_checkpoints: Dict[Tuple[int, int], List[_CycleMarks]] = {}
+# Checkpoint names and their order depend only on the cycle counts, so the
+# two bit runs of a chain share one set and one name -> row index: the first
+# build makes them and leaves them here, the next build of the same cycle
+# counts takes them out.  At most one set waits here, and none once its pair
+# is built.
+_spare_checkpoints: Dict[Tuple[int, int], Tuple[List[_CycleMarks], Dict[str, int]]] = {}
 
 
-def _chain_checkpoints(outer_cycles: int, inner_cycles: int) -> List[_CycleMarks]:
+def _chain_checkpoints(outer_cycles: int,
+                       inner_cycles: int) -> Tuple[List[_CycleMarks], Dict[str, int]]:
     key = (outer_cycles, inner_cycles)
-    marks = _spare_checkpoints.pop(key, None)
-    if marks is not None:
-        return marks
+    shared = _spare_checkpoints.pop(key, None)
+    if shared is not None:
+        return shared
     _spare_checkpoints.clear()
     outer = range(1, outer_cycles + 1)
     steps = [[f"[{k}.{j}]" for j in range(1, inner_cycles + 1)] for k in outer]
-    marks = _spare_checkpoints[key] = list(zip(
+    marks = list(zip(
         [Checkpoint(f"alice_to_charlie[{k}]") for k in outer],
         [[Checkpoint("charlie_to_bob" + step) for step in row] for row in steps],
         [[Checkpoint("bob_to_charlie" + step) for step in row] for row in steps],
         [Checkpoint(f"charlie_to_alice[{k}]") for k in outer],
     ))
-    return marks
+    order = (mark.name for first, to_bob, from_bob, last in marks
+             for mark in (first, *itertools.chain(*zip(to_bob, from_bob)), last))
+    shared = _spare_checkpoints[key] = marks, dict(zip(order, itertools.count()))
+    return shared
 
 
 def build_chain_network(chain: ChainConfig, bit: int) -> Network:
@@ -378,10 +388,16 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     network.
     """
     bit = _validate_bit(bit)
-    marks = _chain_checkpoints(chain.outer_cycles, chain.inner_cycles)
-    return Network(3, _cycles(BeamSplitter(0, 1, chain.outer_angle),
-                              BeamSplitter(1, 2, chain.inner_angle), marks, bit,
-                              BeamSplitter(0, 1, chain.final_angle)))
+    marks, rows = _chain_checkpoints(chain.outer_cycles, chain.inner_cycles)
+    outer, inner = BeamSplitter(0, 1, chain.outer_angle), BeamSplitter(1, 2, chain.inner_angle)
+    final = BeamSplitter(0, 1, chain.final_angle)
+    # Every outer cycle lowers to the first one's entries (snapshot rows are
+    # numbered in ``rows`` alone), so ``_lower`` takes the first cycle and the
+    # closing coupler, and the rest is repeated.
+    plan = _lower(_cycles(outer, inner, marks[:1], bit, final), 3)
+    columns = [column[:-1] * chain.outer_cycles + column[-1:] for column in plan[:4]]
+    return Network(3, _cycles(outer, inner, marks, bit, final),
+                   _lowered=_Plan(*columns, plan.ledger_labels, rows))
 
 
 def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:

@@ -139,16 +139,22 @@ class TestChainLayout:
         assert all(a is b for a, b in zip(blocked, open_arm))
 
     def test_checkpoints_do_not_outlive_their_pair(self, monkeypatch):
-        """Once both bits of a chain have run, nothing holds its checkpoints;
-        an unpaired run's set goes when the next chain is built."""
-        refs = {}
+        """Both bits of a chain share its checkpoints and one name -> row
+        index; once both have run, nothing holds either.  An unpaired run's
+        set goes when the next chain is built."""
+        refs, indexes = {}, {}
 
         def recording_build(chain, bit):
             network = original_build(chain, bit)
             refs.setdefault(chain, []).extend(
                 weakref.ref(e) for e in network.elements if type(e) is Checkpoint
             )
+            indexes.setdefault(chain, []).append(network._plan.checkpoint_rows)
             return network
+
+        def index_holders(chain):
+            """What holds ``chain``'s row index, besides this test's record."""
+            return [r for r in gc.get_referrers(indexes[chain][0]) if r is not indexes[chain]]
 
         original_build = protocols.build_chain_network
         monkeypatch.setattr(protocols, "build_chain_network", recording_build)
@@ -157,12 +163,17 @@ class TestChainLayout:
         run_chain(paired, 1)
         run_chain(unpaired, 1)
         gc.collect()
+        assert indexes[paired][0] is indexes[paired][1]
         assert refs[paired] and all(ref() is None for ref in refs[paired])
+        assert index_holders(paired) == []
         assert all(ref() is not None for ref in refs[unpaired])
+        assert index_holders(unpaired) != []
         run_chain(later, 0)
         run_chain(later, 1)
         gc.collect()
+        assert indexes[later][0] is indexes[later][1]
         assert all(ref() is None for ref in refs[unpaired] + refs[later])
+        assert index_holders(unpaired) == index_holders(later) == []
 
 
 class TestReduction:

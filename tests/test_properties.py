@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfoptics import (
@@ -418,7 +418,7 @@ def reference_lowering(elements):
             theta = element.theta
             entry = (OP_SPLIT, element.mode_a, element.mode_b, (math.cos(theta), 1j * math.sin(theta)))
         elif isinstance(element, Checkpoint):
-            entry = (OP_SNAPSHOT, len(rows), 0, None)
+            entry = (OP_SNAPSHOT, 0, 0, None)
             rows[element.name] = len(rows)
         else:
             if element.label not in labels:
@@ -455,6 +455,20 @@ def test_nested_plan_is_the_element_by_element_lowering(theta1, theta2, bit):
     """A nested build's plan, the shared open plan with its outer couplers'
     coefficients spliced in, is the lowering of its elements one by one."""
     network = build_nested_network(NestedConfig(theta1, theta2), bit)
+    assert plan_columns(core.compile_network(network)) == plan_columns(
+        core._lower(network.elements, 3))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.integers(1, 6), st.integers(1, 40), angles, angles, angles, bits)
+@example(20, 400, None, None, None, 0)  # the deepest benchmarked chain, default angles
+@example(20, 400, None, None, None, 1)
+def test_chain_plan_is_the_element_by_element_lowering(outer, inner, outer_angle, inner_angle,
+                                                       final_angle, bit):
+    """A chain's plan, its first outer cycle lowered and repeated over every
+    cycle, is the lowering of its elements one by one."""
+    chain = ChainConfig(outer, inner, outer_angle, inner_angle, final_angle)
+    network = build_chain_network(chain, bit)
     assert plan_columns(core.compile_network(network)) == plan_columns(
         core._lower(network.elements, 3))
 

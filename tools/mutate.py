@@ -93,6 +93,14 @@ MUTANTS = (
            "_INNER = BeamSplitter(1, 2, math.pi / 4)",
            "_INNER = BeamSplitter(1, 2, math.pi / 4 + 1e-3)",
            ("tests/test_acceptance.py",)),
+    Mutant("one outer cycle too few repeated", "protocols.py",
+           "column[:-1] * chain.outer_cycles + column[-1:]",
+           "column[:-1] * (chain.outer_cycles - 1) + column[-1:]",
+           ("tests/test_properties.py",)),
+    Mutant("closing coupler repeated in every cycle", "protocols.py",
+           "column[:-1] * chain.outer_cycles + column[-1:]",
+           "column * chain.outer_cycles",
+           ("tests/test_properties.py",)),
     Mutant("chain ignores inner_angle", "protocols.py",
            "BeamSplitter(1, 2, chain.inner_angle)",
            "BeamSplitter(1, 2, chain.outer_angle)",
