@@ -252,6 +252,8 @@ def balance_root_solve(theta1: float, tol: float = 1e-10) -> float:
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float left between the ends
+            break
         gap_mid = signed_gap(mid)
         if gap_mid == 0.0:
             return mid

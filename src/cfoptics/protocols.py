@@ -125,21 +125,20 @@ _DISCARD = Discard(2, "discard")
 
 def _cycles(outer, inner, marks, bit: int, final) -> Tuple[Element, ...]:
     """Elements of the blockable nested layout, in the order that
-    :func:`build_chain_network` states, with one outer cycle per entry
-    ``(to_charlie, to_bob, from_bob, to_alice)`` of ``marks``; ``to_bob``
-    and ``from_bob`` hold one checkpoint per inner cycle, and ``final``
-    closes the layout."""
+    :func:`build_chain_network` states, with one outer cycle per tuple of
+    ``marks``: its checkpoints in element order, which is snapshot-row order,
+    sliced as :func:`_leg_columns` slices the rows; ``final`` closes it."""
     step = 4 if bit == 0 else 3
-    run = [inner] * (step * len(marks[0][1]))
+    run = [inner] * (step * (len(marks[0]) // 2 - 1))
     if bit == 0:
         run[2::4] = [_BOB_BLOCKER] * (len(run) // 4)
     elements = []
-    for to_charlie, to_bob, from_bob, to_alice in marks:
-        run[1::step] = to_bob
-        run[step - 1::step] = from_bob
-        elements += (outer, to_charlie)
+    for cycle in marks:
+        run[1::step] = cycle[1:-1:2]
+        run[step - 1::step] = cycle[2:-1:2]
+        elements += (outer, cycle[0])
         elements += run
-        elements += (inner, to_alice, _DISCARD)
+        elements += (inner, cycle[-1], _DISCARD)
     elements.append(final)
     return tuple(elements)
 
@@ -147,8 +146,7 @@ def _cycles(outer, inner, marks, bit: int, final) -> Tuple[Element, ...]:
 # The nested layout at each bit with open outer couplers, the one-cycle case
 # of :func:`_cycles`, built once per process: every nested build shares its
 # leg checkpoints, inner coupler, blocker and discard and its plan lists.
-_LEG_MARKS = [(Checkpoint(LEG_NAMES[0]), [Checkpoint(LEG_NAMES[1])], [Checkpoint(LEG_NAMES[2])],
-               Checkpoint(LEG_NAMES[3]))]
+_LEG_MARKS = [tuple(map(Checkpoint, LEG_NAMES))]
 _INNER = BeamSplitter(1, 2, math.pi / 4)
 _OPEN_NESTED = tuple(Network(3, _cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MARKS, bit,
                                       BeamSplitter(0, 1, 0.0))) for bit in (0, 1))
@@ -259,12 +257,12 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 
 
 # Work budget of one chained network, in elements.  A run's memory and time
-# grow linearly with its element count: run_chain(ChainConfig(50, 2000), b),
-# 400,251 elements at b = 0, takes 0.42-0.45 s when it makes the checkpoints
-# it shares with the other bit and 0.15 s when it reuses them (best of 5), in
-# a process of 123 MB peak RSS on a 2-vCPU Intel Xeon, so the budget holds
-# one network to under 1 s and 150 MB.  It is 15 times the 32,101 elements
-# of a 20 x 400 chain.
+# grow linearly with its element count.  At the slowest shape inside it,
+# 1 x 124,998 (one outer cycle, so nothing is repeated), run_chain takes
+# 0.87 s at b = 0, which makes the checkpoints both bits share, and 0.36 s
+# at b = 1, at 155 MB peak RSS; 50 x 2000 takes 0.50 s and 0.14 s at 122 MB
+# (best of 7, each pair in a fresh process on a 2-vCPU Intel Xeon).  It is
+# 15 times the 32,101 elements of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
 
 
@@ -338,36 +336,34 @@ class ChainOutcome:
         return self.p_d2 if self.bit == 0 else self.p_d1
 
 
-# Per outer cycle k: alice_to_charlie[k], the charlie_to_bob[k.j] and
-# bob_to_charlie[k.j] of its inner cycles j, and charlie_to_alice[k].
-_CycleMarks = Tuple[Checkpoint, List[Checkpoint], List[Checkpoint], Checkpoint]
-
 # Checkpoint names and their order depend only on the cycle counts, so the
-# two bit runs of a chain share one set and one name -> row index: the first
-# build makes them and leaves them here, the next build of the same cycle
-# counts takes them out.  At most one set waits here, and none once its pair
-# is built.
-_spare_checkpoints: Dict[Tuple[int, int], Tuple[List[_CycleMarks], Dict[str, int]]] = {}
+# two bit runs of a chain share one set (one tuple per outer cycle, in
+# snapshot-row order) and one name -> row index: the first build makes them
+# and leaves them here, the next build of the same cycle counts takes them
+# out.  At most one set waits here, and none once its pair is built.
+_spare_checkpoints: Dict[Tuple[int, int], Tuple[List[Tuple[Checkpoint, ...]], Dict[str, int]]] = {}
 
 
-def _chain_checkpoints(outer_cycles: int,
-                       inner_cycles: int) -> Tuple[List[_CycleMarks], Dict[str, int]]:
+def _chain_checkpoints(outer_cycles: int, inner_cycles: int
+                       ) -> Tuple[List[Tuple[Checkpoint, ...]], Dict[str, int]]:
+    """Per outer cycle, the tuple of its checkpoints in element order, named as
+    :func:`build_chain_network` states, and each name's snapshot row in turn."""
     key = (outer_cycles, inner_cycles)
     shared = _spare_checkpoints.pop(key, None)
     if shared is not None:
         return shared
     _spare_checkpoints.clear()
-    outer = range(1, outer_cycles + 1)
-    steps = [[f"[{k}.{j}]" for j in range(1, inner_cycles + 1)] for k in outer]
-    marks = list(zip(
-        [Checkpoint(f"alice_to_charlie[{k}]") for k in outer],
-        [[Checkpoint("charlie_to_bob" + step) for step in row] for row in steps],
-        [[Checkpoint("bob_to_charlie" + step) for step in row] for row in steps],
-        [Checkpoint(f"charlie_to_alice[{k}]") for k in outer],
-    ))
-    order = (mark.name for first, to_bob, from_bob, last in marks
-             for mark in (first, *itertools.chain(*zip(to_bob, from_bob)), last))
-    shared = _spare_checkpoints[key] = marks, dict(zip(order, itertools.count()))
+    to_charlie, to_bob, from_bob, to_alice = LEG_NAMES
+    marks, rows = [], {}
+    for k in range(1, outer_cycles + 1):
+        names = [f"{to_charlie}[{k}]"]
+        for j in range(1, inner_cycles + 1):
+            step = f"[{k}.{j}]"
+            names += (to_bob + step, from_bob + step)
+        names.append(f"{to_alice}[{k}]")
+        marks.append(tuple(map(Checkpoint, names)))
+        rows.update(zip(names, itertools.count(len(rows))))
+    shared = _spare_checkpoints[key] = marks, rows
     return shared
 
 
@@ -391,13 +387,14 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     marks, rows = _chain_checkpoints(chain.outer_cycles, chain.inner_cycles)
     outer, inner = BeamSplitter(0, 1, chain.outer_angle), BeamSplitter(1, 2, chain.inner_angle)
     final = BeamSplitter(0, 1, chain.final_angle)
+    elements = _cycles(outer, inner, marks, bit, final)
     # Every outer cycle lowers to the first one's entries (snapshot rows are
     # numbered in ``rows`` alone), so ``_lower`` takes the first cycle and the
     # closing coupler, and the rest is repeated.
-    plan = _lower(_cycles(outer, inner, marks[:1], bit, final), 3)
+    period = (len(elements) - 1) // chain.outer_cycles
+    plan = _lower(elements[:period] + elements[-1:], 3)
     columns = [column[:-1] * chain.outer_cycles + column[-1:] for column in plan[:4]]
-    return Network(3, _cycles(outer, inner, marks, bit, final),
-                   _lowered=_Plan(*columns, plan.ledger_labels, rows))
+    return Network(3, elements, _lowered=_Plan(*columns, plan.ledger_labels, rows))
 
 
 def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:

@@ -330,6 +330,25 @@ class TestBalanceRootSolve:
         with pytest.raises(DomainError):
             balance_root_solve(0.5, 0.0)
 
+    def test_stops_when_no_float_lies_between_the_ends(self, monkeypatch):
+        """A tol below the float spacing at the root used to loop forever;
+        counting channel evaluations makes such a loop fail, not hang."""
+        calls = 0
+        channel = analysis.channel_from_protocol
+
+        def counted(config):
+            nonlocal calls
+            calls += 1
+            if calls > 2000:
+                raise AssertionError("bisection ran past 2,000 channel evaluations")
+            return channel(config)
+
+        monkeypatch.setattr(analysis, "channel_from_protocol", counted)
+        for theta1 in (0.04623829059313635, 0.25, 0.5, 0.773695499455931, 1.0, 1.1):
+            calls = 0
+            root = balance_root_solve(theta1, 1e-300)
+            assert root == pytest.approx(balanced_theta2(theta1), abs=1e-12)
+
     def test_refuses_booleans(self):
         # tol=True used to run a single halving and return pi/8
         with pytest.raises(DomainError, match="tol"):

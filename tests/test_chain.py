@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import weakref
 
@@ -28,7 +29,7 @@ from cfoptics import (
 from cfoptics.protocols import MAX_CHAIN_ELEMENTS, _chain_element_count
 from helpers import chain_matrix_oracle
 
-SCHEDULE = ((2, 4), (5, 25), (10, 100))
+SCHEDULE = ((2, 4), (5, 25), (10, 100), (20, 400))
 
 
 def full_signature(element):
@@ -271,8 +272,8 @@ class TestChainWitnesses:
                 assert run_chain(chain, bit).leg_peaks == expected
 
     def test_conservation(self):
-        for bit in (0, 1):
-            outcome = run_chain(ChainConfig(5, 25), bit)
+        for cycles, bit in itertools.product(SCHEDULE, (0, 1)):
+            outcome = run_chain(ChainConfig(*cycles), bit)
             total = (
                 outcome.p_d1
                 + outcome.p_d2

@@ -69,6 +69,12 @@ MUTANTS = (
            "rows = matrix.reshape(outer_cycles, 2 * inner_cycles + 2, 3)",
            "rows = matrix[::-1].reshape(outer_cycles, 2 * inner_cycles + 2, 3)",
            ("tests/test_protocols.py", "tests/test_chain.py")),
+    # Safe to run: the bisection test counts channel evaluations and fails
+    # past its bound instead of hanging.
+    Mutant("bisection ignores adjacent endpoints", "analysis.py",
+           "        if not lo < mid < hi:  # no float left between the ends\n            break\n",
+           "",
+           ("tests/test_analysis.py",)),
     Mutant("worst simplex vertex returned", "analysis.py",
            "value, point = max(vertices, key=lambda vertex: vertex[0])",
            "value, point = min(vertices, key=lambda vertex: vertex[0])",
@@ -101,6 +107,10 @@ MUTANTS = (
            "column[:-1] * chain.outer_cycles + column[-1:]",
            "column * chain.outer_cycles",
            ("tests/test_properties.py",)),
+    Mutant("chain rows restart each cycle", "protocols.py",
+           "itertools.count(len(rows))",
+           "itertools.count()",
+           ("tests/test_chain.py",)),
     Mutant("chain ignores inner_angle", "protocols.py",
            "BeamSplitter(1, 2, chain.inner_angle)",
            "BeamSplitter(1, 2, chain.outer_angle)",
