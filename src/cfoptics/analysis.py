@@ -61,10 +61,11 @@ class ChannelModel:
             (a, b, c), (d, e, f) = self.p_given_b
         except (TypeError, ValueError):
             raise DomainError("channel matrix must be 2x3") from None
-        # An entry _finite_real refuses reads as nan, so it fails the
-        # finiteness test below.
-        a, b, c, d, e, f = (math.nan if (p := _finite_real(x)) is None else p
-                            for x in (a, b, c, d, e, f))
+        # Exact floats stand as they are (nan and the infinities fail both
+        # tests below); any other entry _finite_real refuses reads as nan.
+        if not type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is float:
+            a, b, c, d, e, f = (math.nan if (p := _finite_real(x)) is None else p
+                                for x in (a, b, c, d, e, f))
         # Six entries: straight-line float checks cost far less than numpy
         # calls.  A comparison with nan is false, so the range test alone
         # passes only finite entries; its failure finds the first error.
@@ -304,9 +305,9 @@ def _simplex_max(f, x0, step, max_iter):
 _OBJECTIVE_NAMES = ("min-success", "mutual-info-uniform")
 
 # Work budget of one optimization, in channel evaluations.  An evaluation
-# (two protocol runs and the objective) takes about 38 us on an Intel Xeon
+# (two protocol runs and the objective) takes about 28 us on an Intel Xeon
 # (best of 7 ``optimize_angles("min-success", 24, 200)`` over its 842), so
-# the budget, 11 times the 1,379 that grid 24 and refine 200 allow, is ~0.6 s.
+# the budget, 11 times the 1,379 that grid 24 and refine 200 allow, is ~0.4 s.
 MAX_OPTIMIZE_EVALUATIONS = 15_000
 
 

@@ -290,8 +290,8 @@ def _cmd_simulate(spec: Dict[str, object]) -> Tuple[dict, dict]:
 
 
 # Work budget of one sweep, in rows.  A row (two protocol runs, the channel
-# measures and its rendering) takes about 48 us on an Intel Xeon (best of 7
-# ``sweep --theta1 0.05:1.0 --balanced --steps 2000``), so ~0.5 s in all.
+# measures and its rendering) takes about 37 us on an Intel Xeon (best of 7
+# ``sweep --theta1 0.05:1.0 --balanced --steps 2000``), so ~0.4 s in all.
 MAX_SWEEP_STEPS = 10_000
 
 
@@ -419,8 +419,18 @@ _COMMANDS = {
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes ``--flag -1:1`` as ``--flag=-1:1``: every option but ``-h`` is long, so a token
+    of one dash is a value (argparse alone reads only plain negative decimals so)."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("--") or arg_string in self._option_string_actions:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfoptics",
         description=(
             "Simulate nested-interferometer bit transmission, analyze the induced "

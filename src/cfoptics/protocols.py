@@ -97,9 +97,10 @@ class NestedConfig:
             object.__setattr__(self, "theta1", theta1)
         if theta2 is not self.theta2:
             object.__setattr__(self, "theta2", theta2)
-        # Not a field: both bit networks of an evaluation share these couplers.
+        # Not fields: both bit networks of an evaluation share these.
         outer = (BeamSplitter(0, 1, theta1), BeamSplitter(0, 1, theta2))
         object.__setattr__(self, "_outer_couplers", outer)
+        object.__setattr__(self, "_outer_coeff", (_coupler_coeff(theta1), _coupler_coeff(theta2)))
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,8 @@ _LEG_MARKS = [tuple(map(Checkpoint, LEG_NAMES))]
 _INNER = BeamSplitter(1, 2, math.pi / 4)
 _OPEN_NESTED = tuple(Network(3, _cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MARKS, bit,
                                       BeamSplitter(0, 1, 0.0))) for bit in (0, 1))
+# Per bit, what every build shares: the elements and pairs between the outer couplers, the plan.
+_NESTED_MIDDLES = tuple((n.elements[1:-1], n._plan.coeff[1:-1], n._plan) for n in _OPEN_NESTED)
 
 # Every run starts from one excitation in mode 0.  ``propagate`` never
 # writes to its input, so one read-only state serves every run.
@@ -165,16 +168,16 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
     (1, 2); discard of mode 2; outer coupler theta2 on (0, 1).  Leg
     checkpoints surround the blocker slot and the inner couplers.
 
-    The network is its bit's open layout with the two outer couplers (made
-    once per ``config`` from checked angles) in place: only their
-    coefficient pairs are computed and spliced into the shared plan.
+    The network is its bit's open layout with the two outer couplers and
+    their coefficient pairs, made once per ``config`` from checked angles,
+    spliced in; the pairs go into a fresh copy of the shared coefficient list.
     """
     bit = _validate_bit(bit)
-    first, last = config._outer_couplers
-    base = _OPEN_NESTED[bit]
-    plan = base._plan
-    coeff = [_coupler_coeff(first.theta), *plan.coeff[1:-1], _coupler_coeff(last.theta)]
-    return Network(3, (first, *base.elements[1:-1], last), _lowered=plan._replace(coeff=coeff))
+    (first, last), (first_coeff, last_coeff) = config._outer_couplers, config._outer_coeff
+    middle, middle_coeff, plan = _NESTED_MIDDLES[bit]
+    coeff = [first_coeff, *middle_coeff, last_coeff]
+    return Network(3, (first, *middle, last), _lowered=_Plan(
+        plan.ops, plan.arg_a, plan.arg_b, coeff, plan.ledger_labels, plan.checkpoint_rows))
 
 
 def _readout(final: ModeState) -> Tuple[float, float, Dict[str, float]]:
@@ -354,12 +357,13 @@ def _chain_checkpoints(outer_cycles: int, inner_cycles: int
         return shared
     _spare_checkpoints.clear()
     to_charlie, to_bob, from_bob, to_alice = LEG_NAMES
+    ends = [f".{j}]" for j in range(1, inner_cycles + 1)]  # shared, so a name is one concatenation
     marks, rows = [], {}
     for k in range(1, outer_cycles + 1):
+        there, back = f"{to_bob}[{k}", f"{from_bob}[{k}"
         names = [f"{to_charlie}[{k}]"]
-        for j in range(1, inner_cycles + 1):
-            step = f"[{k}.{j}]"
-            names += (to_bob + step, from_bob + step)
+        for end in ends:
+            names += (there + end, back + end)
         names.append(f"{to_alice}[{k}]")
         marks.append(tuple(map(Checkpoint, names)))
         rows.update(zip(names, itertools.count(len(rows))))

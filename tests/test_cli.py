@@ -510,6 +510,58 @@ class TestRealParameters:
         assert 0 < len(accepted) < len(self.VALUES[case])
 
 
+class TestValuesWithALeadingDash:
+    """A value that begins with one dash is read alike after ``--flag``,
+    after ``--flag=`` and as a config string, whether it is accepted or
+    refused; argparse alone would take ``-1:1``, ``-1e-3`` and ``-inf`` as
+    options.  A flag followed by another still lacks its value."""
+
+    # case -> (the rest of its command, the same as config keys, the values accepted)
+    CASES = {
+        "theta1": (("simulate", "--theta2", "0.3", "--bit", "0"), {"theta2": 0.3, "bit": 0},
+                   {"-1e-3", "-.5"}),
+        "theta2": (("simulate", "--theta1", "0.25", "--bit", "0"), {"theta1": 0.25, "bit": 0},
+                   {"-1e-3", "-.5"}),
+        "theta1-range": (("sweep", "--theta2", "0.1", "--steps", "3"), {"theta2": 0.1, "steps": 3},
+                         {"-1:1"}),
+        "steps": (("sweep", "--theta1", "0.1:0.5", "--balanced"),
+                  {"theta1": "0.1:0.5", "balanced": True}, set()),
+        "tol": (("capacity", "--theta1", "0.25", "--balanced"), {"theta1": 0.25, "balanced": True}, set()),
+        "bits": (("classical",), {}, set()),
+        "outer": (("chain", "--inner", "2"), {"inner": "2"}, set()),
+    }
+    VALUES = ("-1:1", "-1e-3", "-.5", "-inf")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_space_equals_and_config_forms_agree(self, case, capsys, tmp_path):
+        argv, base, accepted = self.CASES[case]
+        key = case.split("-")[0]
+        config = tmp_path / "run.json"
+        for text in self.VALUES:
+            config.write_text(json.dumps(dict(base, **{key: text})))
+            results = []
+            for call in ((*argv, f"--{key}", text), (*argv, f"--{key}={text}"),
+                         (argv[0], "--config", str(config))):
+                code, out, err = run_cli(capsys, *call)
+                results.append((code, out, timing_masked(err)))
+            assert results[0] == results[1] == results[2], text
+            code, out, err = results[0]
+            if text in accepted:
+                assert code == 0 and out, text
+            else:
+                assert code == 2 and out == "" and key in err, text
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--theta1", "--theta2", "0.3", "--bit", "0"),
+        ("sweep", "--theta1", "--steps", "3"),
+    ])
+    def test_a_flag_before_another_lacks_its_value(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "argument --theta1: expected one argument" in capsys.readouterr().err
+
+
 class TestSwitchParameters:
     """The config key ``balanced`` is the ``--balanced`` flag when JSON
     true, its absence when false or null, and any other value exits 2."""

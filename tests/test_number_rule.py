@@ -21,6 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfoptics import (
     BeamSplitter,
@@ -299,3 +301,51 @@ def test_cli_refuses_a_400_digit_config_number(tmp_path, command, config, name):
     assert completed.stderr.startswith(f"cfoptics {command}: error: {name} must be ")
     assert "Traceback" not in completed.stderr
 
+
+
+class _Float(float):
+    """A float that is no exact ``float``, so an entry point reads it by
+    the number rule."""
+
+
+# Entries at the edges of ChannelModel's checks: nan, the infinities, the
+# signed zeros and numbers just inside and just outside its 1e-12 tolerance
+# around [0, 1].
+_CHANNEL_EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1.0, -5e-13, -1e-12, -2e-12,
+                  1 + 5e-13, 1 + 1e-12, 1 + 2e-12)
+_CHANNEL_ENTRY = st.one_of(st.sampled_from(_CHANNEL_EDGES), st.floats(-1e-11, 1 + 1e-11), st.floats())
+_CLOSE_TO_A_PROBABILITY = st.one_of(st.sampled_from((0.0, -0.0, -5e-13, 1.0, 1 + 5e-13)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _channel_rows(draw):
+    """Two rows of three floats: drawn entry by entry, or two entries near
+    [0, 1] and a third that makes the sum 1 up to an offset near the
+    tolerance."""
+    rows = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            rows.append(tuple(draw(_CHANNEL_ENTRY) for _ in range(3)))
+            continue
+        p = draw(_CLOSE_TO_A_PROBABILITY)
+        q = draw(_CLOSE_TO_A_PROBABILITY) * (1.0 - p)
+        offset = draw(st.sampled_from((0.0, 5e-13, -5e-13, 2e-12, -2e-12)))
+        rows.append((p, q, 1.0 - p - q + offset))
+    return rows
+
+
+def _channel_bytes_or_error(rows):
+    try:
+        return ChannelModel(rows).p_given_b.tobytes()
+    except Exception as exc:  # compared, not hidden: both builds must agree
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_channel_rows())
+def test_exact_float_channel_entries_read_as_the_number_rule_reads_them(rows):
+    """ChannelModel takes six exact floats as they are and reads any other
+    entries by the number rule; either way it stores the same bytes or
+    refuses with the same error and message."""
+    wrapped = [[_Float(p) for p in row] for row in rows]
+    assert _channel_bytes_or_error(rows) == _channel_bytes_or_error(wrapped)

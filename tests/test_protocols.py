@@ -96,8 +96,8 @@ class TestNetworkStructure:
 
 class TestNestedPlans:
     """Each bit's open nested network is built once; every nested build
-    shares its constant elements and plan lists and computes only the
-    coefficient pairs of its two outer couplers."""
+    shares its constant elements and plan lists and splices in its two
+    outer couplers and their coefficient pairs, made once per config."""
 
     @staticmethod
     def shared():
@@ -129,6 +129,19 @@ class TestNestedPlans:
             assert plan.coeff[-1] == (math.cos(0.7), 1j * math.sin(0.7))
             assert all(a is b for a, b in zip(plan.coeff[1:-1], shared.coeff[1:-1]))
             assert shared.coeff[0] == shared.coeff[-1] == (1.0, 0j)
+
+    def test_an_evaluation_makes_two_coefficient_pairs(self, monkeypatch):
+        """Both bit networks of a channel evaluation share the pairs that
+        its config makes, one per outer coupler."""
+        made = []
+
+        def counted(theta):
+            made.append(theta)
+            return core._coupler_coeff(theta)
+
+        monkeypatch.setattr(protocols, "_coupler_coeff", counted)
+        channel_from_protocol(NestedConfig(0.3, 0.7))
+        assert made == [0.3, 0.7]
 
     def test_shared_plans_survive_many_evaluations_and_failed_builds(self):
         before = self.shared()

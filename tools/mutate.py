@@ -39,11 +39,18 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("splice writes into the shared plan", "protocols.py",
-           "coeff = [_coupler_coeff(first.theta), *plan.coeff[1:-1], _coupler_coeff(last.theta)]",
+           "coeff = [first_coeff, *middle_coeff, last_coeff]",
            "coeff = plan.coeff\n"
-           "    coeff[0] = _coupler_coeff(first.theta)\n"
-           "    coeff[-1] = _coupler_coeff(last.theta)",
+           "    coeff[0], coeff[-1] = first_coeff, last_coeff",
            ("tests/test_protocols.py",)),
+    Mutant("outer coefficient pairs swapped", "protocols.py",
+           "(first_coeff, last_coeff) = config._outer_couplers, config._outer_coeff",
+           "(last_coeff, first_coeff) = config._outer_couplers, config._outer_coeff",
+           ("tests/test_protocols.py",)),
+    Mutant("channel entries skip the number rule", "analysis.py",
+           "if not type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is float:",
+           "if not True:",
+           ("tests/test_number_rule.py",)),
     Mutant("snapshot rows returned as copies", "core.py",
            "return self.matrix[self._rows[name]]",
            "return self.matrix[self._rows[name]].copy()",
