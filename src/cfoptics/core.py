@@ -20,7 +20,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -227,8 +227,9 @@ class _Plan(NamedTuple):
     (``checkpoint_rows``: name -> row, the only place rows are numbered)
     follow plan order; a snapshot entry's arguments are 0.  As no entry
     holds a per-cycle value, a chain's plan is one outer cycle's entries
-    repeated.  A plan is read-only, so networks may share its lists and
-    its ``checkpoint_rows``.
+    repeated.  ``checkpoint_rows`` is a read-only mapping (a chain's names
+    its rows on first read).  A plan is read-only, so networks may share
+    its lists and its ``checkpoint_rows``.
     """
 
     ops: List[int]
@@ -236,7 +237,7 @@ class _Plan(NamedTuple):
     arg_b: List[int]
     coeff: List[Optional[Tuple[float, complex]]]
     ledger_labels: Tuple[str, ...]
-    checkpoint_rows: Dict[str, int]
+    checkpoint_rows: Mapping[str, int]
 
 
 @dataclass(frozen=True)
@@ -254,15 +255,19 @@ class Network:
     pairs of its two outer couplers into a shared plan, and a chain passes
     its first outer cycle's plan repeated over every cycle.  None, the
     default, lowers the elements here.  ``dataclasses.replace`` does not
-    carry it over, so a replaced network is lowered again.
+    carry it over, so a replaced network is lowered again.  A chain also
+    passes ``_build``, a picklable callable (no closure) that makes its
+    elements on their first read, by ``==``, ``hash`` and ``repr`` too; it
+    is kept as ``_builder``, which ``replace`` does not read either.
     """
 
     mode_count: int
     elements: Tuple[Element, ...] = field(default_factory=tuple)
     _plan: _Plan = field(init=False, repr=False, compare=False)
     _lowered: InitVar[Optional[_Plan]] = field(default=None, kw_only=True)
+    _build: InitVar[Optional[Callable[[], Tuple[Element, ...]]]] = field(default=None, kw_only=True)
 
-    def __post_init__(self, _lowered):
+    def __post_init__(self, _lowered, _build):
         if (mode_count := _integer(self.mode_count)) is None or not 1 <= mode_count <= MAX_MODES:
             raise InvalidNetworkError(f"mode_count must be an integer from 1 to {MAX_MODES}")
         object.__setattr__(self, "mode_count", mode_count)
@@ -275,6 +280,20 @@ class Network:
             elements = tuple(iterator)
             object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_plan", _lowered or _lower(elements, mode_count))
+        if _build is not None:
+            del self.__dict__["elements"]
+            self.__dict__["_builder"] = _build
+
+
+class _BuiltOnRead:
+    """``Network.elements`` of a network given ``_build``: made by it on first
+    read and stored on the network, which shadows this non-data descriptor."""
+
+    def __get__(self, network, owner=None):
+        return self if network is None else vars(network).setdefault("elements", network._builder())
+
+
+Network.elements = _BuiltOnRead()
 
 
 def _lower(elements, mode_count):
@@ -316,7 +335,7 @@ class Snapshots(Mapping):
 
     __slots__ = ("_rows", "matrix")
 
-    def __init__(self, rows: Dict[str, int], matrix: np.ndarray):
+    def __init__(self, rows: Mapping[str, int], matrix: np.ndarray):
         self._rows = rows
         self.matrix = matrix
 

@@ -18,11 +18,12 @@ outer arm (D2), mode 2 the inner far arm on Bob's side.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -262,8 +263,8 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 # Work budget of one chained network, in elements.  A run's memory and time
 # grow linearly with its element count.  At the slowest shape inside it,
 # 1 x 124,998 (one outer cycle, so nothing is repeated), run_chain takes
-# 0.87 s at b = 0, which makes the checkpoints both bits share, and 0.36 s
-# at b = 1, at 155 MB peak RSS; 50 x 2000 takes 0.50 s and 0.14 s at 122 MB
+# 0.81 s at b = 0, which makes the checkpoints both bits share, and 0.36 s
+# at b = 1, at 128 MB peak RSS; 50 x 2000 takes 0.14 s and 0.11 s at 65 MB
 # (best of 7, each pair in a fresh process on a 2-vCPU Intel Xeon).  It is
 # 15 times the 32,101 elements of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
@@ -339,36 +340,53 @@ class ChainOutcome:
         return self.p_d2 if self.bit == 0 else self.p_d1
 
 
+@dataclass(eq=False)
+class _ChainRows(Mapping):
+    """A chain's checkpoint name -> snapshot row index, in row order: its length
+    is counted, its names are made on first read; it holds no :class:`Checkpoint`."""
+
+    cycles: Tuple[int, int]  # (outer_cycles, inner_cycles)
+
+    def names(self, first: int = 1) -> Iterator[List[str]]:
+        """Per outer cycle from ``first`` on, its checkpoint names in element order."""
+        to_charlie, to_bob, from_bob, to_alice = LEG_NAMES
+        ends = [f".{j}]" for j in range(1, self.cycles[1] + 1)]  # so a name is one concatenation
+        for k in range(first, self.cycles[0] + 1):
+            there, back = f"{to_bob}[{k}", f"{from_bob}[{k}"
+            names = [f"{to_charlie}[{k}]"]
+            for end in ends:
+                names += (there + end, back + end)
+            names.append(f"{to_alice}[{k}]")
+            yield names
+
+    @functools.cached_property
+    def _index(self) -> Dict[str, int]:
+        return dict(zip(itertools.chain.from_iterable(self.names()), itertools.count()))
+
+    def __getitem__(self, name):
+        return self._index[name]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return self.cycles[0] * (2 * self.cycles[1] + 2)
+
+
 # Checkpoint names and their order depend only on the cycle counts, so the
-# two bit runs of a chain share one set (one tuple per outer cycle, in
-# snapshot-row order) and one name -> row index: the first build makes them
-# and leaves them here, the next build of the same cycle counts takes them
-# out.  At most one set waits here, and none once its pair is built.
-_spare_checkpoints: Dict[Tuple[int, int], Tuple[List[Tuple[Checkpoint, ...]], Dict[str, int]]] = {}
+# two bit runs of a chain share one set (a list of one tuple per outer cycle,
+# in snapshot-row order; ``_chain_elements`` adds all but the first) and one
+# name -> row index.  The first build leaves them here for the second to take:
+# at most one set waits here, and none once its pair is built.
+_spare_checkpoints: Dict[Tuple[int, int], Tuple[List[Tuple[Checkpoint, ...]], _ChainRows]] = {}
 
 
-def _chain_checkpoints(outer_cycles: int, inner_cycles: int
-                       ) -> Tuple[List[Tuple[Checkpoint, ...]], Dict[str, int]]:
-    """Per outer cycle, the tuple of its checkpoints in element order, named as
-    :func:`build_chain_network` states, and each name's snapshot row in turn."""
-    key = (outer_cycles, inner_cycles)
-    shared = _spare_checkpoints.pop(key, None)
-    if shared is not None:
-        return shared
-    _spare_checkpoints.clear()
-    to_charlie, to_bob, from_bob, to_alice = LEG_NAMES
-    ends = [f".{j}]" for j in range(1, inner_cycles + 1)]  # shared, so a name is one concatenation
-    marks, rows = [], {}
-    for k in range(1, outer_cycles + 1):
-        there, back = f"{to_bob}[{k}", f"{from_bob}[{k}"
-        names = [f"{to_charlie}[{k}]"]
-        for end in ends:
-            names += (there + end, back + end)
-        names.append(f"{to_alice}[{k}]")
-        marks.append(tuple(map(Checkpoint, names)))
-        rows.update(zip(names, itertools.count(len(rows))))
-    shared = _spare_checkpoints[key] = marks, rows
-    return shared
+def _chain_elements(rows, marks, bit: int, outer, inner, final) -> Tuple[Element, ...]:
+    """A chain network's elements; the first call of either bit makes the
+    later outer cycles' checkpoints into ``marks``, shared by both."""
+    if len(marks) < rows.cycles[0]:
+        marks[1:] = [tuple(map(Checkpoint, names)) for names in rows.names(2)]
+    return _cycles(outer, inner, marks, bit, final)
 
 
 def build_chain_network(chain: ChainConfig, bit: int) -> Network:
@@ -385,20 +403,26 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     ``charlie_to_bob[k.j]``, Bob's blocker iff ``bit == 0``,
     ``bob_to_charlie[k.j]``; then the inner coupler,
     ``charlie_to_alice[k]`` and the discard.  The final coupler closes the
-    network.
+    network.  Only its first outer cycle and closing coupler are built at
+    once; the rest is built, and the rows named, when first read.
     """
     bit = _validate_bit(bit)
-    marks, rows = _chain_checkpoints(chain.outer_cycles, chain.inner_cycles)
+    key = (chain.outer_cycles, chain.inner_cycles)
+    shared = _spare_checkpoints.pop(key, None)
+    if shared is None:
+        _spare_checkpoints.clear()
+        rows = _ChainRows(key)
+        shared = _spare_checkpoints[key] = [tuple(map(Checkpoint, next(rows.names())))], rows
+    marks, rows = shared
     outer, inner = BeamSplitter(0, 1, chain.outer_angle), BeamSplitter(1, 2, chain.inner_angle)
     final = BeamSplitter(0, 1, chain.final_angle)
-    elements = _cycles(outer, inner, marks, bit, final)
     # Every outer cycle lowers to the first one's entries (snapshot rows are
     # numbered in ``rows`` alone), so ``_lower`` takes the first cycle and the
     # closing coupler, and the rest is repeated.
-    period = (len(elements) - 1) // chain.outer_cycles
-    plan = _lower(elements[:period] + elements[-1:], 3)
+    plan = _lower(_cycles(outer, inner, marks[:1], bit, final), 3)
     columns = [column[:-1] * chain.outer_cycles + column[-1:] for column in plan[:4]]
-    return Network(3, elements, _lowered=_Plan(*columns, plan.ledger_labels, rows))
+    build = functools.partial(_chain_elements, rows, marks, bit, outer, inner, final)
+    return Network(3, _lowered=_Plan(*columns, plan.ledger_labels, rows), _build=build)
 
 
 def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
@@ -408,6 +432,7 @@ def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
     all same-named checkpoints; the counterfactual statements then read
     ``leg_peaks["bob_to_charlie"] == 0`` for ``bit == 0`` and
     ``leg_peaks["charlie_to_alice"] ~ 0`` for ``bit == 1`` at default angles.
+    The peaks are read from the snapshot matrix by position.
     """
     final, checkpoints = propagate(build_chain_network(chain, bit), _SINGLE_PHOTON)
     columns = _leg_columns(checkpoints.matrix, chain.outer_cycles, chain.inner_cycles)

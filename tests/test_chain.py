@@ -1,9 +1,11 @@
 """Chained-network generalization against an independent matrix-product oracle."""
 
+import copy
 import dataclasses
 import gc
 import itertools
 import math
+import pickle
 import weakref
 
 import pytest
@@ -20,6 +22,7 @@ from cfoptics import (
     DomainError,
     ModeState,
     NestedConfig,
+    Network,
     build_chain_network,
     build_nested_network,
     propagate,
@@ -52,6 +55,20 @@ def reference_chain_signatures(chain, bit):
         signatures += [inner, (Checkpoint, f"charlie_to_alice[{k}]"), (Discard, 2, "discard")]
     signatures.append((BeamSplitter, 0, 1, chain.final_angle))
     return signatures
+
+
+def assert_acts_as(network, eager):
+    """``network`` equals, hashes, shows, compiles and propagates as ``eager``."""
+    assert network == eager and eager == network
+    assert hash(network) == hash(eager) and repr(network) == repr(eager)
+    assert core.compile_network(network) == core.compile_network(eager)
+    state = ModeState.single_photon(3)
+    (final, checkpoints), (eager_final, eager_checkpoints) = (
+        propagate(network, state), propagate(eager, state))
+    assert (final.amplitudes == eager_final.amplitudes).all()
+    assert final.absorbed == eager_final.absorbed
+    assert list(checkpoints) == list(eager_checkpoints)
+    assert (checkpoints.matrix == eager_checkpoints.matrix).all()
 
 
 def element_signature(element):
@@ -175,6 +192,94 @@ class TestChainLayout:
         assert indexes[later][0] is indexes[later][1]
         assert all(ref() is None for ref in refs[unpaired] + refs[later])
         assert index_holders(unpaired) == index_holders(later) == []
+
+    def test_a_run_makes_one_outer_cycle_of_checkpoints(self, monkeypatch):
+        """A 20 x 400 pair makes only its first outer cycle's checkpoints,
+        which ``_lower`` checks, and names nothing more: the run reads the
+        snapshot matrix by position.  The rest is made on first read, the
+        same objects for both bits and the same rows as ``_lower`` gives."""
+        chain, per_cycle = ChainConfig(20, 400), 2 * 400 + 2
+        made, named, networks, snapshots = [], [], [], []
+        original_names = protocols._ChainRows.names
+        original_build, original_propagate = protocols.build_chain_network, protocols.propagate
+
+        def counting_checkpoint(name):
+            made.append(name)
+            return Checkpoint(name)
+
+        def counting_names(rows, first=1):
+            for names in original_names(rows, first):
+                named.extend(names)
+                yield names
+
+        def recording_build(chain, bit):
+            networks.append(original_build(chain, bit))
+            return networks[-1]
+
+        def recording_propagate(network, state):
+            final, checkpoints = original_propagate(network, state)
+            snapshots.append(checkpoints)
+            return final, checkpoints
+
+        monkeypatch.setattr(protocols, "_spare_checkpoints", {})
+        monkeypatch.setattr(protocols, "Checkpoint", counting_checkpoint)
+        monkeypatch.setattr(protocols._ChainRows, "names", counting_names)
+        monkeypatch.setattr(protocols, "build_chain_network", recording_build)
+        monkeypatch.setattr(protocols, "propagate", recording_propagate)
+        run_chain(chain, 0)
+        run_chain(chain, 1)
+        assert len(made) <= per_cycle
+        rows = [core.compile_network(network).checkpoint_rows for network in networks]
+        assert rows[0] is rows[1]
+        assert [len(checkpoints) for checkpoints in snapshots] == [20 * per_cycle] * 2
+        assert len(rows[0]) == 20 * per_cycle
+        assert len(named) <= per_cycle
+        elements = [network.elements for network in networks]
+        for bit in (0, 1):
+            signatures = [full_signature(e) for e in elements[bit]]
+            assert signatures == reference_chain_signatures(chain, bit)
+        marks = [[e for e in elements[bit] if type(e) is Checkpoint] for bit in (0, 1)]
+        assert len(marks[0]) == len(marks[1]) == len(made) == 20 * per_cycle
+        assert all(a is b for a, b in zip(*marks))
+        for network, checkpoints in zip(networks, snapshots):
+            lowered = core._lower(network.elements, 3).checkpoint_rows
+            assert list(core.compile_network(network).checkpoint_rows.items()) == list(
+                lowered.items())
+            assert list(checkpoints) == list(lowered)
+            assert all((checkpoints[name] == checkpoints.matrix[row]).all()
+                       for name, row in lowered.items())
+
+    @pytest.mark.parametrize("read", (False, True), ids=("unread", "read"))
+    def test_a_chain_network_acts_as_its_eager_equal(self, read):
+        """Copied, pickled, replaced, compared, hashed or shown, a chain
+        network, its elements read or not, is the network ``Network`` makes
+        of the same elements, and a copy propagates to the same result."""
+        chain = ChainConfig(3, 4)
+        for bit in (0, 1):
+            network = build_chain_network(chain, bit)
+            eager = Network(3, build_chain_network(chain, bit).elements)
+            if read:
+                assert network.elements == eager.elements
+            assert ("elements" in vars(network)) is read
+            copies = [pickle.loads(pickle.dumps(network, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies += [copy.copy(network), copy.deepcopy(network)]
+            assert all(("elements" in vars(c)) is read for c in copies)
+            copies += [dataclasses.replace(network), network]
+            for other in copies:
+                assert_acts_as(other, eager)
+
+    @pytest.mark.parametrize("read", (False, True), ids=("unread", "read"))
+    def test_a_replaced_chain_network_has_the_given_elements(self, read):
+        """``dataclasses.replace`` of a chain network with other elements,
+        its own read or not, is the network ``Network`` makes of those."""
+        network = build_chain_network(ChainConfig(3, 4), 0)
+        if read:
+            assert network.elements
+        other = Network(3, build_chain_network(ChainConfig(2, 3), 1).elements)
+        replaced = dataclasses.replace(network, elements=other.elements)
+        assert replaced.elements == other.elements
+        assert_acts_as(replaced, other)
 
 
 class TestReduction:

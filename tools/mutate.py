@@ -115,8 +115,20 @@ MUTANTS = (
            "column * chain.outer_cycles",
            ("tests/test_properties.py",)),
     Mutant("chain rows restart each cycle", "protocols.py",
-           "itertools.count(len(rows))",
            "itertools.count()",
+           "itertools.cycle(range(2 * self.cycles[1] + 2))",
+           ("tests/test_chain.py",)),
+    Mutant("run path names every cycle", "protocols.py",
+           "return Network(3, _lowered=_Plan(*columns, plan.ledger_labels, rows), _build=build)",
+           "return Network(3, build(), _lowered=_Plan(*columns, plan.ledger_labels, rows))",
+           ("tests/test_chain.py",)),
+    Mutant("builder stored under its InitVar name", "core.py",
+           'self.__dict__["_builder"] = _build',
+           'self.__dict__["_builder"] = self.__dict__["_build"] = _build',
+           ("tests/test_chain.py",)),
+    Mutant("deferred row count off by one cycle", "protocols.py",
+           "return self.cycles[0] * (2 * self.cycles[1] + 2)",
+           "return (self.cycles[0] - 1) * (2 * self.cycles[1] + 2)",
            ("tests/test_chain.py",)),
     Mutant("chain ignores inner_angle", "protocols.py",
            "BeamSplitter(1, 2, chain.inner_angle)",
