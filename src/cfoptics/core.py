@@ -226,9 +226,10 @@ class _Plan(NamedTuple):
     object share one pair.  Ledger slots and snapshot rows
     (``checkpoint_rows``: name -> row, the only place rows are numbered)
     follow plan order; a snapshot entry's arguments are 0.  As no entry
-    holds a per-cycle value, a chain's plan is one outer cycle's entries
-    repeated.  ``checkpoint_rows`` is a read-only mapping (a chain's names
-    its rows on first read).  A plan is read-only, so networks may share
+    holds a per-cycle value, a chain's plan is its one-cycle layout's
+    entries with the inner block repeated, and that outer cycle repeated.
+    ``checkpoint_rows`` is a read-only mapping (a chain's names its rows on
+    first read).  A plan is read-only, so networks may share
     its lists and its ``checkpoint_rows``.
     """
 
@@ -253,7 +254,7 @@ class Network:
     ``_lowered`` (keyword only, not a field) takes a plan already lowered
     from these elements: a nested protocol build puts the coefficient
     pairs of its two outer couplers into a shared plan, and a chain passes
-    its first outer cycle's plan repeated over every cycle.  None, the
+    the plan of its one-cycle layout, repeated over every cycle.  None, the
     default, lowers the elements here.  ``dataclasses.replace`` does not
     carry it over, so a replaced network is lowered again.  A chain also
     passes ``_build``, a picklable callable (no closure) that makes its

@@ -147,7 +147,8 @@ def _cycles(outer, inner, marks, bit: int, final) -> Tuple[Element, ...]:
 
 # The nested layout at each bit with open outer couplers, the one-cycle case
 # of :func:`_cycles`, built once per process: every nested build shares its
-# leg checkpoints, inner coupler, blocker and discard and its plan lists.
+# leg checkpoints, inner coupler, blocker and discard and its plan lists.  A
+# chain's plan is lowered from the same layout with its own couplers.
 _LEG_MARKS = [tuple(map(Checkpoint, LEG_NAMES))]
 _INNER = BeamSplitter(1, 2, math.pi / 4)
 _OPEN_NESTED = tuple(Network(3, _cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MARKS, bit,
@@ -261,12 +262,11 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 
 
 # Work budget of one chained network, in elements.  A run's memory and time
-# grow linearly with its element count.  At the slowest shape inside it,
-# 1 x 124,998 (one outer cycle, so nothing is repeated), run_chain takes
-# 0.81 s at b = 0, which makes the checkpoints both bits share, and 0.36 s
-# at b = 1, at 128 MB peak RSS; 50 x 2000 takes 0.14 s and 0.11 s at 65 MB
-# (best of 7, each pair in a fresh process on a 2-vCPU Intel Xeon).  It is
-# 15 times the 32,101 elements of a 20 x 400 chain.
+# grow linearly with its element count.  At its largest shape, 1 x 124,998,
+# run_chain takes 0.19 s at b = 0 and 0.14 s at b = 1, at 71 MB peak RSS;
+# 50 x 2000 takes 0.12 s and 0.09 s at 64 MB (best of 7, each pair in a
+# fresh process on a 2-vCPU Intel Xeon).  It is 15 times the 32,101
+# elements of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
 
 
@@ -342,16 +342,17 @@ class ChainOutcome:
 
 @dataclass(eq=False)
 class _ChainRows(Mapping):
-    """A chain's checkpoint name -> snapshot row index, in row order: its length
-    is counted, its names are made on first read; it holds no :class:`Checkpoint`."""
+    """A chain network's checkpoint name -> snapshot row index, in row order:
+    its length is counted, its names are made on first read; it holds no
+    :class:`Checkpoint`."""
 
     cycles: Tuple[int, int]  # (outer_cycles, inner_cycles)
 
-    def names(self, first: int = 1) -> Iterator[List[str]]:
-        """Per outer cycle from ``first`` on, its checkpoint names in element order."""
+    def names(self) -> Iterator[List[str]]:
+        """Per outer cycle, its checkpoint names in element order."""
         to_charlie, to_bob, from_bob, to_alice = LEG_NAMES
         ends = [f".{j}]" for j in range(1, self.cycles[1] + 1)]  # so a name is one concatenation
-        for k in range(first, self.cycles[0] + 1):
+        for k in range(1, self.cycles[0] + 1):
             there, back = f"{to_bob}[{k}", f"{from_bob}[{k}"
             names = [f"{to_charlie}[{k}]"]
             for end in ends:
@@ -373,20 +374,10 @@ class _ChainRows(Mapping):
         return self.cycles[0] * (2 * self.cycles[1] + 2)
 
 
-# Checkpoint names and their order depend only on the cycle counts, so the
-# two bit runs of a chain share one set (a list of one tuple per outer cycle,
-# in snapshot-row order; ``_chain_elements`` adds all but the first) and one
-# name -> row index.  The first build leaves them here for the second to take:
-# at most one set waits here, and none once its pair is built.
-_spare_checkpoints: Dict[Tuple[int, int], Tuple[List[Tuple[Checkpoint, ...]], _ChainRows]] = {}
-
-
-def _chain_elements(rows, marks, bit: int, outer, inner, final) -> Tuple[Element, ...]:
-    """A chain network's elements; the first call of either bit makes the
-    later outer cycles' checkpoints into ``marks``, shared by both."""
-    if len(marks) < rows.cycles[0]:
-        marks[1:] = [tuple(map(Checkpoint, names)) for names in rows.names(2)]
-    return _cycles(outer, inner, marks, bit, final)
+def _chain_elements(rows, bit: int, outer, inner, final) -> Tuple[Element, ...]:
+    """A chain network's elements, each checkpoint made from its name in ``rows``."""
+    return _cycles(outer, inner, [tuple(map(Checkpoint, names)) for names in rows.names()],
+                   bit, final)
 
 
 def build_chain_network(chain: ChainConfig, bit: int) -> Network:
@@ -403,25 +394,23 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     ``charlie_to_bob[k.j]``, Bob's blocker iff ``bit == 0``,
     ``bob_to_charlie[k.j]``; then the inner coupler,
     ``charlie_to_alice[k]`` and the discard.  The final coupler closes the
-    network.  Only its first outer cycle and closing coupler are built at
-    once; the rest is built, and the rows named, when first read.
+    network.  Its plan is the one-cycle layout's, lowered by ``_lower`` and
+    repeated at both levels; its elements are built, and its rows named,
+    when first read.
     """
     bit = _validate_bit(bit)
-    key = (chain.outer_cycles, chain.inner_cycles)
-    shared = _spare_checkpoints.pop(key, None)
-    if shared is None:
-        _spare_checkpoints.clear()
-        rows = _ChainRows(key)
-        shared = _spare_checkpoints[key] = [tuple(map(Checkpoint, next(rows.names())))], rows
-    marks, rows = shared
+    outer_cycles, inner_cycles = chain.outer_cycles, chain.inner_cycles
     outer, inner = BeamSplitter(0, 1, chain.outer_angle), BeamSplitter(1, 2, chain.inner_angle)
     final = BeamSplitter(0, 1, chain.final_angle)
-    # Every outer cycle lowers to the first one's entries (snapshot rows are
-    # numbered in ``rows`` alone), so ``_lower`` takes the first cycle and the
-    # closing coupler, and the rest is repeated.
-    plan = _lower(_cycles(outer, inner, marks[:1], bit, final), 3)
-    columns = [column[:-1] * chain.outer_cycles + column[-1:] for column in plan[:4]]
-    build = functools.partial(_chain_elements, rows, marks, bit, outer, inner, final)
+    # No plan entry holds a cycle index (snapshot rows are numbered in
+    # ``rows`` alone), so each column of the one-cycle plan, [outer coupler,
+    # checkpoint | inner block | inner coupler, checkpoint, discard | final
+    # coupler], gives the chain's by repeating its inner block, then its cycle.
+    plan = _lower(_cycles(outer, inner, _LEG_MARKS, bit, final), 3)
+    columns = [(c[:2] + c[2:-4] * inner_cycles + c[-4:-1]) * outer_cycles + c[-1:]
+               for c in plan[:4]]
+    rows = _ChainRows((outer_cycles, inner_cycles))
+    build = functools.partial(_chain_elements, rows, bit, outer, inner, final)
     return Network(3, _lowered=_Plan(*columns, plan.ledger_labels, rows), _build=build)
 
 

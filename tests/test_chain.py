@@ -147,57 +147,27 @@ class TestChainLayout:
         assert len(families) == (4 if bit == 0 else 3)
         assert all(len(objects) == 1 for objects in families.values())
 
-    def test_both_bits_share_one_checkpoint_set(self):
-        chain = ChainConfig(3, 5)
-        blocked, open_arm = (
-            [e for e in build_chain_network(chain, bit).elements if type(e) is Checkpoint]
-            for bit in (0, 1)
-        )
-        assert len(blocked) == len(open_arm) == 3 * (2 * 5 + 2)
-        assert all(a is b for a, b in zip(blocked, open_arm))
-
-    def test_checkpoints_do_not_outlive_their_pair(self, monkeypatch):
-        """Both bits of a chain share its checkpoints and one name -> row
-        index; once both have run, nothing holds either.  An unpaired run's
-        set goes when the next chain is built."""
-        refs, indexes = {}, {}
+    def test_an_unpaired_run_leaves_no_row_index(self, monkeypatch):
+        """Nothing holds a run's checkpoint rows once it returns, even with
+        no run of the other bit to follow."""
+        rows = []
 
         def recording_build(chain, bit):
             network = original_build(chain, bit)
-            refs.setdefault(chain, []).extend(
-                weakref.ref(e) for e in network.elements if type(e) is Checkpoint
-            )
-            indexes.setdefault(chain, []).append(network._plan.checkpoint_rows)
+            rows.append(weakref.ref(network._plan.checkpoint_rows))
             return network
-
-        def index_holders(chain):
-            """What holds ``chain``'s row index, besides this test's record."""
-            return [r for r in gc.get_referrers(indexes[chain][0]) if r is not indexes[chain]]
 
         original_build = protocols.build_chain_network
         monkeypatch.setattr(protocols, "build_chain_network", recording_build)
-        paired, unpaired, later = ChainConfig(2, 4), ChainConfig(3, 2), ChainConfig(1, 1)
-        run_chain(paired, 0)
-        run_chain(paired, 1)
-        run_chain(unpaired, 1)
+        run_chain(ChainConfig(3, 2), 1)
         gc.collect()
-        assert indexes[paired][0] is indexes[paired][1]
-        assert refs[paired] and all(ref() is None for ref in refs[paired])
-        assert index_holders(paired) == []
-        assert all(ref() is not None for ref in refs[unpaired])
-        assert index_holders(unpaired) != []
-        run_chain(later, 0)
-        run_chain(later, 1)
-        gc.collect()
-        assert indexes[later][0] is indexes[later][1]
-        assert all(ref() is None for ref in refs[unpaired] + refs[later])
-        assert index_holders(unpaired) == index_holders(later) == []
+        assert len(rows) == 1 and rows[0]() is None
 
-    def test_a_run_makes_one_outer_cycle_of_checkpoints(self, monkeypatch):
-        """A 20 x 400 pair makes only its first outer cycle's checkpoints,
-        which ``_lower`` checks, and names nothing more: the run reads the
-        snapshot matrix by position.  The rest is made on first read, the
-        same objects for both bits and the same rows as ``_lower`` gives."""
+    def test_a_run_makes_and_names_no_checkpoint(self, monkeypatch):
+        """A 20 x 400 pair makes no checkpoint and names no row: the run
+        reads the snapshot matrix by position.  The elements, made on first
+        read, and the rows, named on first read, are those of the reference
+        layout and of ``_lower``."""
         chain, per_cycle = ChainConfig(20, 400), 2 * 400 + 2
         made, named, networks, snapshots = [], [], [], []
         original_names = protocols._ChainRows.names
@@ -207,8 +177,8 @@ class TestChainLayout:
             made.append(name)
             return Checkpoint(name)
 
-        def counting_names(rows, first=1):
-            for names in original_names(rows, first):
+        def counting_names(rows):
+            for names in original_names(rows):
                 named.extend(names)
                 yield names
 
@@ -221,26 +191,20 @@ class TestChainLayout:
             snapshots.append(checkpoints)
             return final, checkpoints
 
-        monkeypatch.setattr(protocols, "_spare_checkpoints", {})
         monkeypatch.setattr(protocols, "Checkpoint", counting_checkpoint)
         monkeypatch.setattr(protocols._ChainRows, "names", counting_names)
         monkeypatch.setattr(protocols, "build_chain_network", recording_build)
         monkeypatch.setattr(protocols, "propagate", recording_propagate)
         run_chain(chain, 0)
         run_chain(chain, 1)
-        assert len(made) <= per_cycle
+        assert made == [] and named == []
         rows = [core.compile_network(network).checkpoint_rows for network in networks]
-        assert rows[0] is rows[1]
         assert [len(checkpoints) for checkpoints in snapshots] == [20 * per_cycle] * 2
-        assert len(rows[0]) == 20 * per_cycle
-        assert len(named) <= per_cycle
-        elements = [network.elements for network in networks]
-        for bit in (0, 1):
-            signatures = [full_signature(e) for e in elements[bit]]
+        assert [len(r) for r in rows] == [20 * per_cycle] * 2
+        assert named == []
+        for bit, network in enumerate(networks):
+            signatures = [full_signature(e) for e in network.elements]
             assert signatures == reference_chain_signatures(chain, bit)
-        marks = [[e for e in elements[bit] if type(e) is Checkpoint] for bit in (0, 1)]
-        assert len(marks[0]) == len(marks[1]) == len(made) == 20 * per_cycle
-        assert all(a is b for a, b in zip(*marks))
         for network, checkpoints in zip(networks, snapshots):
             lowered = core._lower(network.elements, 3).checkpoint_rows
             assert list(core.compile_network(network).checkpoint_rows.items()) == list(

@@ -463,10 +463,15 @@ def test_nested_plan_is_the_element_by_element_lowering(theta1, theta2, bit):
 @given(st.integers(1, 6), st.integers(1, 40), angles, angles, angles, bits)
 @example(20, 400, None, None, None, 0)  # the deepest benchmarked chain, default angles
 @example(20, 400, None, None, None, 1)
+@example(1, 2000, None, None, None, 0)  # the extremes of the two repetitions
+@example(1, 2000, None, None, None, 1)
+@example(50, 1, None, None, None, 0)
+@example(50, 1, None, None, None, 1)
 def test_chain_plan_is_the_element_by_element_lowering(outer, inner, outer_angle, inner_angle,
                                                        final_angle, bit):
-    """A chain's plan, its first outer cycle lowered and repeated over every
-    cycle, is the lowering of its elements one by one."""
+    """A chain's plan, the one-cycle layout lowered with its inner block
+    repeated over the inner cycles and the result over the outer cycles, is
+    the lowering of its elements one by one."""
     chain = ChainConfig(outer, inner, outer_angle, inner_angle, final_angle)
     network = build_chain_network(chain, bit)
     assert plan_columns(core.compile_network(network)) == plan_columns(

@@ -107,12 +107,20 @@ MUTANTS = (
            "_INNER = BeamSplitter(1, 2, math.pi / 4 + 1e-3)",
            ("tests/test_acceptance.py",)),
     Mutant("one outer cycle too few repeated", "protocols.py",
-           "column[:-1] * chain.outer_cycles + column[-1:]",
-           "column[:-1] * (chain.outer_cycles - 1) + column[-1:]",
+           "c[-4:-1]) * outer_cycles + c[-1:]",
+           "c[-4:-1]) * (outer_cycles - 1) + c[-1:]",
            ("tests/test_properties.py",)),
     Mutant("closing coupler repeated in every cycle", "protocols.py",
-           "column[:-1] * chain.outer_cycles + column[-1:]",
-           "column * chain.outer_cycles",
+           "c[-4:-1]) * outer_cycles + c[-1:]",
+           "c[-4:]) * outer_cycles",
+           ("tests/test_properties.py",)),
+    Mutant("one inner cycle too few repeated", "protocols.py",
+           "c[2:-4] * inner_cycles",
+           "c[2:-4] * (inner_cycles - 1)",
+           ("tests/test_properties.py",)),
+    Mutant("closing inner coupler inside the inner block", "protocols.py",
+           "c[2:-4] * inner_cycles",
+           "c[2:-3] * inner_cycles",
            ("tests/test_properties.py",)),
     Mutant("chain rows restart each cycle", "protocols.py",
            "itertools.count()",
