@@ -45,13 +45,14 @@ _HALF_PI = math.pi / 2
 _ROW_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelModel:
     """Conditional distribution P(outcome | b) as a 2x3 row-stochastic matrix.
 
     Rows are the sender bits 0 and 1; columns are (D1, D2, none).  The six
     entries are read by the number rule; ``p_given_b`` is stored as a
-    float64 array built from the checked floats.
+    float64 array built from the checked floats.  Two channels are equal,
+    and hash alike, when their six entries are.
     """
 
     p_given_b: np.ndarray
@@ -88,6 +89,14 @@ class ChannelModel:
 
     def row(self, bit: int) -> np.ndarray:
         return self.p_given_b[_validate_bit(bit)]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p_given_b.tolist() == other.p_given_b.tolist()
+
+    def __hash__(self):
+        return hash(tuple(self.p_given_b.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -305,9 +314,10 @@ def _simplex_max(f, x0, step, max_iter):
 _OBJECTIVE_NAMES = ("min-success", "mutual-info-uniform")
 
 # Work budget of one optimization, in channel evaluations.  An evaluation
-# (two protocol runs and the objective) takes about 28 us on an Intel Xeon
-# (best of 7 ``optimize_angles("min-success", 24, 200)`` over its 842), so
-# the budget, 11 times the 1,379 that grid 24 and refine 200 allow, is ~0.4 s.
+# (two protocol runs and the objective) takes 28-51 us on a shared 2-vCPU
+# Intel Xeon (best of 7 ``optimize_angles("min-success", 24, 200)`` over its
+# 842, in each of nine processes; median 43 us), so the budget, 11 times the
+# 1,379 that grid 24 and refine 200 allow, is 0.4-0.8 s.
 MAX_OPTIMIZE_EVALUATIONS = 15_000
 
 

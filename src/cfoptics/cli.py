@@ -290,8 +290,9 @@ def _cmd_simulate(spec: Dict[str, object]) -> Tuple[dict, dict]:
 
 
 # Work budget of one sweep, in rows.  A row (two protocol runs, the channel
-# measures and its rendering) takes about 37 us on an Intel Xeon (best of 7
-# ``sweep --theta1 0.05:1.0 --balanced --steps 2000``), so ~0.4 s in all.
+# measures and its rendering) takes 39-70 us on a shared 2-vCPU Intel Xeon
+# (best of 7 ``sweep --theta1 0.05:1.0 --balanced --steps 2000``, in each of
+# nine processes; median 61 us), so 0.4-0.7 s in all.
 MAX_SWEEP_STEPS = 10_000
 
 

@@ -97,9 +97,15 @@ class ModeState:
     absorbed : mapping str -> float, optional
         Probability already absorbed, keyed by absorber label; anything
         ``dict`` takes, such as a sequence of pairs.  ``None`` is no ledger.
+
+    A constructed state holds that vector.  A state that :func:`propagate`
+    returns keeps its amplitudes as a list of Python complex, and
+    ``amplitudes`` builds their complex128 vector on first read and keeps
+    it.  Once built, the vector is the state's amplitudes: a caller who
+    writes into it changes what the next propagation reads.
     """
 
-    __slots__ = ("amplitudes", "absorbed")
+    __slots__ = ("_values", "_array", "absorbed")
 
     def __init__(self, amplitudes, absorbed=None):
         try:
@@ -120,7 +126,8 @@ class ModeState:
             raise InvalidNetworkError(
                 "absorbed must map absorber labels to probabilities") from None
         _check_contents(amps.tolist(), ledger)
-        self.amplitudes = amps
+        self._values = None
+        self._array = amps
         self.absorbed = ledger
 
     @classmethod
@@ -134,8 +141,15 @@ class ModeState:
         return cls(amps)
 
     @property
+    def amplitudes(self) -> np.ndarray:
+        """The complex128 amplitude vector, built from the list on first read."""
+        if self._array is None:
+            self._array = np.array(self._values, dtype=np.complex128)
+        return self._array
+
+    @property
     def mode_count(self) -> int:
-        return int(self.amplitudes.size)
+        return len(self._values if self._array is None else self._array)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"ModeState(amplitudes={self.amplitudes!r}, absorbed={self.absorbed!r})"
@@ -332,13 +346,28 @@ def compile_network(network: Network) -> _Plan:
 
 class Snapshots(Mapping):
     """Read-only mapping from checkpoint name, in plan order, to its amplitude
-    vector: a row of ``matrix``, one propagation's snapshot matrix."""
+    vector: a row of ``matrix``, one propagation's snapshot matrix.
 
-    __slots__ = ("_rows", "matrix")
+    The kernel leaves the snapshots in ``flat``, the amplitudes of every
+    row in row order as Python complex; ``shape`` is ``(rows, modes)``.
+    ``matrix``, a complex128 array of that shape, is built from ``flat`` on
+    first read and kept, and every value of the mapping is a row of it.
+    """
 
-    def __init__(self, rows: Mapping[str, int], matrix: np.ndarray):
+    __slots__ = ("_rows", "flat", "shape", "_matrix")
+
+    def __init__(self, rows: Mapping[str, int], mode_count: int):
         self._rows = rows
-        self.matrix = matrix
+        self.flat = []
+        self.shape = (len(rows), mode_count)
+        self._matrix = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = np.empty(self.shape, dtype=np.complex128)
+            self._matrix.reshape(-1)[:] = self.flat
+        return self._matrix
 
     def __getitem__(self, name):
         return self.matrix[self._rows[name]]
@@ -370,23 +399,29 @@ def apply_blocker(state: ModeState, mode: int, label: str) -> ModeState:
 def propagate(network: Network, state: ModeState):
     """Apply all elements in order: run the plan lowered at construction.
 
+    The input amplitudes are read from ``state.amplitudes`` when that
+    vector has been built, from the state's list otherwise; the input is
+    never written.
+
     Returns
     -------
     (final, checkpoints)
         ``final`` is the output :class:`ModeState` (input ledger carried
-        over and extended); ``checkpoints`` is a read-only
-        :class:`Snapshots` mapping each checkpoint name, in plan order, to
-        the full amplitude vector at its position.  Its ``matrix`` holds
-        one row per checkpoint, owned by this call alone, and every value
-        is a row of it.
+        over and extended), its amplitudes a list until read as an array;
+        ``checkpoints`` is a read-only :class:`Snapshots` mapping each
+        checkpoint name, in plan order, to the full amplitude vector at its
+        position.  Its ``flat`` list and the ``matrix`` built from it on
+        first read are owned by this call alone, and every value is a row
+        of that matrix.
     """
-    amps = state.amplitudes.tolist()
+    array = state._array
+    amps = array.tolist() if array is not None else state._values.copy()
     mode_count = network.mode_count
     if len(amps) != mode_count:
         raise InvalidNetworkError(f"state has {len(amps)} modes, network expects {mode_count}")
     plan = compile_network(network)
     absorbed = [0.0] * len(plan.ledger_labels)
-    snaps = np.zeros((len(plan.checkpoint_rows), mode_count), dtype=np.complex128)
+    snaps = Snapshots(plan.checkpoint_rows, mode_count)
     kernel.run_plan(plan.ops, plan.arg_a, plan.arg_b, plan.coeff, amps, absorbed, snaps)
     ledger = dict(state.absorbed)
     for label, value in zip(plan.ledger_labels, absorbed):
@@ -397,9 +432,10 @@ def propagate(network: Network, state: ModeState):
     if state.absorbed or not (all(map(cmath.isfinite, amps)) and all(map(math.isfinite, absorbed))):
         _check_contents(amps, ledger)
     final = ModeState.__new__(ModeState)
-    final.amplitudes = np.array(amps, dtype=np.complex128)
+    final._values = amps
+    final._array = None
     final.absorbed = ledger
-    return final, Snapshots(plan.checkpoint_rows, snaps)
+    return final, snaps
 
 
 def total_probability(state: ModeState) -> float:

@@ -1,8 +1,9 @@
 """Propagation kernel.
 
-Executes the element plan produced by ``cfoptics.core`` in place, lists in
-and one array out: the amplitudes (Python complex) and the per-label
-absorbed probabilities are lists, the checkpoint snapshots one matrix.
+Executes the element plan produced by ``cfoptics.core`` in place on Python
+lists: the amplitudes (Python complex), the per-label absorbed
+probabilities and the checkpoint snapshots, which are handed over as one
+flat list.  No array is made here.
 """
 
 # Opcodes.  A network is lowered to its plan once, when it is built; a
@@ -20,13 +21,15 @@ def run_plan(ops, arg_a, arg_b, coeff, amps, absorbed, snaps):
     ``c = cos(theta)`` and ``js = 1j * sin(theta)``; a coupler maps
     ``(za, zb)`` to ``(c*za + js*zb, js*za + c*zb)``.  ``amps`` (list of
     Python complex, one per mode) and ``absorbed`` (list of Python float,
-    one slot per absorber label) are updated in place; ``snaps``
-    (C-contiguous complex128 matrix, one row per snapshot) is filled in plan
-    order, once, at the end.  The plan sequences are read-only, so one plan
-    serves every propagation of its network.
+    one slot per absorber label) are updated in place.  At the end the
+    snapshots, every amplitude of each snapshot in plan order, are assigned
+    as one list to ``snaps.flat``: a ``core.Snapshots`` keeps that list,
+    and a complex128 ndarray (one row per snapshot) is filled from it.  The
+    plan sequences are read-only, so one plan serves every propagation of
+    its network.
     """
     # Python complex and float scalars are much faster than per-element
-    # ndarray indexing, so the only array written is the snapshot matrix.
+    # ndarray indexing.
     taken = []
     for code, a, b, k in zip(ops, arg_a, arg_b, coeff):
         if code == OP_SPLIT:
@@ -41,5 +44,4 @@ def run_plan(ops, arg_a, arg_b, coeff, amps, absorbed, snaps):
             za = amps[a]
             absorbed[b] += za.real * za.real + za.imag * za.imag
             amps[a] = 0j
-    if taken:
-        snaps.reshape(-1)[:] = taken
+    snaps.flat = taken

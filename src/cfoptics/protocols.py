@@ -25,8 +25,6 @@ import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from .core import (
     BeamSplitter,
     Blocker,
@@ -183,38 +181,47 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
 
 
 def _readout(final: ModeState) -> Tuple[float, float, Dict[str, float]]:
-    """``(p_d1, p_d2, absorbed)`` of a final state: both detector
-    probabilities and the ``bob`` and ``discard`` ledger entries."""
+    """``(p_d1, p_d2, absorbed)`` of a propagated state, read from its
+    amplitude list: both detector probabilities and the ``bob`` and
+    ``discard`` ledger entries."""
     absorbed = {label: final.absorbed.get(label, 0.0) for label in ("bob", "discard")}
-    return abs(final.amplitudes.item(0)) ** 2, abs(final.amplitudes.item(1)) ** 2, absorbed
+    return abs(final._values[0]) ** 2, abs(final._values[1]) ** 2, absorbed
 
 
-def _leg_columns(matrix: np.ndarray, outer_cycles: int, inner_cycles: int) -> Dict[str, np.ndarray]:
-    """Per leg family, its amplitudes in the snapshot matrix of a
-    :func:`_cycles` layout, one row per checkpoint in element order: an
-    ``outer_cycles`` column for ``alice_to_charlie`` and ``charlie_to_alice``,
-    an ``outer_cycles`` x ``inner_cycles`` block for the two inner legs."""
-    rows = matrix.reshape(outer_cycles, 2 * inner_cycles + 2, 3)
+def _leg_columns(flat: List[complex], outer_cycles: int) -> Dict[str, List[complex]]:
+    """Per leg family, its amplitudes in the snapshots ``flat`` (row after
+    row, 3 modes a row) of a :func:`_cycles` layout, one row per checkpoint
+    in element order: one per outer cycle for ``alice_to_charlie`` and
+    ``charlie_to_alice``, one per inner cycle of each outer cycle for the
+    two inner legs."""
+    width = len(flat) // outer_cycles  # values per outer cycle
     # A leg's amplitude is on the lower outer arm (mode 1) or Bob's arm (mode 2).
+    # Mode m of a cycle's row r is at 3 r + m: the outer legs are rows 0 and
+    # last, the inner legs alternate over the rows between, from row 1.
+    there, back = [], []
+    for start in range(0, len(flat), width):
+        end = start + width - 3
+        there += flat[start + 5:end:6]
+        back += flat[start + 8:end:6]
     return {
-        "alice_to_charlie": rows[:, 0, 1],
-        "charlie_to_bob": rows[:, 1:-1:2, 2],
-        "bob_to_charlie": rows[:, 2:-1:2, 2],
-        "charlie_to_alice": rows[:, -1, 1],
+        "alice_to_charlie": flat[1::width],
+        "charlie_to_bob": there,
+        "bob_to_charlie": back,
+        "charlie_to_alice": flat[width - 2::width],
     }
 
 
 def run_protocol(config: NestedConfig, bit: int) -> ProtocolOutcome:
     """Propagate a single excitation and collect detector/leg statistics."""
     final, checkpoints = propagate(build_nested_network(config, bit), _SINGLE_PHOTON)
-    legs = {name: column.item() for name, column in _leg_columns(checkpoints.matrix, 1, 1).items()}
+    legs = {name: column[0] for name, column in _leg_columns(checkpoints.flat, 1).items()}
     return ProtocolOutcome(*_readout(final), legs)
 
 
 def _detector_probabilities(config: NestedConfig, bit: int) -> Tuple[float, float]:
     """``run_protocol(config, bit)``'s ``(p_d1, p_d2)``, without its legs and ledger."""
-    amps = propagate(build_nested_network(config, bit), _SINGLE_PHOTON)[0].amplitudes
-    return abs(amps.item(0)) ** 2, abs(amps.item(1)) ** 2
+    amps = propagate(build_nested_network(config, bit), _SINGLE_PHOTON)[0]._values
+    return abs(amps[0]) ** 2, abs(amps[1]) ** 2
 
 
 def counterfactual_witness(outcome: ProtocolOutcome, bit: int) -> Tuple[float, float]:
@@ -263,10 +270,11 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 
 # Work budget of one chained network, in elements.  A run's memory and time
 # grow linearly with its element count.  At its largest shape, 1 x 124,998,
-# run_chain takes 0.19 s at b = 0 and 0.14 s at b = 1, at 71 MB peak RSS;
-# 50 x 2000 takes 0.12 s and 0.09 s at 64 MB (best of 7, each pair in a
-# fresh process on a 2-vCPU Intel Xeon).  It is 15 times the 32,101
-# elements of a 20 x 400 chain.
+# run_chain takes 0.26 s at b = 0 and 0.14 s at b = 1, at 61 MB peak RSS;
+# 50 x 2000 takes 0.19 s and 0.13 s at 52 MB (medians of 25 and 9 pairs,
+# each pair in a fresh process on a shared 2-vCPU Intel Xeon; the fastest
+# pairs took about 0.7 times as long).  It is 15 times the 32,101 elements
+# of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
 
 
@@ -407,8 +415,11 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     # checkpoint | inner block | inner coupler, checkpoint, discard | final
     # coupler], gives the chain's by repeating its inner block, then its cycle.
     plan = _lower(_cycles(outer, inner, _LEG_MARKS, bit, final), 3)
-    columns = [(c[:2] + c[2:-4] * inner_cycles + c[-4:-1]) * outer_cycles + c[-1:]
-               for c in plan[:4]]
+    columns = []
+    for c in plan[:4]:
+        column = (c[:2] + c[2:-4] * inner_cycles + c[-4:-1]) * outer_cycles
+        column.append(c[-1])  # not `+ c[-1:]`, which copies the whole column again
+        columns.append(column)
     rows = _ChainRows((outer_cycles, inner_cycles))
     build = functools.partial(_chain_elements, rows, bit, outer, inner, final)
     return Network(3, _lowered=_Plan(*columns, plan.ledger_labels, rows), _build=build)
@@ -421,12 +432,11 @@ def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
     all same-named checkpoints; the counterfactual statements then read
     ``leg_peaks["bob_to_charlie"] == 0`` for ``bit == 0`` and
     ``leg_peaks["charlie_to_alice"] ~ 0`` for ``bit == 1`` at default angles.
-    The peaks are read from the snapshot matrix by position.
+    The peaks are read from the snapshot list by position, and no array is
+    built.
     """
     final, checkpoints = propagate(build_chain_network(chain, bit), _SINGLE_PHOTON)
-    columns = _leg_columns(checkpoints.matrix, chain.outer_cycles, chain.inner_cycles)
-    # Largest abs(z) ** 2 bit for bit as Python computes it: np.hypot calls
-    # the C library hypot as complex abs does (np.abs may differ in the last
-    # bit), and squaring is monotone, so each largest modulus is squared once.
-    peaks = {leg: float(np.hypot(z.real, z.imag).max()) ** 2 for leg, z in columns.items()}
+    columns = _leg_columns(checkpoints.flat, chain.outer_cycles)
+    # Squaring is monotone, so each largest modulus is squared once.
+    peaks = {leg: max(map(abs, column)) ** 2 for leg, column in columns.items()}
     return ChainOutcome(bit, *_readout(final), peaks)

@@ -74,6 +74,21 @@ class TestChannelModel:
                       [tuple(row) for row in rows]):
             assert ChannelModel(typed).p_given_b.tobytes() == expected
 
+    def test_compared_and_hashed_by_the_six_entries(self):
+        rows = [[0.25, 0.5, 0.25], [1.0, 0.0, 0.0]]
+        channel = ChannelModel(rows)
+        same = ChannelModel(np.array(rows))
+        assert channel == same and not channel != same and hash(channel) == hash(same)
+        assert len({channel, same, ChannelModel([tuple(row) for row in rows])}) == 1
+        swapped = ChannelModel(rows[::-1])
+        assert channel != swapped and swapped != channel
+        # A clipped entry is its clipped value: -1e-13 reads as 0.0.
+        assert ChannelModel([[0.25, 0.5, 0.25], [1.0, -1e-13, 1e-13]]) == ChannelModel(
+            [[0.25, 0.5, 0.25], [1.0, 0.0, 1e-13]])
+        assert channel != rows and (channel == rows) is False
+        assert channel_from_protocol(NestedConfig(0.3, 0.7)) == channel_from_protocol(
+            NestedConfig(0.3, 0.7))
+
 
 class TestChannelFromProtocol:
     def test_uncoupled_inner_loop_gives_identical_rows(self):

@@ -8,6 +8,7 @@ import math
 import pickle
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -329,6 +330,9 @@ class TestChainWitnesses:
         chains = (
             ChainConfig(6, 40),
             ChainConfig(3, 7, outer_angle=0.21, inner_angle=-2.9, final_angle=0.45),
+            ChainConfig(20, 400),
+            ChainConfig(1, 2000),
+            ChainConfig(50, 1),
         )
         for chain in chains:
             for bit in (0, 1):
@@ -339,6 +343,21 @@ class TestChainWitnesses:
                     leg = name.split("[")[0]
                     expected[leg] = max(expected[leg], float(abs(vector[leg_mode[leg]]) ** 2))
                 assert run_chain(chain, bit).leg_peaks == expected
+
+    def test_a_run_builds_no_array(self, monkeypatch):
+        """A chain run reads its detectors and leg peaks from the kernel's
+        lists: no numpy array is made for the snapshots or the final state."""
+        made = []
+        for name in ("array", "asarray", "empty", "zeros"):
+            def making(*args, _original=getattr(np, name), _name=name, **kwargs):
+                made.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, making)
+        for bit in (0, 1):
+            outcome = run_chain(ChainConfig(20, 400), bit)
+            assert type(outcome.p_d1) is float and type(outcome.leg_peaks["bob_to_charlie"]) is float
+        assert made == []
 
     def test_conservation(self):
         for cycles, bit in itertools.product(SCHEDULE, (0, 1)):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from cfoptics import NestedConfig, analysis, cli, protocols, run_protocol
+from cfoptics import NestedConfig, analysis, cli, core, protocols, run_protocol
 from cfoptics.analysis import balanced_theta2
 from cfoptics.cli import main
 
@@ -768,6 +768,21 @@ class TestReadmeDocuments:
         code, _, err = run_cli(capsys, *argv, "--out", str(path))
         assert code == 0, err
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(set(README_DOCUMENTS) - {"classical"}))
+    def test_no_command_reads_a_snapshot_matrix_or_a_state_array(self, name, capsys, monkeypatch):
+        """The protocol commands read detectors, ledgers and legs from the
+        kernel's lists: neither a snapshot matrix nor a final state's
+        amplitude vector is built."""
+        def refuse(instance):
+            raise AssertionError(f"{type(instance).__name__} array built on a run path")
+
+        monkeypatch.setattr(core.Snapshots, "matrix", property(refuse))
+        monkeypatch.setattr(core.ModeState, "amplitudes", property(refuse))
+        argv, digest = README_DOCUMENTS[name]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSubprocessContract:

@@ -22,7 +22,7 @@ from cfoptics import (
     propagate,
     total_probability,
 )
-from cfoptics import core
+from cfoptics import core, kernel
 from cfoptics.core import compile_network
 from helpers import fold_elements
 
@@ -282,6 +282,21 @@ class TestPropagate:
             for snapshot in checkpoints.values():
                 assert not np.shares_memory(snapshot, state.amplitudes)
 
+    def test_written_amplitudes_are_what_the_next_propagation_reads(self):
+        """A propagated state keeps a list until ``amplitudes`` is read; the
+        vector built then is the state's amplitudes, so a caller who writes
+        into it changes what the next propagation reads."""
+        network = Network(3, (BeamSplitter(0, 1, 0.4), BeamSplitter(1, 2, -0.9)))
+        final, _ = propagate(network, ModeState.single_photon(3))
+        assert final.mode_count == 3
+        vector = final.amplitudes
+        assert final.amplitudes is vector and vector.dtype == np.complex128
+        vector[:] = [0.0, 0.6, 0.8j]
+        again, _ = propagate(network, final)
+        expected, _ = propagate(network, ModeState([0.0, 0.6, 0.8j]))
+        assert again.amplitudes.tolist() == expected.amplitudes.tolist()
+        assert final.amplitudes.tolist() == [0j, 0.6 + 0j, 0.8j]
+
 
 class TestCheckpointMapping:
     def network(self):
@@ -324,6 +339,53 @@ class TestCheckpointMapping:
         assert checkpoints.matrix.shape == (3, 3)
         for row in rows:
             assert not np.shares_memory(row, state.amplitudes)
+
+    def test_matrix_is_built_once_on_first_read(self, monkeypatch):
+        """A propagation leaves its snapshots as one flat list; ``matrix`` is
+        built from it by the first read alone, and every row is a view of it."""
+        state = ModeState([0.6, 0.8j, 0.0])
+        built = []
+        empty = np.empty
+
+        def counting_empty(*args, **kwargs):
+            built.append(args)
+            return empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", counting_empty)
+        _, checkpoints = propagate(self.network(), state)
+        assert built == []
+        assert checkpoints.shape == (3, 3) and len(checkpoints.flat) == 9
+        assert all(type(z) is complex for z in checkpoints.flat)
+        matrix = checkpoints.matrix
+        assert checkpoints.matrix is matrix and len(built) == 1
+        assert matrix.dtype == np.complex128 and matrix.shape == checkpoints.shape
+        assert matrix.reshape(-1).tolist() == checkpoints.flat
+        rows = [checkpoints[name] for name in checkpoints]
+        assert all(row.base is matrix for row in rows) and len(built) == 1
+
+    def test_no_checkpoints_give_an_empty_matrix(self):
+        _, checkpoints = propagate(Network(2, (BeamSplitter(0, 1, 0.1),)), ModeState.single_photon(2))
+        assert checkpoints.flat == [] and checkpoints.shape == (0, 2)
+        assert checkpoints.matrix.shape == (0, 2)
+
+    def test_kernel_fills_an_ndarray_passed_as_snapshots(self):
+        """A direct caller of ``kernel.run_plan`` may pass a complex128
+        matrix, one row per snapshot; it is filled with the rows that a
+        propagation's ``Snapshots`` holds."""
+        network = self.network()
+        plan = compile_network(network)
+        state = ModeState([0.6, 0.8j, 0.0])
+        amps = state.amplitudes.tolist()
+        absorbed = [0.0] * len(plan.ledger_labels)
+        snaps = np.zeros((3, 3), dtype=np.complex128)
+        kernel.run_plan(plan.ops, plan.arg_a, plan.arg_b, plan.coeff, amps, absorbed, snaps)
+        final, checkpoints = propagate(network, state)
+        assert snaps.tolist() == checkpoints.matrix.tolist()
+        assert amps == final.amplitudes.tolist()
+        assert dict(zip(plan.ledger_labels, absorbed)) == final.absorbed
+        empty = np.zeros((0, 2), dtype=np.complex128)
+        kernel.run_plan([kernel.OP_SPLIT], [0], [1], [(0.6, 0.8j)], [1 + 0j, 0j], [], empty)
+        assert empty.shape == (0, 2)
 
     def test_repeated_propagation_reuses_an_unchanged_plan(self):
         """Two propagations of one network return independent matrices and

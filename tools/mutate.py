@@ -73,9 +73,22 @@ MUTANTS = (
            "    plan = compile_network(network)\n    compile_network(network)\n",
            ("tests/test_protocols.py",)),
     Mutant("leg rows read in reverse", "protocols.py",
-           "rows = matrix.reshape(outer_cycles, 2 * inner_cycles + 2, 3)",
-           "rows = matrix[::-1].reshape(outer_cycles, 2 * inner_cycles + 2, 3)",
+           "    width = len(flat) // outer_cycles",
+           "    flat = flat[::-1]\n    width = len(flat) // outer_cycles",
            ("tests/test_protocols.py", "tests/test_chain.py")),
+    Mutant("the leg lists skip the last outer cycle", "protocols.py",
+           "for start in range(0, len(flat), width):",
+           "for start in range(0, len(flat) - width, width):",
+           ("tests/test_chain.py",)),
+    Mutant("the inner legs are read from mode 1", "protocols.py",
+           "there += flat[start + 5:end:6]\n        back += flat[start + 8:end:6]",
+           "there += flat[start + 4:end:6]\n        back += flat[start + 7:end:6]",
+           ("tests/test_protocols.py", "tests/test_chain.py")),
+    Mutant("propagate reads the stale list after the array was built", "core.py",
+           "amps = array.tolist() if array is not None else state._values.copy()",
+           "values = state._values\n"
+           "    amps = values.copy() if values is not None else array.tolist()",
+           ("tests/test_core.py",)),
     # Safe to run: the bisection test counts channel evaluations and fails
     # past its bound instead of hanging.
     Mutant("bisection ignores adjacent endpoints", "analysis.py",
@@ -95,8 +108,8 @@ MUTANTS = (
            "amps[a] = za",
            ("tests/test_acceptance.py",)),
     Mutant("detectors D1 and D2 swapped", "protocols.py",
-           "abs(final.amplitudes.item(0)) ** 2, abs(final.amplitudes.item(1)) ** 2",
-           "abs(final.amplitudes.item(1)) ** 2, abs(final.amplitudes.item(0)) ** 2",
+           "abs(final._values[0]) ** 2, abs(final._values[1]) ** 2",
+           "abs(final._values[1]) ** 2, abs(final._values[0]) ** 2",
            ("tests/test_acceptance.py",)),
     Mutant("balance formula off", "analysis.py",
            "math.atan(1.0 - 0.5 * math.tan(_check_theta1(theta1)))",
@@ -107,11 +120,11 @@ MUTANTS = (
            "_INNER = BeamSplitter(1, 2, math.pi / 4 + 1e-3)",
            ("tests/test_acceptance.py",)),
     Mutant("one outer cycle too few repeated", "protocols.py",
-           "c[-4:-1]) * outer_cycles + c[-1:]",
-           "c[-4:-1]) * (outer_cycles - 1) + c[-1:]",
+           "c[-4:-1]) * outer_cycles",
+           "c[-4:-1]) * (outer_cycles - 1)",
            ("tests/test_properties.py",)),
     Mutant("closing coupler repeated in every cycle", "protocols.py",
-           "c[-4:-1]) * outer_cycles + c[-1:]",
+           "c[-4:-1]) * outer_cycles\n        column.append(c[-1])",
            "c[-4:]) * outer_cycles",
            ("tests/test_properties.py",)),
     Mutant("one inner cycle too few repeated", "protocols.py",
