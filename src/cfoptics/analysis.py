@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
-import numpy as np
-
-from .core import _decimal, _finite_real, _integer
+from .core import _BuiltOnRead, _decimal, _finite_real, _integer
 from .errors import BracketError, DomainError
 # ``run_protocol`` stays a name of this module: perfbench wraps it here.
 from .protocols import NestedConfig, _detector_probabilities, _validate_bit, run_protocol
+
+if TYPE_CHECKING:  # numpy is imported where an array is built
+    import numpy
 
 __all__ = [
     "OUTCOME_LABELS",
@@ -50,16 +51,18 @@ class ChannelModel:
     """Conditional distribution P(outcome | b) as a 2x3 row-stochastic matrix.
 
     Rows are the sender bits 0 and 1; columns are (D1, D2, none).  The six
-    entries are read by the number rule; ``p_given_b`` is stored as a
-    float64 array built from the checked floats.  Two channels are equal,
-    and hash alike, when their six entries are.
+    entries are read by the number rule and kept as floats, which every
+    reader in the package takes.  ``p_given_b``, a read-only float64 array
+    of them, is built on first read, so only that read imports numpy; a
+    write into it raises.  Two channels are equal, and hash alike, when
+    their six entries are, for as long as they live.
     """
 
-    p_given_b: np.ndarray
+    p_given_b: numpy.ndarray
 
     def __post_init__(self):
         try:
-            (a, b, c), (d, e, f) = self.p_given_b
+            (a, b, c), (d, e, f) = self.__dict__.pop("p_given_b")
         except (TypeError, ValueError):
             raise DomainError("channel matrix must be 2x3") from None
         # Exact floats stand as they are (nan and the infinities fail both
@@ -77,6 +80,8 @@ class ChannelModel:
                 raise DomainError("channel entries must be finite")
             raise DomainError("channel entries must be probabilities in [0, 1]")
         if abs(a + b + c - 1.0) > _ROW_TOL or abs(d + e + f - 1.0) > _ROW_TOL:
+            import numpy as np
+
             sums = np.array(((a, b, c), (d, e, f))).sum(axis=1)
             raise DomainError(f"channel rows must sum to 1, got {sums}")
         # Clip entry by entry as np.clip does (-0.0 stays -0.0), when an
@@ -85,18 +90,33 @@ class ChannelModel:
                 and 0.0 <= d <= 1.0 and 0.0 <= e <= 1.0 and 0.0 <= f <= 1.0):
             a, b, c, d, e, f = (0.0 if p < 0.0 else 1.0 if p > 1.0 else p
                                 for p in (a, b, c, d, e, f))
-        object.__setattr__(self, "p_given_b", np.array(((a, b, c), (d, e, f))))
+        object.__setattr__(self, "_rows", ((a, b, c), (d, e, f)))
 
-    def row(self, bit: int) -> np.ndarray:
+    def row(self, bit: int) -> numpy.ndarray:
         return self.p_given_b[_validate_bit(bit)]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.p_given_b.tolist() == other.p_given_b.tolist()
+        return self._rows == other._rows
 
     def __hash__(self):
-        return hash(tuple(self.p_given_b.ravel().tolist()))
+        return hash(self._rows)
+
+    def __getstate__(self):
+        # A copied array would be writable, so a copy builds its own.
+        return {"_rows": self._rows}
+
+
+def _read_only_array(channel: ChannelModel) -> numpy.ndarray:
+    import numpy as np
+
+    array = np.array(channel._rows)
+    array.flags.writeable = False
+    return array
+
+
+ChannelModel.p_given_b = _BuiltOnRead("p_given_b", _read_only_array)
 
 
 @dataclass(frozen=True)
@@ -141,7 +161,7 @@ def channel_from_protocol(config: NestedConfig) -> ChannelModel:
 def success_probabilities(channel: ChannelModel) -> Tuple[float, float]:
     """(P(a=0 | b=0), P(a=1 | b=1)) under argmax decoding: D2 reads as a=0
     and D1 as a=1; "no click" never counts as success."""
-    return channel.p_given_b.item(0, 1), channel.p_given_b.item(1, 0)
+    return channel._rows[0][1], channel._rows[1][0]
 
 
 def _entropy_bits(distribution: Sequence[float]) -> float:
@@ -154,9 +174,8 @@ def _entropy_bits(distribution: Sequence[float]) -> float:
 
 def mutual_information(channel: ChannelModel, prior: InputPrior) -> float:
     """I(B; outcome) in bits, via H(outcome) - H(outcome | B)."""
-    # Plain floats: three-entry ndarray arithmetic costs more than the sums.
     weights = (prior.p0, prior.p1)
-    rows = channel.p_given_b.tolist()
+    rows = channel._rows
     marginal = [weights[0] * p + weights[1] * q for p, q in zip(rows[0], rows[1])]
     info = _entropy_bits(marginal)
     for bit in (0, 1):

@@ -230,10 +230,15 @@ def _parse_range(value) -> Tuple[float, float]:
 
 
 def _parse_int_list(value, name: str) -> List[int]:
+    """A ``chain`` list: a comma-separated string, a JSON list, or a bare
+    JSON scalar, which reads as a one-element list as its text does as a
+    flag; each entry is read by the integer rule, which refuses booleans."""
     if isinstance(value, str):
         parts = [part for part in value.split(",") if part != ""]
     elif isinstance(value, (list, tuple)):
         parts = list(value)
+    elif not isinstance(value, dict):
+        parts = [value]
     else:
         raise CliUsageError(f"{name} must be a comma-separated list of integers")
     if not parts:
@@ -311,7 +316,7 @@ def _cmd_sweep(spec: Dict[str, object]) -> Tuple[dict, dict]:
         theta2 = balanced_theta2(theta1) if balanced else fixed_theta2
         channel = channel_from_protocol(NestedConfig(theta1, theta2))
         p00, p11 = success_probabilities(channel)
-        loss = 0.5 * (channel.p_given_b.item(0, 2) + channel.p_given_b.item(1, 2))
+        loss = 0.5 * (channel._rows[0][2] + channel._rows[1][2])
         info = mutual_information(channel, _UNIFORM_PRIOR)
         rows.append([theta1, theta2, p00, p11, loss, info])
     echo = {
@@ -341,8 +346,8 @@ def _cmd_capacity(spec: Dict[str, object]) -> Tuple[dict, dict]:
         "optimal_p0": prior.p0,
         "mi_uniform": mutual_information(channel, _UNIFORM_PRIOR),
         "channel": {
-            "b0": list(channel.p_given_b[0]),
-            "b1": list(channel.p_given_b[1]),
+            "b0": list(channel._rows[0]),
+            "b1": list(channel._rows[1]),
         },
     }
     return {"theta1": theta1, "theta2": theta2, "balanced": balanced, "tol": tol}, results

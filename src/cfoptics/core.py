@@ -20,13 +20,14 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Tuple, Union
 
 from . import kernel
 from .kernel import OP_ABSORB, OP_SNAPSHOT, OP_SPLIT
 from .errors import InvalidNetworkError
+
+if TYPE_CHECKING:  # numpy is imported where an array is built
+    import numpy
 
 __all__ = [
     "BeamSplitter",
@@ -98,16 +99,19 @@ class ModeState:
         Probability already absorbed, keyed by absorber label; anything
         ``dict`` takes, such as a sequence of pairs.  ``None`` is no ledger.
 
-    A constructed state holds that vector.  A state that :func:`propagate`
-    returns keeps its amplitudes as a list of Python complex, and
-    ``amplitudes`` builds their complex128 vector on first read and keeps
-    it.  Once built, the vector is the state's amplitudes: a caller who
-    writes into it changes what the next propagation reads.
+    A constructed state holds that vector, so constructing one imports
+    numpy.  A state that :func:`propagate` returns keeps its amplitudes as
+    a list of Python complex, and ``amplitudes`` builds their complex128
+    vector on first read and keeps it; numpy is imported only then.  Once
+    built, the vector is the state's amplitudes: a caller who writes into
+    it changes what the next propagation reads.
     """
 
     __slots__ = ("_values", "_array", "absorbed")
 
     def __init__(self, amplitudes, absorbed=None):
+        import numpy as np
+
         try:
             amps = np.array(amplitudes, dtype=np.complex128)
         except OverflowError:  # an int too large for a float is not finite
@@ -136,14 +140,18 @@ class ModeState:
         count, index = _integer(mode_count), _integer(mode)
         if count is None or index is None or not 0 <= index < count <= MAX_MODES:
             raise InvalidNetworkError(f"mode index out of range, or mode count above {MAX_MODES}")
+        import numpy as np
+
         amps = np.zeros(count, dtype=np.complex128)
         amps[index] = 1.0
         return cls(amps)
 
     @property
-    def amplitudes(self) -> np.ndarray:
+    def amplitudes(self) -> numpy.ndarray:
         """The complex128 amplitude vector, built from the list on first read."""
         if self._array is None:
+            import numpy as np
+
             self._array = np.array(self._values, dtype=np.complex128)
         return self._array
 
@@ -153,6 +161,16 @@ class ModeState:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"ModeState(amplitudes={self.amplitudes!r}, absorbed={self.absorbed!r})"
+
+
+def _listed_state(values: List[complex], ledger: dict) -> ModeState:
+    """A state holding ``values``, a list of Python complex, and ``ledger``
+    as they are, unchecked: the form :func:`propagate` returns."""
+    state = ModeState.__new__(ModeState)
+    state._values = values
+    state._array = None
+    state.absorbed = ledger
+    return state
 
 
 def _check_contents(amplitudes, ledger):
@@ -270,8 +288,8 @@ class Network:
     pairs of its two outer couplers into a shared plan, and a chain passes
     the plan of its one-cycle layout, repeated over every cycle.  None, the
     default, lowers the elements here.  ``dataclasses.replace`` does not
-    carry it over, so a replaced network is lowered again.  A chain also
-    passes ``_build``, a picklable callable (no closure) that makes its
+    carry it over, so a replaced network is lowered again.  Both builds
+    also pass ``_build``, a picklable callable (no closure) that makes the
     elements on their first read, by ``==``, ``hash`` and ``repr`` too; it
     is kept as ``_builder``, which ``replace`` does not read either.
     """
@@ -301,14 +319,20 @@ class Network:
 
 
 class _BuiltOnRead:
-    """``Network.elements`` of a network given ``_build``: made by it on first
-    read and stored on the network, which shadows this non-data descriptor."""
+    """An attribute that ``build(instance)`` makes on its first read, stored
+    on the instance under ``name``, which shadows this non-data descriptor:
+    ``Network.elements`` of a network given ``_build``, and
+    ``analysis.ChannelModel.p_given_b``."""
 
-    def __get__(self, network, owner=None):
-        return self if network is None else vars(network).setdefault("elements", network._builder())
+    def __init__(self, name: str, build: Callable):
+        self.name = name
+        self.build = build
+
+    def __get__(self, instance, owner=None):
+        return self if instance is None else vars(instance).setdefault(self.name, self.build(instance))
 
 
-Network.elements = _BuiltOnRead()
+Network.elements = _BuiltOnRead("elements", lambda network: network._builder())
 
 
 def _lower(elements, mode_count):
@@ -363,8 +387,10 @@ class Snapshots(Mapping):
         self._matrix = None
 
     @property
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> numpy.ndarray:
         if self._matrix is None:
+            import numpy as np
+
             self._matrix = np.empty(self.shape, dtype=np.complex128)
             self._matrix.reshape(-1)[:] = self.flat
         return self._matrix
@@ -407,7 +433,8 @@ def propagate(network: Network, state: ModeState):
     -------
     (final, checkpoints)
         ``final`` is the output :class:`ModeState` (input ledger carried
-        over and extended), its amplitudes a list until read as an array;
+        over and extended, in plan order), its amplitudes a list until read
+        as an array;
         ``checkpoints`` is a read-only :class:`Snapshots` mapping each
         checkpoint name, in plan order, to the full amplitude vector at its
         position.  Its ``flat`` list and the ``matrix`` built from it on
@@ -423,23 +450,25 @@ def propagate(network: Network, state: ModeState):
     absorbed = [0.0] * len(plan.ledger_labels)
     snaps = Snapshots(plan.checkpoint_rows, mode_count)
     kernel.run_plan(plan.ops, plan.arg_a, plan.arg_b, plan.coeff, amps, absorbed, snaps)
-    ledger = dict(state.absorbed)
-    for label, value in zip(plan.ledger_labels, absorbed):
-        ledger[label] = ledger.get(label, 0.0) + value
-    # The plan's labels are strings and each value a sum of squares, never
-    # negative, so with no input ledger finite lists pass a constructed
-    # state's checks; otherwise those checks raise their first error.
-    if state.absorbed or not (all(map(cmath.isfinite, amps)) and all(map(math.isfinite, absorbed))):
+    if state.absorbed:
+        ledger = dict(state.absorbed)
+        for label, value in zip(plan.ledger_labels, absorbed):
+            ledger[label] = ledger.get(label, 0.0) + value
         _check_contents(amps, ledger)
-    final = ModeState.__new__(ModeState)
-    final._values = amps
-    final._array = None
-    final.absorbed = ledger
-    return final, snaps
+    else:
+        ledger = dict(zip(plan.ledger_labels, absorbed))
+        # The plan's labels are strings and each value a sum of squares,
+        # never negative, so finite lists pass a constructed state's checks;
+        # otherwise those checks raise their first error.
+        if not (all(map(cmath.isfinite, amps)) and all(map(math.isfinite, absorbed))):
+            _check_contents(amps, ledger)
+    return _listed_state(amps, ledger), snaps
 
 
 def total_probability(state: ModeState) -> float:
     """Modal probability plus everything already absorbed; 1 for any state
     propagated from a normalized input."""
+    import numpy as np
+
     modal = float(np.sum(np.abs(state.amplitudes) ** 2))
     return modal + float(sum(state.absorbed.values()))

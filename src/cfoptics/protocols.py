@@ -37,6 +37,7 @@ from .core import (
     _decimal,
     _finite_real,
     _integer,
+    _listed_state,
     _lower,
     _Plan,
     propagate,
@@ -83,6 +84,11 @@ class NestedConfig:
     The layout with both inner couplers detuned to ``pi/4 + delta``, which
     shows how fragile the exact return-leg cancellation is, is the
     one-cycle chain ``ChainConfig(1, 1, theta1, pi/4 + delta, theta2)``.
+
+    A config makes the kernel coefficient pairs of its two outer couplers,
+    which both bit networks of an evaluation share.  Their
+    :class:`BeamSplitter` objects, ``_outer_couplers``, are made on first
+    read, which only a read of a nested network's elements does.
     """
 
     theta1: float
@@ -96,10 +102,11 @@ class NestedConfig:
             object.__setattr__(self, "theta1", theta1)
         if theta2 is not self.theta2:
             object.__setattr__(self, "theta2", theta2)
-        # Not fields: both bit networks of an evaluation share these.
-        outer = (BeamSplitter(0, 1, theta1), BeamSplitter(0, 1, theta2))
-        object.__setattr__(self, "_outer_couplers", outer)
         object.__setattr__(self, "_outer_coeff", (_coupler_coeff(theta1), _coupler_coeff(theta2)))
+
+    @functools.cached_property
+    def _outer_couplers(self) -> Tuple[BeamSplitter, BeamSplitter]:
+        return BeamSplitter(0, 1, self.theta1), BeamSplitter(0, 1, self.theta2)
 
 
 @dataclass(frozen=True)
@@ -154,10 +161,17 @@ _OPEN_NESTED = tuple(Network(3, _cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MA
 # Per bit, what every build shares: the elements and pairs between the outer couplers, the plan.
 _NESTED_MIDDLES = tuple((n.elements[1:-1], n._plan.coeff[1:-1], n._plan) for n in _OPEN_NESTED)
 
-# Every run starts from one excitation in mode 0.  ``propagate`` never
-# writes to its input, so one read-only state serves every run.
-_SINGLE_PHOTON = ModeState.single_photon(3)
-_SINGLE_PHOTON.amplitudes.flags.writeable = False
+# Every run starts from one excitation in mode 0.  The state holds a list,
+# as a propagated one does, and ``propagate`` copies its input list and
+# never writes it or the empty ledger, so one state serves every run.
+# Nothing reads its ``amplitudes``, which would build a writable array.
+_SINGLE_PHOTON = _listed_state([1 + 0j, 0j, 0j], {})
+
+
+def _nested_elements(config: NestedConfig, bit: int) -> Tuple[Element, ...]:
+    """A nested network's elements: its bit's open layout between ``config``'s outer couplers."""
+    first, last = config._outer_couplers
+    return (first, *_NESTED_MIDDLES[bit][0], last)
 
 
 def build_nested_network(config: NestedConfig, bit: int) -> Network:
@@ -168,16 +182,19 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
     (1, 2); discard of mode 2; outer coupler theta2 on (0, 1).  Leg
     checkpoints surround the blocker slot and the inner couplers.
 
-    The network is its bit's open layout with the two outer couplers and
-    their coefficient pairs, made once per ``config`` from checked angles,
-    spliced in; the pairs go into a fresh copy of the shared coefficient list.
+    The network is its bit's open layout with the two outer couplers'
+    coefficient pairs, made once per ``config`` from checked angles,
+    spliced in; the pairs go into a fresh copy of the shared coefficient
+    list.  Its elements, the layout's with ``config``'s outer couplers, are
+    made on first read.
     """
     bit = _validate_bit(bit)
-    (first, last), (first_coeff, last_coeff) = config._outer_couplers, config._outer_coeff
-    middle, middle_coeff, plan = _NESTED_MIDDLES[bit]
+    first_coeff, last_coeff = config._outer_coeff
+    _, middle_coeff, plan = _NESTED_MIDDLES[bit]
     coeff = [first_coeff, *middle_coeff, last_coeff]
-    return Network(3, (first, *middle, last), _lowered=_Plan(
-        plan.ops, plan.arg_a, plan.arg_b, coeff, plan.ledger_labels, plan.checkpoint_rows))
+    return Network(3, _lowered=_Plan(
+        plan.ops, plan.arg_a, plan.arg_b, coeff, plan.ledger_labels, plan.checkpoint_rows),
+        _build=functools.partial(_nested_elements, config, bit))
 
 
 def _readout(final: ModeState) -> Tuple[float, float, Dict[str, float]]:
@@ -270,11 +287,11 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 
 # Work budget of one chained network, in elements.  A run's memory and time
 # grow linearly with its element count.  At its largest shape, 1 x 124,998,
-# run_chain takes 0.26 s at b = 0 and 0.14 s at b = 1, at 61 MB peak RSS;
-# 50 x 2000 takes 0.19 s and 0.13 s at 52 MB (medians of 25 and 9 pairs,
+# run_chain takes 0.26 s at b = 0 and 0.14 s at b = 1, at 47 MB peak RSS;
+# 50 x 2000 takes 0.19 s and 0.13 s at 39 MB (medians of 25 and 9 pairs,
 # each pair in a fresh process on a shared 2-vCPU Intel Xeon; the fastest
-# pairs took about 0.7 times as long).  It is 15 times the 32,101 elements
-# of a 20 x 400 chain.
+# pairs took about 0.7 times as long; peak RSS of five such processes, with
+# numpy not loaded).  It is 15 times the 32,101 elements of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
 
 
@@ -417,7 +434,9 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     plan = _lower(_cycles(outer, inner, _LEG_MARKS, bit, final), 3)
     columns = []
     for c in plan[:4]:
-        column = (c[:2] + c[2:-4] * inner_cycles + c[-4:-1]) * outer_cycles
+        column = c[:2] + c[2:-4] * inner_cycles + c[-4:-1]
+        if outer_cycles > 1:  # `* 1` would copy the one cycle again
+            column = column * outer_cycles
         column.append(c[-1])  # not `+ c[-1:]`, which copies the whole column again
         columns.append(column)
     rows = _ChainRows((outer_cycles, inner_cycles))

@@ -1,6 +1,8 @@
 """Channel analysis: rows, information measures, balance solvers, optimizer."""
 
+import copy
 import math
+import pickle
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -88,6 +90,23 @@ class TestChannelModel:
         assert channel != rows and (channel == rows) is False
         assert channel_from_protocol(NestedConfig(0.3, 0.7)) == channel_from_protocol(
             NestedConfig(0.3, 0.7))
+
+    def test_entries_cannot_change_after_construction(self):
+        """``p_given_b`` is read-only, in a copy too, so a channel in a set
+        stays equal to what it was and is still found there."""
+        rows = [[0.25, 0.5, 0.25], [1.0, 0.0, 0.0]]
+        channel = ChannelModel(rows)
+        before, found = hash(channel), {channel}
+        assert channel.p_given_b.tolist() == rows  # built before the copies are made
+        for target in (channel, copy.deepcopy(channel), pickle.loads(pickle.dumps(channel))):
+            with pytest.raises(ValueError, match="read-only"):
+                target.p_given_b[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                target.row(1)[2] = 0.5
+            assert target == channel and hash(target) == before and target in found
+            assert target.p_given_b.tolist() == rows
+        assert channel.p_given_b is channel.p_given_b
+        assert success_probabilities(channel) == (0.5, 1.0)
 
 
 class TestChannelFromProtocol:

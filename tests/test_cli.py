@@ -431,6 +431,25 @@ class TestIntegerParameters:
                 assert code == 2 and key in err, text
         assert 0 < len(accepted) < len(self.VALUES[key])
 
+    @pytest.mark.parametrize("key", ["outer", "inner"])
+    def test_bare_config_number_reads_as_a_chain_list_of_one(self, key, capsys, tmp_path):
+        """``--outer 10`` is the list [10], and so is ``{"outer": 10}``: a
+        bare JSON scalar for a ``chain`` list reads as its flag text does."""
+        other = "inner" if key == "outer" else "outer"
+        accepted = {}
+        for text in ("3", "3.0", "3e0", "2.5", "0", "-1", "true", "false"):
+            from_flag, from_config = run_flag_and_config(
+                capsys, tmp_path, ("chain", f"--{other}", "4", f"--{key}", text),
+                json.dumps({other: 4, key: json.loads(text)}))
+            assert from_flag == from_config, text
+            code, out, err = from_flag
+            if code == 0:
+                assert accepted.setdefault(json.loads(text), out) == out, text
+            else:
+                assert code == 2 and key in err, text
+        assert list(accepted) == [3]
+        assert json.loads(accepted[3])["spec"] == {other: [4], key: [3]}
+
     @pytest.mark.parametrize("text", ["1" + "0" * 5000, " -" + "9_" * 4300 + "9 "],
                              ids=["5,001 digits", "4,301 digits, signed and grouped"])
     @pytest.mark.parametrize("key", [*sorted(CASES), "outer", "inner"])
@@ -637,7 +656,8 @@ class TestRefusals:
                               "theta1 range must be START:STOP or a 2-element list"),
         "empty-cycle-list": (("chain", "--outer", ",", "--inner", "4"), None,
                              "outer must be non-empty"),
-        "cycle-list-not-a-list": (("chain",), {"outer": 5, "inner": "4"},
+        # A bare number reads as a list of one; an object is no list.
+        "cycle-list-not-a-list": (("chain",), {"outer": {"cycles": 5}, "inner": "4"},
                                   "outer must be a comma-separated list of integers"),
         "unknown-format": (("classical", "--bits", "01"), {"format": "xml"},
                            "format must be json or csv"),
@@ -783,6 +803,31 @@ class TestReadmeDocuments:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestNoNumpyOnTheRunPath:
+    def test_no_readme_command_loads_numpy(self):
+        """numpy is imported only where an array is built: in a fresh
+        interpreter, importing the package and running each README command
+        through ``main`` leaves it unloaded."""
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import cfoptics\n"
+            "from cfoptics import cli\n"
+            "report = [['import', 0, 'numpy' in sys.modules]]\n"
+            "for name, argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    report.append([name, code, 'numpy' in sys.modules])\n"
+            "print(json.dumps(report))\n"
+        )
+        commands = [[name, list(argv)] for name, (argv, _) in sorted(README_DOCUMENTS.items())]
+        completed = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                                   capture_output=True, text=True)
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout) == [
+            ["import", 0, False], *([name, 0, False] for name, _ in commands)]
 
 
 class TestSubprocessContract:

@@ -143,6 +143,24 @@ class TestNestedPlans:
         channel_from_protocol(NestedConfig(0.3, 0.7))
         assert made == [0.3, 0.7]
 
+    def test_an_evaluation_makes_no_element(self, monkeypatch):
+        """No run reads a nested network's elements, so a config makes its
+        two outer couplers only when they are read."""
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return core.BeamSplitter(*args)
+
+        monkeypatch.setattr(protocols, "BeamSplitter", counted)
+        config = NestedConfig(0.3, 0.7)
+        channel_from_protocol(config)
+        run_protocol(config, 0)
+        assert made == []
+        assert build_nested_network(config, 1).elements[-1] == core.BeamSplitter(0, 1, 0.7)
+        assert build_nested_network(config, 0).elements[0] == core.BeamSplitter(0, 1, 0.3)
+        assert made == [(0, 1, 0.3), (0, 1, 0.7)]
+
     def test_shared_plans_survive_many_evaluations_and_failed_builds(self):
         before = self.shared()
         for k, theta1 in enumerate(np.linspace(0.05, 1.5, 40)):

@@ -44,9 +44,33 @@ MUTANTS = (
            "    coeff[0], coeff[-1] = first_coeff, last_coeff",
            ("tests/test_protocols.py",)),
     Mutant("outer coefficient pairs swapped", "protocols.py",
-           "(first_coeff, last_coeff) = config._outer_couplers, config._outer_coeff",
-           "(last_coeff, first_coeff) = config._outer_couplers, config._outer_coeff",
+           "first_coeff, last_coeff = config._outer_coeff",
+           "last_coeff, first_coeff = config._outer_coeff",
            ("tests/test_protocols.py",)),
+    Mutant("config makes its couplers eagerly", "protocols.py",
+           "(_coupler_coeff(theta1), _coupler_coeff(theta2)))\n",
+           "(_coupler_coeff(theta1), _coupler_coeff(theta2)))\n        self._outer_couplers\n",
+           ("tests/test_protocols.py",)),
+    Mutant("channel array left writable", "analysis.py",
+           "    array.flags.writeable = False\n",
+           "",
+           ("tests/test_analysis.py",)),
+    Mutant("a copied channel keeps a writable array", "analysis.py",
+           'return {"_rows": self._rows}',
+           "return dict(vars(self))",
+           ("tests/test_analysis.py",)),
+    Mutant("module-level numpy import restored", "core.py",
+           "from . import kernel\n",
+           "import numpy as np\n\nfrom . import kernel\n",
+           ("tests/test_cli.py",)),
+    Mutant("sweep loss read from the array", "cli.py",
+           "loss = 0.5 * (channel._rows[0][2] + channel._rows[1][2])",
+           "loss = 0.5 * (channel.p_given_b.item(0, 2) + channel.p_given_b.item(1, 2))",
+           ("tests/test_cli.py",)),
+    Mutant("chain list refuses a bare config number", "cli.py",
+           "    elif not isinstance(value, dict):\n        parts = [value]\n",
+           "",
+           ("tests/test_cli.py",)),
     Mutant("channel entries skip the number rule", "analysis.py",
            "if not type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is float:",
            "if not True:",
@@ -120,12 +144,16 @@ MUTANTS = (
            "_INNER = BeamSplitter(1, 2, math.pi / 4 + 1e-3)",
            ("tests/test_acceptance.py",)),
     Mutant("one outer cycle too few repeated", "protocols.py",
-           "c[-4:-1]) * outer_cycles",
-           "c[-4:-1]) * (outer_cycles - 1)",
+           "column = column * outer_cycles",
+           "column = column * (outer_cycles - 1)",
+           ("tests/test_properties.py",)),
+    Mutant("two outer cycles left unrepeated", "protocols.py",
+           "if outer_cycles > 1:",
+           "if outer_cycles > 2:",
            ("tests/test_properties.py",)),
     Mutant("closing coupler repeated in every cycle", "protocols.py",
-           "c[-4:-1]) * outer_cycles\n        column.append(c[-1])",
-           "c[-4:]) * outer_cycles",
+           "c[2:-4] * inner_cycles + c[-4:-1]\n",
+           "c[2:-4] * inner_cycles + c[-4:]\n",
            ("tests/test_properties.py",)),
     Mutant("one inner cycle too few repeated", "protocols.py",
            "c[2:-4] * inner_cycles",
