@@ -46,7 +46,7 @@ _HALF_PI = math.pi / 2
 _ROW_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ChannelModel:
     """Conditional distribution P(outcome | b) as a 2x3 row-stochastic matrix.
 
@@ -54,15 +54,16 @@ class ChannelModel:
     entries are read by the number rule and kept as floats, which every
     reader in the package takes.  ``p_given_b``, a read-only float64 array
     of them, is built on first read, so only that read imports numpy; a
-    write into it raises.  Two channels are equal, and hash alike, when
-    their six entries are, for as long as they live.
+    write into it raises.  ``_entropies``, the rows' entropies, is built on
+    its first read by :func:`mutual_information`.  Two channels are equal,
+    and hash alike, when their six entries are, for as long as they live.
     """
 
     p_given_b: numpy.ndarray
 
-    def __post_init__(self):
+    def __init__(self, p_given_b):
         try:
-            (a, b, c), (d, e, f) = self.__dict__.pop("p_given_b")
+            (a, b, c), (d, e, f) = p_given_b
         except (TypeError, ValueError):
             raise DomainError("channel matrix must be 2x3") from None
         # Exact floats stand as they are (nan and the infinities fail both
@@ -90,7 +91,7 @@ class ChannelModel:
                 and 0.0 <= d <= 1.0 and 0.0 <= e <= 1.0 and 0.0 <= f <= 1.0):
             a, b, c, d, e, f = (0.0 if p < 0.0 else 1.0 if p > 1.0 else p
                                 for p in (a, b, c, d, e, f))
-        object.__setattr__(self, "_rows", ((a, b, c), (d, e, f)))
+        self.__dict__["_rows"] = (a, b, c), (d, e, f)
 
     def row(self, bit: int) -> numpy.ndarray:
         return self.p_given_b[_validate_bit(bit)]
@@ -117,6 +118,7 @@ def _read_only_array(channel: ChannelModel) -> numpy.ndarray:
 
 
 ChannelModel.p_given_b = _BuiltOnRead("p_given_b", _read_only_array)
+ChannelModel._entropies = _BuiltOnRead("_entropies", lambda c: tuple(map(_entropy_bits, c._rows)))
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,8 @@ def mutual_information(channel: ChannelModel, prior: InputPrior) -> float:
     rows = channel._rows
     marginal = [weights[0] * p + weights[1] * q for p, q in zip(rows[0], rows[1])]
     info = _entropy_bits(marginal)
-    for bit in (0, 1):
-        info -= weights[bit] * _entropy_bits(rows[bit])
+    for weight, entropy in zip(weights, channel._entropies):
+        info -= weight * entropy
     return float(min(1.0, max(0.0, info)))
 
 
@@ -333,10 +335,10 @@ def _simplex_max(f, x0, step, max_iter):
 _OBJECTIVE_NAMES = ("min-success", "mutual-info-uniform")
 
 # Work budget of one optimization, in channel evaluations.  An evaluation
-# (two protocol runs and the objective) takes 28-51 us on a shared 2-vCPU
+# (two protocol runs and the objective) takes 16-26 us on a shared 2-vCPU
 # Intel Xeon (best of 7 ``optimize_angles("min-success", 24, 200)`` over its
-# 842, in each of nine processes; median 43 us), so the budget, 11 times the
-# 1,379 that grid 24 and refine 200 allow, is 0.4-0.8 s.
+# 842, in each of nine processes; median 17 us), so the budget, 11 times the
+# 1,379 that grid 24 and refine 200 allow, is 0.24-0.39 s.
 MAX_OPTIMIZE_EVALUATIONS = 15_000
 
 

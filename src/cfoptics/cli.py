@@ -295,9 +295,9 @@ def _cmd_simulate(spec: Dict[str, object]) -> Tuple[dict, dict]:
 
 
 # Work budget of one sweep, in rows.  A row (two protocol runs, the channel
-# measures and its rendering) takes 39-70 us on a shared 2-vCPU Intel Xeon
+# measures and its rendering) takes 25-42 us on a shared 2-vCPU Intel Xeon
 # (best of 7 ``sweep --theta1 0.05:1.0 --balanced --steps 2000``, in each of
-# nine processes; median 61 us), so 0.4-0.7 s in all.
+# nine processes; median 28 us), so 0.25-0.42 s in all.
 MAX_SWEEP_STEPS = 10_000
 
 

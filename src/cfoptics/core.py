@@ -19,8 +19,8 @@ import cmath
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass, field
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import kernel
 from .kernel import OP_ABSORB, OP_SNAPSHOT, OP_SPLIT
@@ -101,13 +101,13 @@ class ModeState:
 
     A constructed state holds that vector, so constructing one imports
     numpy.  A state that :func:`propagate` returns keeps its amplitudes as
-    a list of Python complex, and ``amplitudes`` builds their complex128
-    vector on first read and keeps it; numpy is imported only then.  Once
-    built, the vector is the state's amplitudes: a caller who writes into
-    it changes what the next propagation reads.
+    a list of Python complex; ``amplitudes`` builds their complex128 vector
+    (importing numpy) and ``absorbed`` its dict on first read, and keeps
+    them.  Once built, the vector is the state's amplitudes: a caller who
+    writes into it changes what the next propagation reads.
     """
 
-    __slots__ = ("_values", "_array", "absorbed")
+    __slots__ = ("_values", "_array", "_ledger")
 
     def __init__(self, amplitudes, absorbed=None):
         import numpy as np
@@ -132,7 +132,7 @@ class ModeState:
         _check_contents(amps.tolist(), ledger)
         self._values = None
         self._array = amps
-        self.absorbed = ledger
+        self._ledger = ledger
 
     @classmethod
     def single_photon(cls, mode_count: int, mode: int = 0) -> "ModeState":
@@ -156,6 +156,12 @@ class ModeState:
         return self._array
 
     @property
+    def absorbed(self) -> Dict[str, float]:
+        if type(self._ledger) is tuple:  # a propagation's (labels, values)
+            self._ledger = dict(zip(*self._ledger))
+        return self._ledger
+
+    @property
     def mode_count(self) -> int:
         return len(self._values if self._array is None else self._array)
 
@@ -163,13 +169,13 @@ class ModeState:
         return f"ModeState(amplitudes={self.amplitudes!r}, absorbed={self.absorbed!r})"
 
 
-def _listed_state(values: List[complex], ledger: dict) -> ModeState:
-    """A state holding ``values``, a list of Python complex, and ``ledger``
-    as they are, unchecked: the form :func:`propagate` returns."""
+def _listed_state(values: List[complex], ledger) -> ModeState:
+    """A state holding ``values``, a list of Python complex, and ``ledger``, a
+    dict or a ``(labels, values)`` pair, as they are, unchecked: :func:`propagate`'s."""
     state = ModeState.__new__(ModeState)
     state._values = values
     state._array = None
-    state.absorbed = ledger
+    state._ledger = ledger
     return state
 
 
@@ -273,7 +279,7 @@ class _Plan(NamedTuple):
     checkpoint_rows: Mapping[str, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Network:
     """Ordered element list over a fixed mode count, validated in order and
     lowered to the kernel's plan in one pass on construction.  Each
@@ -284,45 +290,40 @@ class Network:
     is a :class:`Checkpoint` and another element type is a checkpoint.
 
     ``_lowered`` (keyword only, not a field) takes a plan already lowered
-    from these elements: a nested protocol build puts the coefficient
-    pairs of its two outer couplers into a shared plan, and a chain passes
-    the plan of its one-cycle layout, repeated over every cycle.  None, the
-    default, lowers the elements here.  ``dataclasses.replace`` does not
-    carry it over, so a replaced network is lowered again.  Both builds
-    also pass ``_build``, a picklable callable (no closure) that makes the
-    elements on their first read, by ``==``, ``hash`` and ``repr`` too; it
-    is kept as ``_builder``, which ``replace`` does not read either.
+    from these elements; None, the default, and ``dataclasses.replace``
+    lower them here.  A nested or chain build passes its plan with
+    ``_build``, a picklable callable (no closure) that makes the elements on
+    first read, by ``==``, ``hash`` and ``repr`` too; that network is stored
+    unchecked, the callable as ``_builder``, which ``replace`` does not read.
     """
 
     mode_count: int
     elements: Tuple[Element, ...] = field(default_factory=tuple)
     _plan: _Plan = field(init=False, repr=False, compare=False)
-    _lowered: InitVar[Optional[_Plan]] = field(default=None, kw_only=True)
-    _build: InitVar[Optional[Callable[[], Tuple[Element, ...]]]] = field(default=None, kw_only=True)
 
-    def __post_init__(self, _lowered, _build):
-        if (mode_count := _integer(self.mode_count)) is None or not 1 <= mode_count <= MAX_MODES:
+    def __init__(self, mode_count: int, elements: Iterable[Element] = (), *,
+                 _lowered: Optional[_Plan] = None, _build: Optional[Callable] = None):
+        attrs = self.__dict__
+        if _build is not None:
+            attrs["mode_count"], attrs["_plan"], attrs["_builder"] = mode_count, _lowered, _build
+            return
+        if (mode_count := _integer(mode_count)) is None or not 1 <= mode_count <= MAX_MODES:
             raise InvalidNetworkError(f"mode_count must be an integer from 1 to {MAX_MODES}")
-        object.__setattr__(self, "mode_count", mode_count)
-        elements = self.elements
         if type(elements) is not tuple:
             try:
                 iterator = iter(elements)
             except TypeError:
                 raise InvalidNetworkError("elements must be an iterable of elements") from None
             elements = tuple(iterator)
-            object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_plan", _lowered or _lower(elements, mode_count))
-        if _build is not None:
-            del self.__dict__["elements"]
-            self.__dict__["_builder"] = _build
+        attrs["mode_count"], attrs["elements"] = mode_count, elements
+        attrs["_plan"] = _lowered or _lower(elements, mode_count)
 
 
 class _BuiltOnRead:
     """An attribute that ``build(instance)`` makes on its first read, stored
     on the instance under ``name``, which shadows this non-data descriptor:
-    ``Network.elements`` of a network given ``_build``, and
-    ``analysis.ChannelModel.p_given_b``."""
+    ``Network.elements`` of a network given ``_build``, and a channel's
+    ``p_given_b`` and row entropies (``analysis.ChannelModel``)."""
 
     def __init__(self, name: str, build: Callable):
         self.name = name
@@ -434,7 +435,7 @@ def propagate(network: Network, state: ModeState):
     (final, checkpoints)
         ``final`` is the output :class:`ModeState` (input ledger carried
         over and extended, in plan order), its amplitudes a list until read
-        as an array;
+        as an array and, without an input ledger, its ledger a dict once read;
         ``checkpoints`` is a read-only :class:`Snapshots` mapping each
         checkpoint name, in plan order, to the full amplitude vector at its
         position.  Its ``flat`` list and the ``matrix`` built from it on
@@ -446,23 +447,22 @@ def propagate(network: Network, state: ModeState):
     mode_count = network.mode_count
     if len(amps) != mode_count:
         raise InvalidNetworkError(f"state has {len(amps)} modes, network expects {mode_count}")
-    plan = compile_network(network)
-    absorbed = [0.0] * len(plan.ledger_labels)
-    snaps = Snapshots(plan.checkpoint_rows, mode_count)
-    kernel.run_plan(plan.ops, plan.arg_a, plan.arg_b, plan.coeff, amps, absorbed, snaps)
+    ops, arg_a, arg_b, coeff, labels, rows = compile_network(network)
+    absorbed = [0.0] * len(labels)
+    snaps = Snapshots(rows, mode_count)
+    kernel.run_plan(ops, arg_a, arg_b, coeff, amps, absorbed, snaps)
     if state.absorbed:
         ledger = dict(state.absorbed)
-        for label, value in zip(plan.ledger_labels, absorbed):
+        for label, value in zip(labels, absorbed):
             ledger[label] = ledger.get(label, 0.0) + value
         _check_contents(amps, ledger)
-    else:
-        ledger = dict(zip(plan.ledger_labels, absorbed))
-        # The plan's labels are strings and each value a sum of squares,
-        # never negative, so finite lists pass a constructed state's checks;
-        # otherwise those checks raise their first error.
-        if not (all(map(cmath.isfinite, amps)) and all(map(math.isfinite, absorbed))):
-            _check_contents(amps, ledger)
-    return _listed_state(amps, ledger), snaps
+        return _listed_state(amps, ledger), snaps
+    # The plan's labels are strings and each value a sum of squares, never
+    # negative, so finite lists (a finite sum has finite terms) pass a constructed
+    # state's checks; otherwise, or where a sum overflows, those checks decide.
+    if not (cmath.isfinite(sum(amps)) and math.isfinite(sum(absorbed))):
+        _check_contents(amps, dict(zip(labels, absorbed)))
+    return _listed_state(amps, (labels, absorbed)), snaps
 
 
 def total_probability(state: ModeState) -> float:

@@ -70,14 +70,15 @@ def _validate_bit(bit) -> int:
 
 
 def _validate_angle(name: str, value) -> float:
-    """``value`` as a float angle in (-pi, pi], read by the number rule; a
-    float is returned as the same object."""
-    if (angle := _finite_real(value)) is None or not -math.pi < angle <= math.pi:
+    """``value`` as a float angle in (-pi, pi], read by the number rule; an
+    exact float is its own reading (nan and the infinities fail the range test)."""
+    angle = value if type(value) is float else _finite_real(value)
+    if angle is None or not -math.pi < angle <= math.pi:
         raise DomainError(f"{name} must be a finite real angle in (-pi, pi]")
     return angle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NestedConfig:
     """Angles of the two outer couplers; the inner pair is fixed at pi/4.
 
@@ -94,15 +95,12 @@ class NestedConfig:
     theta1: float
     theta2: float
 
-    def __post_init__(self):
-        theta1 = _validate_angle("theta1", self.theta1)
-        theta2 = _validate_angle("theta2", self.theta2)
-        # A float angle is its own validated value and needs no store.
-        if theta1 is not self.theta1:
-            object.__setattr__(self, "theta1", theta1)
-        if theta2 is not self.theta2:
-            object.__setattr__(self, "theta2", theta2)
-        object.__setattr__(self, "_outer_coeff", (_coupler_coeff(theta1), _coupler_coeff(theta2)))
+    def __init__(self, theta1: float, theta2: float):
+        theta1 = _validate_angle("theta1", theta1)
+        theta2 = _validate_angle("theta2", theta2)
+        attrs = self.__dict__
+        attrs["theta1"], attrs["theta2"] = theta1, theta2
+        attrs["_outer_coeff"] = _coupler_coeff(theta1), _coupler_coeff(theta2)
 
     @functools.cached_property
     def _outer_couplers(self) -> Tuple[BeamSplitter, BeamSplitter]:
@@ -190,11 +188,11 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
     """
     bit = _validate_bit(bit)
     first_coeff, last_coeff = config._outer_coeff
-    _, middle_coeff, plan = _NESTED_MIDDLES[bit]
+    _, middle_coeff, (ops, arg_a, arg_b, _, labels, rows) = _NESTED_MIDDLES[bit]
     coeff = [first_coeff, *middle_coeff, last_coeff]
-    return Network(3, _lowered=_Plan(
-        plan.ops, plan.arg_a, plan.arg_b, coeff, plan.ledger_labels, plan.checkpoint_rows),
-        _build=functools.partial(_nested_elements, config, bit))
+    # tuple.__new__ makes the same _Plan without its Python-level __new__.
+    return Network(3, _lowered=tuple.__new__(_Plan, (ops, arg_a, arg_b, coeff, labels, rows)),
+                   _build=functools.partial(_nested_elements, config, bit))
 
 
 def _readout(final: ModeState) -> Tuple[float, float, Dict[str, float]]:

@@ -108,6 +108,21 @@ class TestChannelModel:
         assert channel.p_given_b is channel.p_given_b
         assert success_probabilities(channel) == (0.5, 1.0)
 
+    def test_row_entropies_are_made_once_per_channel(self, monkeypatch):
+        """Every mutual information of a channel reads the two row entropies
+        made on its first one, so a capacity search computes one entropy,
+        the marginal's, per probe; a copy holds the rows only."""
+        channel = ChannelModel([[0.25, 0.5, 0.25], [0.7, 0.1, 0.2]])
+        made, probes = [], []
+        entropy, information = analysis._entropy_bits, analysis.mutual_information
+        monkeypatch.setattr(analysis, "_entropy_bits", lambda d: made.append(d) or entropy(d))
+        monkeypatch.setattr(analysis, "mutual_information",
+                            lambda *args: probes.append(args) or information(*args))
+        capacity(channel)
+        assert len(made) == len(probes) + 2 > 40
+        assert channel._entropies is channel._entropies
+        assert vars(pickle.loads(pickle.dumps(channel))) == {"_rows": channel._rows}
+
 
 class TestChannelFromProtocol:
     def test_uncoupled_inner_loop_gives_identical_rows(self):

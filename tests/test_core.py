@@ -1,6 +1,7 @@
 """Element-level behavior of the propagation core."""
 
 import math
+import pickle
 from collections.abc import Mapping
 from dataclasses import fields, replace
 
@@ -15,10 +16,12 @@ from cfoptics import (
     Discard,
     InvalidNetworkError,
     ModeState,
+    NestedConfig,
     Network,
     apply_beam_splitter,
     apply_blocker,
     build_chain_network,
+    build_nested_network,
     propagate,
     total_probability,
 )
@@ -250,6 +253,28 @@ class TestPropagate:
         state = ModeState([1.0], absorbed={"earlier": 0.25})
         final, _ = propagate(Network(1, (Blocker(0, "now"),)), state)
         assert final.absorbed == {"earlier": 0.25, "now": 1.0}
+
+    def test_a_propagated_ledger_is_built_once_on_first_read(self):
+        """Without an input ledger the output's is the eager dict, label by
+        label in plan order, and the same object on every read."""
+        network = Network(3, (BeamSplitter(0, 1, 0.4), Blocker(1, "x"), BeamSplitter(0, 2, 1.1),
+                              Discard(2, "y"), Blocker(0, "x")))
+        state = ModeState.single_photon(3)
+        final, _ = propagate(network, state)
+        ledger = final.absorbed
+        expected = fold_elements(state, network.elements)[0].absorbed
+        assert type(ledger) is dict and list(ledger.items()) == list(expected.items())
+        assert final.absorbed is ledger and total_probability(final) == pytest.approx(1.0)
+        ledger["z"] = 0.0
+        assert final.absorbed is ledger and "z" in final.absorbed
+
+    def test_a_finite_state_whose_sum_overflows_passes(self):
+        """The all-finite screen sums amplitudes and ledger entries; a sum
+        that overflows only sends finite lists to the per-entry checks."""
+        network = Network(3, (Blocker(2, "x"), Blocker(2, "y")))
+        final, _ = propagate(network, ModeState([1.5e308, 1.5e308, 1.2e154]))
+        assert final._values == [1.5e308, 1.5e308, 0j]
+        assert list(final.absorbed.items()) == [("x", 1.2e154 ** 2), ("y", 0.0)]
 
     def test_mode_count_mismatch_rejected(self):
         with pytest.raises(InvalidNetworkError):
@@ -600,6 +625,31 @@ class TestPlanKeyword:
         with pytest.raises(InvalidNetworkError, match="out of range for 2 modes"):
             replace(network, mode_count=2)
         assert compile_network(replace(network, mode_count=4)) == core._lower(elements, 4)
+
+    def test_a_build_makes_the_elements_on_first_read(self):
+        elements = self.elements()
+        plan = compile_network(Network(3, elements))
+        network = Network(3, _lowered=plan, _build=lambda: elements)
+        assert compile_network(network) is plan and "elements" not in vars(network)
+        assert network == Network(3, elements) and network.elements is elements
+
+    @pytest.mark.parametrize("bit", (0, 1))
+    @pytest.mark.parametrize("build", ("nested", "chain"))
+    def test_a_protocol_network_is_the_network_of_its_elements(self, build, bit):
+        """Compared, hashed, shown, pickled or replaced, a nested or chain
+        network is ``Network(m, elements)`` of its own elements, and its
+        plan is the one its build made."""
+        made = (build_nested_network(NestedConfig(0.3, -0.7), bit) if build == "nested"
+                else build_chain_network(ChainConfig(2, 3, 0.2, 0.5, 1.1), bit))
+        plan = compile_network(made)
+        eager = Network(made.mode_count, made.elements)
+        assert made == eager and hash(made) == hash(eager) and repr(made) == repr(eager)
+        assert compile_network(eager) == plan
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copied = pickle.loads(pickle.dumps(made, protocol))
+            assert copied == eager and compile_network(copied) == plan
+        replaced = replace(made)
+        assert replaced == eager and compile_network(replaced) == plan
 
 
 class TestModeState:

@@ -314,6 +314,52 @@ def test_mutual_information_is_the_ndarray_formula(rows, p0):
     )
 
 
+class AngleFloat(float):
+    pass
+
+
+ANGLE_EDGES = (math.pi, -math.pi, math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 4.0),
+               -0.0, 0.0, math.nan, math.inf, -math.inf)
+angle_inputs = st.one_of(
+    st.sampled_from(ANGLE_EDGES),
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(ANGLE_EDGES + (0.3, -1.2)).map(AngleFloat),
+    st.integers(-4, 4),
+)
+
+
+def number_rule_config(theta1, theta2):
+    """The angles and outer coefficient pairs that the number rule gives
+    ``NestedConfig``, or its first refusal's message."""
+    angles = []
+    for name, value in (("theta1", theta1), ("theta2", theta2)):
+        if (angle := core._finite_real(value)) is None or not -math.pi < angle <= math.pi:
+            return f"{name} must be a finite real angle in (-pi, pi]"
+        angles.append(angle)
+    return tuple(angles), tuple(map(core._coupler_coeff, angles))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(angle_inputs, angle_inputs)
+@example(-math.pi, 0.3)
+@example(0.3, -math.pi)
+@example(math.nextafter(-math.pi, 0.0), math.pi)
+def test_nested_config_takes_its_angles_by_the_number_rule(theta1, theta2):
+    """An exact float angle skips the number rule's reading; every input
+    gives the angles, the pairs or the message that the rule gives."""
+    expected = number_rule_config(theta1, theta2)
+    try:
+        config = NestedConfig(theta1, theta2)
+    except DomainError as exc:
+        assert str(exc) == expected
+    else:
+        angles, coeff = expected
+        assert type(config.theta1) is type(config.theta2) is float
+        assert repr((config.theta1, config.theta2)) == repr(angles)
+        assert repr(config._outer_coeff) == repr(coeff)
+
+
 @PROPERTY
 @given(channel_rows().filter(valid_channel), st.sampled_from((1e-10, 1e-6, 1e-3)))
 def test_capacity_is_the_ndarray_formula(rows, tol):
@@ -561,6 +607,8 @@ tables = st.fixed_dictionaries({
 
 @settings(PROPERTY, max_examples=200)
 @given(st.dictionaries(keys, trees, max_size=3), st.one_of(trees, tables))
+@example({"b0": [-0.0, 1e-300, 1e300, math.nan]}, [[0.5, -0.0], (1e-300, -1e300), [math.nan, 0]])
+@example({}, {"columns": ["a", "b"], "rows": [[-0.0, 1e-300], [1e300, math.nan]]})
 def test_rendering_is_the_reference_renderer(extra, results):
     """JSON and CSV documents, nested or tabular, render to the reference's
     bytes whatever mix of numbers, strings and None they hold."""

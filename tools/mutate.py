@@ -40,7 +40,7 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("splice writes into the shared plan", "protocols.py",
            "coeff = [first_coeff, *middle_coeff, last_coeff]",
-           "coeff = plan.coeff\n"
+           "coeff = _OPEN_NESTED[bit]._plan.coeff\n"
            "    coeff[0], coeff[-1] = first_coeff, last_coeff",
            ("tests/test_protocols.py",)),
     Mutant("outer coefficient pairs swapped", "protocols.py",
@@ -48,8 +48,8 @@ MUTANTS = (
            "last_coeff, first_coeff = config._outer_coeff",
            ("tests/test_protocols.py",)),
     Mutant("config makes its couplers eagerly", "protocols.py",
-           "(_coupler_coeff(theta1), _coupler_coeff(theta2)))\n",
-           "(_coupler_coeff(theta1), _coupler_coeff(theta2)))\n        self._outer_couplers\n",
+           "_coupler_coeff(theta1), _coupler_coeff(theta2)\n",
+           "_coupler_coeff(theta1), _coupler_coeff(theta2)\n        self._outer_couplers\n",
            ("tests/test_protocols.py",)),
     Mutant("channel array left writable", "analysis.py",
            "    array.flags.writeable = False\n",
@@ -93,8 +93,8 @@ MUTANTS = (
            "entry = _lower_element(element, mode_count, slots)",
            ("tests/test_core.py",)),
     Mutant("a second compile per propagation", "core.py",
-           "    plan = compile_network(network)\n",
-           "    plan = compile_network(network)\n    compile_network(network)\n",
+           " = compile_network(network)\n",
+           " = compile_network(network)\n    compile_network(network)\n",
            ("tests/test_protocols.py",)),
     Mutant("leg rows read in reverse", "protocols.py",
            "    width = len(flat) // outer_cycles",
@@ -171,10 +171,30 @@ MUTANTS = (
            "return Network(3, _lowered=_Plan(*columns, plan.ledger_labels, rows), _build=build)",
            "return Network(3, build(), _lowered=_Plan(*columns, plan.ledger_labels, rows))",
            ("tests/test_chain.py",)),
-    Mutant("builder stored under its InitVar name", "core.py",
-           'self.__dict__["_builder"] = _build',
-           'self.__dict__["_builder"] = self.__dict__["_build"] = _build',
-           ("tests/test_chain.py",)),
+    Mutant("a build's plan lowered again from its elements", "core.py",
+           'attrs["_builder"] = mode_count, _lowered, _build',
+           'attrs["_builder"] = mode_count, _lower(_build(), mode_count), _build',
+           ("tests/test_protocols.py",)),
+    Mutant("nested builder is a closure", "protocols.py",
+           "functools.partial(_nested_elements, config, bit))",
+           "lambda: _nested_elements(config, bit))",
+           ("tests/test_core.py",)),
+    Mutant("a float subclass skips the number rule", "protocols.py",
+           "angle = value if type(value) is float else _finite_real(value)",
+           "angle = value if isinstance(value, float) else _finite_real(value)",
+           ("tests/test_properties.py",)),
+    Mutant("angle range takes -pi", "protocols.py",
+           "if angle is None or not -math.pi < angle <= math.pi:",
+           "if angle is None or not -math.pi <= angle <= math.pi:",
+           ("tests/test_properties.py",)),
+    Mutant("row entropies read swapped", "analysis.py",
+           "zip(weights, channel._entropies)",
+           "zip(weights, channel._entropies[::-1])",
+           ("tests/test_properties.py",)),
+    Mutant("finiteness screen skipped", "core.py",
+           "if not (cmath.isfinite(sum(amps)) and math.isfinite(sum(absorbed))):",
+           "if False:",
+           ("tests/test_core.py",)),
     Mutant("deferred row count off by one cycle", "protocols.py",
            "return self.cycles[0] * (2 * self.cycles[1] + 2)",
            "return (self.cycles[0] - 1) * (2 * self.cycles[1] + 2)",
