@@ -436,6 +436,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by command name."""
     parser = _Parser(
         prog="cfoptics",
         description=(
@@ -481,18 +486,34 @@ def build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--outer", default=None, metavar="N1,N2,...", help="outer cycle counts")
     chain.add_argument("--inner", default=None, metavar="M1,M2,...", help="inner cycle counts")
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call.  Parsing leaves a
-    parser unchanged, so one instance serves every call in a process."""
-    return build_parser()
+def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The parsers ``main`` uses, built on its first call.  Parsing leaves a
+    parser unchanged, so one set serves every call in a process."""
+    return _build_parsers()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with a named command parsed by
+    its own subparser alone, which is what the full parse hands it: the
+    same namespace, ``command`` first, or the same exit and text.  No
+    command, ``-h``, ``--version`` and an unknown command take the full
+    parse."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     started = time.perf_counter()
     try:
         spec = _resolve(args)

@@ -114,9 +114,9 @@ class TestChannelModel:
         the marginal's, per probe; a copy holds the rows only."""
         channel = ChannelModel([[0.25, 0.5, 0.25], [0.7, 0.1, 0.2]])
         made, probes = [], []
-        entropy, information = analysis._entropy_bits, analysis.mutual_information
+        entropy, information = analysis._entropy_bits, analysis._information
         monkeypatch.setattr(analysis, "_entropy_bits", lambda d: made.append(d) or entropy(d))
-        monkeypatch.setattr(analysis, "mutual_information",
+        monkeypatch.setattr(analysis, "_information",
                             lambda *args: probes.append(args) or information(*args))
         capacity(channel)
         assert len(made) == len(probes) + 2 > 40
@@ -283,6 +283,24 @@ class TestCapacity:
             assert bits == pytest.approx(
                 mutual_information(channel, prior), abs=tol
             )
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-3, 0.5, 5.0])
+    def test_probes_are_floats_in_the_unit_interval(self, tol, monkeypatch):
+        """A probe is a plain float, not a checked prior, so the search must
+        make each one in [0, 1]; the optimum it returns is a checked
+        ``InputPrior`` that reads the capacity back."""
+        probes = []
+        information = analysis._information
+        monkeypatch.setattr(analysis, "_information",
+                            lambda channel, p0: probes.append(p0) or information(channel, p0))
+        for _ in range(20):
+            channel = ChannelModel(random_channel_rows(RNG))
+            bits, prior = capacity(channel, tol)
+            assert type(prior) is InputPrior and type(prior.p0) is float
+            assert prior == InputPrior(prior.p0) and 0.0 <= prior.p0 <= 1.0
+            assert mutual_information(channel, prior) == bits
+        assert len(probes) > 20 * 3
+        assert all(type(p0) is float and 0.0 <= p0 <= 1.0 for p0 in probes)
 
     def test_rejects_bad_tol(self):
         channel = ChannelModel(random_channel_rows(RNG))

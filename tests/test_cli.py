@@ -1,14 +1,19 @@
 """Command-line contract: parameters, documents, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cfoptics import NestedConfig, analysis, cli, core, protocols, run_protocol
 from cfoptics.analysis import balanced_theta2
@@ -878,3 +883,188 @@ class TestSubprocessContract:
         )
         assert completed.returncode == 2
         assert completed.stderr.strip() != ""
+
+
+# ---------------------------------------------------------------------------
+# properties over drawn command lines
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# Edge strings for flag values: numbers in every form a flag reads or
+# refuses (signs, underscores, exponents out of range, nan and the
+# infinities, whitespace, non-ASCII digits), ranges, lists, switches' words,
+# bit strings and the names a parameter takes: 44 of the kinds ROADMAP's
+# flag/config fuzzer drew from, and a 5,001-digit integer.
+EDGE_VALUES = (
+    "0", "1", "2", "-1", "0.25", "-0.0", ".5", "+1", "1.0", "1e0", "2.5", "8",
+    "1e400", "-1e400", "1e-400", "1_0", "1__0", "nan", "-inf", "Infinity",
+    "", " ", " 1 ", "\t0.3\n", "١", "٠.٢٥", "１", "\u00a01", "\x1c1",
+    "-1:1", "0.1:0.5", "0.5:0.1", "1:2:3", ":", "0,1", "2,5", ",", "4,,2",
+    "true", "false", "null", "0110", "min-success", "csv",
+    "1" + "0" * 5000,
+)
+# --grid and --steps take no value above 24, README's largest, so that
+# every drawn command line runs in milliseconds; a value that a budget or
+# the number rule refuses stays in.
+CAPPED_KEYS = ("grid", "steps")
+
+
+def reads_above_24(text):
+    try:
+        return math.isfinite(number := float(text)) and number > 24
+    except ValueError:
+        return False
+
+
+CAPPED_VALUES = tuple(text for text in EDGE_VALUES if not reads_above_24(text))
+
+# Each command's parameters, as the full parse names them, with the values
+# of its README example; --out, a path, and --config are not drawn.
+README_VALUES = {
+    argv[0]: {key: value for key, value in vars(cli.build_parser().parse_args(argv)).items()
+              if key not in ("command", "out", "config")}
+    for argv, _ in README_DOCUMENTS.values()
+}
+
+
+@st.composite
+def command_lines(draw):
+    """``(command, {key: text})``: a command and a subset of its parameters
+    in drawn order, each at its README value or at an edge value (``True``
+    for the switch), or absent."""
+    command = draw(st.sampled_from(sorted(README_VALUES)))
+    values = {}
+    for key, readme in draw(st.permutations(list(README_VALUES[command].items()))):
+        source = draw(st.sampled_from(("readme", "edge", "absent")))
+        if source == "edge" and key == "balanced":
+            values[key] = True
+        elif source == "edge":
+            values[key] = draw(st.sampled_from(CAPPED_VALUES if key in CAPPED_KEYS else EDGE_VALUES))
+        elif source == "readme" and readme is not None:
+            values[key] = readme
+    return command, values
+
+
+def flag_argv(command, values, joined=()):
+    """The argv of ``command_lines``' draw; keys in ``joined`` as ``--key=text``."""
+    argv = [command]
+    for key, value in values.items():
+        if value is True:
+            argv.append(f"--{key}")
+        elif key in joined:
+            argv.append(f"--{key}={value}")
+        else:
+            argv += [f"--{key}", value]
+    return argv
+
+
+@st.composite
+def parser_argvs(draw):
+    """A known command's drawn flags, or no command, or an unknown one,
+    with argparse's own tokens inserted anywhere."""
+    command, values = draw(command_lines())
+    argv = flag_argv(command, values, {key for key in values if draw(st.booleans())})
+    head = draw(st.sampled_from(("known", "known", "none", "unknown")))
+    if head == "none":
+        argv = argv[1:]
+    elif head == "unknown":
+        argv[0] = draw(st.sampled_from(("simulat", "Simulate", "bogus", "")))
+    for token in draw(st.lists(st.sampled_from(("--version", "-h", "--", "--thet", "--bit=")), max_size=3)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def parse_outcome(parse, argv):
+    """``vars()`` of the namespace as a list of pairs, or (exit code,
+    stdout, stderr) of an argparse exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return list(vars(parse(argv)).items())
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestDispatchedParse:
+    """``main`` parses a named command with its subparser alone, which must
+    read every command line as the full parse does."""
+
+    @settings(PROPERTY, max_examples=500)
+    @given(parser_argvs())
+    @example(["simulate", "--thet", "0.25"])
+    @example(["simulate", "--theta1", "0.25", "--version"])
+    @example(["capacity", "--", "--theta1", "0.25"])
+    @example(["chain", "--outer", "2", "extra", "--inner", "4", "more"])
+    @example(["-h"])
+    @example(["--version"])
+    @example([])
+    def test_dispatch_equals_the_full_parse(self, argv):
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli.build_parser().parse_args, argv)
+
+
+# A difference between flags and config that README documents: a config
+# ``bits`` must be a JSON string, so a number there is refused where its
+# flag text may run.
+BITS_MUST_BE_A_STRING = "a config `bits` value must be a JSON string"
+BITS_REFUSAL = "cfoptics classical: error: bits must be a non-empty string of 0s and 1s\n"
+JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+CALL_SECONDS = 10.0
+
+
+def config_text(values, numbers):
+    """``values`` as a JSON document of strings, or with each value that
+    is a JSON number written as one."""
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: {value}" if numbers and JSON_NUMBER.fullmatch(str(value))
+        else f"{json.dumps(key)}: {json.dumps(value, ensure_ascii=False)}"
+        for key, value in values.items()) + "}"
+
+
+def run_main(argv):
+    """(exit code, stdout, timing-masked stderr) of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert time.perf_counter() - started < CALL_SECONDS, argv[:8]
+    return code, out.getvalue(), timing_masked(err.getvalue())
+
+
+class TestFlagsAndConfigAgree:
+    """A drawn command line and a ``--config`` document with the same
+    values, once as JSON strings and once as JSON numbers where a value is
+    one, exit alike with the same stdout bytes and error line."""
+
+    def test_the_documented_refusal_is_in_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert BITS_MUST_BE_A_STRING in readme
+
+    @settings(PROPERTY, max_examples=400)
+    @given(command_lines())
+    @example(("simulate", {"theta1": "0.25", "balanced": True, "bit": "١"}))
+    @example(("chain", {"outer": "2,5", "inner": "1_0"}))
+    @example(("classical", {"bits": "0110"}))
+    @example(("classical", {"bits": "1"}))
+    @example(("sweep", {"theta1": "-1:1", "theta2": "0.25", "steps": "8"}))
+    @example(("capacity", {"theta1": "0.25", "balanced": True, "tol": "1e-400"}))
+    @example(("optimize", {"objective": "min-success", "grid": "8", "refine": "2"}))
+    def test_flags_and_config_agree(self, tmp_path_factory, command_line):
+        command, values = command_line
+        from_flags = run_main(flag_argv(command, values))
+        code, out, err = from_flags
+        assert code in (0, 2)
+        assert (code == 0) == (out != "") == err.startswith(f"cfoptics {command}: wrote stdout in ")
+        config = tmp_path_factory.mktemp("config") / "run.json"
+        for numbers in (False, True):
+            config.write_text(config_text(values, numbers), encoding="utf-8")
+            from_config = run_main([command, "--config", str(config)])
+            if numbers and from_config != from_flags and JSON_NUMBER.fullmatch(values.get("bits", "")):
+                assert from_config == (2, "", BITS_REFUSAL)
+            else:
+                assert from_config == from_flags, config_text(values, numbers)[:200]
+            for line in from_config[2].splitlines():
+                assert len(line.encode()) <= 300, line[:200]

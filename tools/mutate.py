@@ -3,11 +3,12 @@
 
 Each mutant names a file under ``src/cfoptics``, an exact text that occurs
 once in it, the replacement and the test files that must catch it.  For each
-mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
-temporary directory, applies the replacement there and runs pytest on the
-named test files, stopping at the first failure.  A mutant counts as caught
-only when pytest exits 1 and prints a FAILED line.  Exit 0 (every test
-passed) and exit 3 (INTERNALERROR, which prints no failure) count as missed.
+mutant the script copies ``src/``, ``tests/``, ``pyproject.toml`` and
+``README.md`` (a test reads it) to a temporary directory, applies the
+replacement there and runs pytest on the named test files, stopping at the
+first failure.  A mutant counts as caught only when pytest exits 1 and
+prints a FAILED line.  Exit 0 (every test passed) and exit 3 (INTERNALERROR,
+which prints no failure) count as missed.
 A text that no longer occurs exactly once is reported as stale.  The
 unmutated tests run first; if they fail, no mutant is tried.
 
@@ -188,9 +189,13 @@ MUTANTS = (
            "if angle is None or not -math.pi <= angle <= math.pi:",
            ("tests/test_properties.py",)),
     Mutant("row entropies read swapped", "analysis.py",
-           "zip(weights, channel._entropies)",
-           "zip(weights, channel._entropies[::-1])",
+           "h0, h1 = channel._entropies",
+           "h1, h0 = channel._entropies",
            ("tests/test_properties.py",)),
+    Mutant("capacity probe weights swapped", "analysis.py",
+           "functools.partial(_information, channel)",
+           "lambda p0: _information(channel, 1.0 - p0)",
+           ("tests/test_analysis.py",)),
     Mutant("finiteness screen skipped", "core.py",
            "if not (cmath.isfinite(sum(amps)) and math.isfinite(sum(absorbed))):",
            "if False:",
@@ -206,6 +211,22 @@ MUTANTS = (
     Mutant("format checked by argparse again", "cli.py",
            'common.add_argument("--format", default=None,',
            'common.add_argument("--format", choices=("json", "csv"), default=None,',
+           ("tests/test_cli.py",)),
+    Mutant("dispatched parse drops unrecognized arguments", "cli.py",
+           "    if extras:\n",
+           "    if False:\n",
+           ("tests/test_cli.py",)),
+    Mutant("dispatched parse leaves command unset", "cli.py",
+           "parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))",
+           "parse_known_args(argv[1:])",
+           ("tests/test_cli.py",)),
+    Mutant("a falsy config value read as absent", "cli.py",
+           "config.get(key) if value is None else value",
+           "config.get(key) or None if value is None else value",
+           ("tests/test_cli.py",)),
+    Mutant("config integers read as floats", "cli.py",
+           "parse_int=_read_int)",
+           "parse_int=float)",
            ("tests/test_cli.py",)),
     Mutant("a refusal repeats its value", "cli.py",
            'raise CliUsageError(f"{name} must be a finite real number")',
@@ -245,7 +266,8 @@ def copy_tree(target):
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
     for name in ("src", "tests"):
         shutil.copytree(os.path.join(ROOT, name), os.path.join(target, name), ignore=ignore)
-    shutil.copy(os.path.join(ROOT, "pyproject.toml"), target)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(os.path.join(ROOT, name), target)
 
 
 def try_mutant(mutant):
