@@ -230,9 +230,12 @@ def _check_mode(index, mode_count, what) -> int:
     return mode
 
 
-def _coupler_coeff(theta: float) -> Tuple[float, complex]:
-    """The kernel's coefficient pair ``(cos theta, 1j * sin theta)`` of a coupler."""
-    return math.cos(theta), 1j * math.sin(theta)
+def _coupler_coeff(theta: float) -> Tuple[complex, complex]:
+    """The kernel's coefficient pair ``(complex(cos theta), 1j * sin theta)``
+    of a coupler.  The cosine is the complex ``(cos theta, 0.0)`` that a
+    float becomes in a complex product, so the kernel's products keep their
+    bits and the float's multiply, which returns NotImplemented, is skipped."""
+    return complex(math.cos(theta)), 1j * math.sin(theta)
 
 
 def _lower_element(element, mode_count, slots):
@@ -260,12 +263,14 @@ class _Plan(NamedTuple):
 
     ``ops``, ``arg_a``, ``arg_b`` and ``coeff`` are parallel lists, one
     entry per element.  ``coeff`` holds each coupler's :func:`_coupler_coeff`
-    pair and None for every other element; the positions of one coupler
-    object share one pair.  Ledger slots and snapshot rows
-    (``checkpoint_rows``: name -> row, the only place rows are numbered)
-    follow plan order; a snapshot entry's arguments are 0.  As no entry
-    holds a per-cycle value, a chain's plan is its one-cycle layout's
-    entries with the inner block repeated, and that outer cycle repeated.
+    pair ``(complex(cos theta), 1j * sin theta)``, whose complex cosine
+    spares the kernel a float-by-complex multiply, and None for every other
+    element; the positions of one coupler object share one pair.  Ledger
+    slots and snapshot rows (``checkpoint_rows``: name -> row, the only
+    place rows are numbered) follow plan order; a snapshot entry's
+    arguments are 0.  As no entry holds a per-cycle value, a chain's plan
+    is its one-cycle layout's entries with the inner block repeated, and
+    that outer cycle repeated.
     ``checkpoint_rows`` is a read-only mapping (a chain's names its rows on
     first read).  A plan is read-only, so networks may share
     its lists and its ``checkpoint_rows``.
@@ -274,7 +279,7 @@ class _Plan(NamedTuple):
     ops: List[int]
     arg_a: List[int]
     arg_b: List[int]
-    coeff: List[Optional[Tuple[float, complex]]]
+    coeff: List[Optional[Tuple[complex, complex]]]
     ledger_labels: Tuple[str, ...]
     checkpoint_rows: Mapping[str, int]
 

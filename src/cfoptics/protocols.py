@@ -450,10 +450,23 @@ def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:
     ``leg_peaks["bob_to_charlie"] == 0`` for ``bit == 0`` and
     ``leg_peaks["charlie_to_alice"] ~ 0`` for ``bit == 1`` at default angles.
     The peaks are read from the snapshot list by position, and no array is
-    built.
+    built.  A leg whose entries are all zero peaks at 0.0, a leg whose
+    entries equal the previous leg's takes that leg's peak, and any other
+    squares its largest modulus.
     """
     final, checkpoints = propagate(build_chain_network(chain, bit), _SINGLE_PHOTON)
     columns = _leg_columns(checkpoints.flat, chain.outer_cycles)
-    # Squaring is monotone, so each largest modulus is squared once.
-    peaks = {leg: max(map(abs, column)) ** 2 for leg, column in columns.items()}
+    peaks = {}
+    previous = last = None
+    for leg, column in columns.items():
+        # Each test reads the entries: an all-zero leg is measured, not assumed.
+        if not any(column):
+            peaks[leg] = 0.0
+        elif column == last:
+            # At bit 1 the two inner legs are read at adjacent checkpoints.
+            peaks[leg] = peaks[previous]
+        else:
+            # Squaring is monotone, so each largest modulus is squared once.
+            peaks[leg] = max(map(abs, column)) ** 2
+        previous, last = leg, column
     return ChainOutcome(bit, *_readout(final), peaks)

@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfoptics import core, protocols
@@ -34,6 +34,9 @@ from cfoptics.protocols import MAX_CHAIN_ELEMENTS, _chain_element_count
 from helpers import chain_matrix_oracle
 
 SCHEDULE = ((2, 4), (5, 25), (10, 100), (20, 400))
+
+# The validated angle domain (-pi, pi].
+ANGLES = st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True)
 
 
 def full_signature(element):
@@ -318,31 +321,45 @@ class TestChainWitnesses:
         outcome = run_chain(ChainConfig(4, 6), 1)
         assert outcome.leg_peaks["charlie_to_alice"] < 1e-24
 
-    def test_leg_peaks_are_the_largest_checkpoint_probabilities(self):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(1, 6), st.integers(1, 40), ANGLES, ANGLES, ANGLES, st.sampled_from((0, 1)))
+    @example(6, 40, None, None, None, 0)
+    @example(6, 40, None, None, None, 1)
+    @example(3, 7, 0.21, -2.9, 0.45, 0)
+    @example(3, 7, 0.21, -2.9, 0.45, 1)
+    @example(20, 400, None, None, None, 0)
+    @example(20, 400, None, None, None, 1)
+    @example(1, 2000, None, None, None, 0)
+    @example(1, 2000, None, None, None, 1)
+    @example(50, 1, None, None, None, 0)
+    @example(50, 1, None, None, None, 1)
+    def test_leg_peaks_are_the_largest_checkpoint_probabilities(
+        self, outer, inner, outer_angle, inner_angle, final_angle, bit
+    ):
         """Per leg family, the peak equals the maximum of |amplitude|^2 over
-        its checkpoints, bit for bit."""
+        its checkpoints, bit for bit, on each of run_chain's three paths:
+        the blocked return leg's entries are all zero at bit 0, the two
+        inner legs' entries are equal at bit 1, as they are read at adjacent
+        checkpoints, and the other legs square their largest modulus."""
         leg_mode = {
             "alice_to_charlie": 1,
             "charlie_to_bob": 2,
             "bob_to_charlie": 2,
             "charlie_to_alice": 1,
         }
-        chains = (
-            ChainConfig(6, 40),
-            ChainConfig(3, 7, outer_angle=0.21, inner_angle=-2.9, final_angle=0.45),
-            ChainConfig(20, 400),
-            ChainConfig(1, 2000),
-            ChainConfig(50, 1),
-        )
-        for chain in chains:
-            for bit in (0, 1):
-                network = build_chain_network(chain, bit)
-                _, checkpoints = propagate(network, ModeState.single_photon(3))
-                expected = dict.fromkeys(leg_mode, 0.0)
-                for name, vector in checkpoints.items():
-                    leg = name.split("[")[0]
-                    expected[leg] = max(expected[leg], float(abs(vector[leg_mode[leg]]) ** 2))
-                assert run_chain(chain, bit).leg_peaks == expected
+        chain = ChainConfig(outer, inner, outer_angle, inner_angle, final_angle)
+        _, checkpoints = propagate(build_chain_network(chain, bit), ModeState.single_photon(3))
+        amplitudes = {leg: [] for leg in leg_mode}
+        expected = dict.fromkeys(leg_mode, 0.0)
+        for name, vector in checkpoints.items():
+            leg = name.split("[")[0]
+            amplitudes[leg].append(complex(vector[leg_mode[leg]]))
+            expected[leg] = max(expected[leg], float(abs(vector[leg_mode[leg]]) ** 2))
+        if bit == 0:
+            assert not any(amplitudes["bob_to_charlie"])
+        else:
+            assert amplitudes["bob_to_charlie"] == amplitudes["charlie_to_bob"]
+        assert run_chain(chain, bit).leg_peaks == expected
 
     def test_a_run_builds_no_array(self, monkeypatch):
         """A chain run reads its detectors and leg peaks from the kernel's

@@ -457,13 +457,15 @@ def shared_element_networks(draw):
 
 def reference_lowering(elements):
     """Element-by-element lowering to the kernel's plan: couplers carry
-    ``(cos theta, 1j * sin theta)``, absorbers their label's ledger slot and
-    checkpoints their snapshot row, slots and rows in first-seen order."""
+    ``(complex(cos theta), 1j * sin theta)``, absorbers their label's ledger
+    slot and checkpoints their snapshot row, slots and rows in first-seen
+    order."""
     ops, arg_a, arg_b, coeff, labels, rows = [], [], [], [], [], {}
     for element in elements:
         if isinstance(element, BeamSplitter):
             theta = element.theta
-            entry = (OP_SPLIT, element.mode_a, element.mode_b, (math.cos(theta), 1j * math.sin(theta)))
+            entry = (OP_SPLIT, element.mode_a, element.mode_b,
+                     (complex(math.cos(theta)), 1j * math.sin(theta)))
         elif isinstance(element, Checkpoint):
             entry = (OP_SNAPSHOT, 0, 0, None)
             rows[element.name] = len(rows)
@@ -486,9 +488,38 @@ def test_plan_is_the_element_by_element_lowering(network):
     assert list(plan.ops) == ops
     assert list(plan.arg_a) == arg_a
     assert list(plan.arg_b) == arg_b
-    assert list(plan.coeff) == coeff
+    assert repr(list(plan.coeff)) == repr(coeff)
     assert plan.ledger_labels == labels
     assert list(plan.checkpoint_rows.items()) == list(rows.items())
+
+
+# Finite parts, with signed zeros, the smallest and the largest magnitudes
+# among them, where a product's extra 0.0 * part term could show.
+extreme_parts = st.sampled_from((0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300)) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.floats(allow_nan=False, allow_infinity=False), extreme_parts, extreme_parts,
+       shared_element_networks())
+@example(-0.0, -0.0, -1e300, Network(3))
+@example(1e300, 1e300, -1e-300, Network(3))
+def test_a_complex_cosine_multiplies_as_its_float(c, re, im, network):
+    """The kernel multiplies amplitudes by each coupler's cosine stored as
+    ``complex(cos theta)``.  That is bit for bit the float product only
+    while the interpreter widens a float to ``(c, 0.0)`` before a complex
+    product, as CPython 3.10 to 3.13 do: this pins the rule.  And every
+    cosine in a lowered plan is such a complex, with imaginary part +0.0."""
+    z = complex(re, im)
+    assert repr(complex(c) * z) == repr(c * z)
+    for built in (network, build_chain_network(ChainConfig(2, 3), 1),
+                  build_nested_network(NestedConfig(0.25, 0.3), 0)):
+        plan = core.compile_network(built)
+        for op, k in zip(plan.ops, plan.coeff):
+            if op == OP_SPLIT:
+                cosine = k[0]
+                assert type(cosine) is complex
+                assert math.copysign(1.0, cosine.imag) == 1.0 and cosine.imag == 0.0
 
 
 def plan_columns(plan):

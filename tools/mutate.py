@@ -132,6 +132,18 @@ MUTANTS = (
            "amps[a] = 0j",
            "amps[a] = za",
            ("tests/test_acceptance.py",)),
+    Mutant("absorber books its real part twice", "kernel.py",
+           "re * re + im * im",
+           "re * re + re * re",
+           ("tests/test_acceptance.py",)),
+    Mutant("leg zero test turned around", "protocols.py",
+           "if not any(column):",
+           "if any(column):",
+           ("tests/test_chain.py",)),
+    Mutant("equal legs take the first leg's peak", "protocols.py",
+           "peaks[leg] = peaks[previous]",
+           'peaks[leg] = peaks["alice_to_charlie"]',
+           ("tests/test_chain.py",)),
     Mutant("detectors D1 and D2 swapped", "protocols.py",
            "abs(final._values[0]) ** 2, abs(final._values[1]) ** 2",
            "abs(final._values[1]) ** 2, abs(final._values[0]) ** 2",
