@@ -265,12 +265,11 @@ class _Plan(NamedTuple):
     entry per element.  ``coeff`` holds each coupler's :func:`_coupler_coeff`
     pair ``(complex(cos theta), 1j * sin theta)``, whose complex cosine
     spares the kernel a float-by-complex multiply, and None for every other
-    element; the positions of one coupler object share one pair.  Ledger
-    slots and snapshot rows (``checkpoint_rows``: name -> row, the only
-    place rows are numbered) follow plan order; a snapshot entry's
-    arguments are 0.  As no entry holds a per-cycle value, a chain's plan
-    is its one-cycle layout's entries with the inner block repeated, and
-    that outer cycle repeated.
+    element.  Ledger slots and snapshot rows (``checkpoint_rows``: name ->
+    row, the only place rows are numbered) follow plan order; a snapshot
+    entry's arguments are 0.  Every protocol network is its bit's one-cycle
+    plan, lowered once per process, with its config's pairs spliced in; as no
+    entry holds a per-cycle value, a chain's plan is then repeated.
     ``checkpoint_rows`` is a read-only mapping (a chain's names its rows on
     first read).  A plan is read-only, so networks may share
     its lists and its ``checkpoint_rows``.
@@ -287,19 +286,17 @@ class _Plan(NamedTuple):
 @dataclass(frozen=True, init=False)
 class Network:
     """Ordered element list over a fixed mode count, validated in order and
-    lowered to the kernel's plan in one pass on construction.  Each
-    checkpoint takes the next snapshot row; any other element is read and
-    checked once per object (a chain repeats a few couplers, blockers and
-    discards over thousands of positions), so a subclass instance whose
-    fields change between reads is read once per network.  An object that
-    is a :class:`Checkpoint` and another element type is a checkpoint.
+    lowered to the kernel's plan in one pass on construction, each position
+    read on its own; each checkpoint takes the next snapshot row.  An object
+    that is a :class:`Checkpoint` and another element type is a checkpoint.
 
-    ``_lowered`` (keyword only, not a field) takes a plan already lowered
-    from these elements; None, the default, and ``dataclasses.replace``
-    lower them here.  A nested or chain build passes its plan with
-    ``_build``, a picklable callable (no closure) that makes the elements on
-    first read, by ``==``, ``hash`` and ``repr`` too; that network is stored
-    unchecked, the callable as ``_builder``, which ``replace`` does not read.
+    Every protocol network is its bit's one-cycle plan, lowered once per
+    process, with its config's pairs spliced in, and a chain's plan is then
+    repeated.  A build passes that plan as ``_lowered`` (keyword only, not a
+    field) with ``_build``, a picklable callable (no closure) that makes the
+    elements on first read, by ``==``, ``hash`` and ``repr`` too; that
+    network is stored unchecked, the callable as ``_builder``, which
+    ``dataclasses.replace`` does not read.  ``_lowered`` alone is refused.
     """
 
     mode_count: int
@@ -312,6 +309,8 @@ class Network:
         if _build is not None:
             attrs["mode_count"], attrs["_plan"], attrs["_builder"] = mode_count, _lowered, _build
             return
+        if _lowered is not None:
+            raise TypeError("Network takes _lowered only with _build")
         if (mode_count := _integer(mode_count)) is None or not 1 <= mode_count <= MAX_MODES:
             raise InvalidNetworkError(f"mode_count must be an integer from 1 to {MAX_MODES}")
         if type(elements) is not tuple:
@@ -321,14 +320,15 @@ class Network:
                 raise InvalidNetworkError("elements must be an iterable of elements") from None
             elements = tuple(iterator)
         attrs["mode_count"], attrs["elements"] = mode_count, elements
-        attrs["_plan"] = _lowered or _lower(elements, mode_count)
+        attrs["_plan"] = _lower(elements, mode_count)
 
 
 class _BuiltOnRead:
     """An attribute that ``build(instance)`` makes on its first read, stored
     on the instance under ``name``, which shadows this non-data descriptor:
-    ``Network.elements`` of a network given ``_build``, and a channel's
-    ``p_given_b`` and row entropies (``analysis.ChannelModel``)."""
+    ``Network.elements`` given ``_build``, a config's outer couplers and a
+    chain's row index (``protocols``), and a channel's ``p_given_b`` and row
+    entropies (``analysis.ChannelModel``)."""
 
     def __init__(self, name: str, build: Callable):
         self.name = name
@@ -342,8 +342,8 @@ Network.elements = _BuiltOnRead("elements", lambda network: network._builder())
 
 
 def _lower(elements, mode_count):
-    """Validate ``elements`` in order and lower them to a plan."""
-    slots, rows, lowered = {}, {}, {}  # label -> slot, name -> row, id -> entry
+    """Validate ``elements`` in order and lower each position on its own to a plan."""
+    slots, rows = {}, {}  # label -> slot, name -> row
     ops, arg_a, arg_b, coeff = [], [], [], []
     for element in elements:
         if isinstance(element, Checkpoint):
@@ -358,10 +358,7 @@ def _lower(elements, mode_count):
             arg_b.append(0)
             coeff.append(None)
             continue
-        entry = lowered.get(id(element))
-        if entry is None:
-            entry = lowered[id(element)] = _lower_element(element, mode_count, slots)
-        op, a, b, k = entry
+        op, a, b, k = _lower_element(element, mode_count, slots)
         ops.append(op)
         arg_a.append(a)
         arg_b.append(b)

@@ -6,9 +6,9 @@ probabilities and the checkpoint snapshots, which are handed over as one
 flat list.  No array is made here.
 """
 
-# Opcodes.  A network is lowered to its plan once, when it is built; a
-# coupler's coeff is computed once per distinct coupler object and shared by
-# its uses.
+# Opcodes.  A network is lowered to its plan once, when it is built: every
+# protocol network is its bit's one-cycle plan, lowered once per process, with
+# its config's pairs spliced in, and a chain's plan is then repeated.
 OP_SPLIT = 0  # two-mode coupler: args = (mode_a, mode_b), coeff = (complex(cos t), 1j * sin t)
 OP_ABSORB = 1  # perfect absorber: args = (mode, ledger_slot), coeff None
 OP_SNAPSHOT = 2  # amplitude snapshot: args = (unused, unused), coeff None; rows in plan order

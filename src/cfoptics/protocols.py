@@ -33,12 +33,12 @@ from .core import (
     Element,
     ModeState,
     Network,
+    _BuiltOnRead,
     _coupler_coeff,
     _decimal,
     _finite_real,
     _integer,
     _listed_state,
-    _lower,
     _Plan,
     propagate,
 )
@@ -102,9 +102,8 @@ class NestedConfig:
         attrs["theta1"], attrs["theta2"] = theta1, theta2
         attrs["_outer_coeff"] = _coupler_coeff(theta1), _coupler_coeff(theta2)
 
-    @functools.cached_property
-    def _outer_couplers(self) -> Tuple[BeamSplitter, BeamSplitter]:
-        return BeamSplitter(0, 1, self.theta1), BeamSplitter(0, 1, self.theta2)
+    _outer_couplers = _BuiltOnRead(
+        "_outer_couplers", lambda c: (BeamSplitter(0, 1, c.theta1), BeamSplitter(0, 1, c.theta2)))
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,8 @@ def _cycles(outer, inner, marks, bit: int, final) -> Tuple[Element, ...]:
 
 # The nested layout at each bit with open outer couplers, the one-cycle case
 # of :func:`_cycles`, built once per process: every nested build shares its
-# leg checkpoints, inner coupler, blocker and discard and its plan lists.  A
-# chain's plan is lowered from the same layout with its own couplers.
+# leg checkpoints, inner coupler, blocker and discard and its plan lists, and
+# every chain build its plan's opcode, argument and label lists.
 _LEG_MARKS = [tuple(map(Checkpoint, LEG_NAMES))]
 _INNER = BeamSplitter(1, 2, math.pi / 4)
 _OPEN_NESTED = tuple(Network(3, _cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MARKS, bit,
@@ -383,9 +382,8 @@ class _ChainRows(Mapping):
             names.append(f"{to_alice}[{k}]")
             yield names
 
-    @functools.cached_property
-    def _index(self) -> Dict[str, int]:
-        return dict(zip(itertools.chain.from_iterable(self.names()), itertools.count()))
+    _index = _BuiltOnRead("_index", lambda rows: dict(
+        zip(itertools.chain.from_iterable(rows.names()), itertools.count())))
 
     def __getitem__(self, name):
         return self._index[name]
@@ -397,10 +395,11 @@ class _ChainRows(Mapping):
         return self.cycles[0] * (2 * self.cycles[1] + 2)
 
 
-def _chain_elements(rows, bit: int, outer, inner, final) -> Tuple[Element, ...]:
-    """A chain network's elements, each checkpoint made from its name in ``rows``."""
-    return _cycles(outer, inner, [tuple(map(Checkpoint, names)) for names in rows.names()],
-                   bit, final)
+def _chain_elements(rows, bit: int, chain: ChainConfig) -> Tuple[Element, ...]:
+    """A chain network's elements: couplers at ``chain``'s angles, checkpoints named by ``rows``."""
+    return _cycles(BeamSplitter(0, 1, chain.outer_angle), BeamSplitter(1, 2, chain.inner_angle),
+                   [tuple(map(Checkpoint, names)) for names in rows.names()], bit,
+                   BeamSplitter(0, 1, chain.final_angle))
 
 
 def build_chain_network(chain: ChainConfig, bit: int) -> Network:
@@ -417,29 +416,30 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     ``charlie_to_bob[k.j]``, Bob's blocker iff ``bit == 0``,
     ``bob_to_charlie[k.j]``; then the inner coupler,
     ``charlie_to_alice[k]`` and the discard.  The final coupler closes the
-    network.  Its plan is the one-cycle layout's, lowered by ``_lower`` and
-    repeated at both levels; its elements are built, and its rows named,
-    when first read.
+    network.  Its plan is its bit's open nested plan with ``chain``'s pairs
+    spliced in, repeated at both levels; its elements are built, and its
+    rows named, when first read.
     """
     bit = _validate_bit(bit)
     outer_cycles, inner_cycles = chain.outer_cycles, chain.inner_cycles
-    outer, inner = BeamSplitter(0, 1, chain.outer_angle), BeamSplitter(1, 2, chain.inner_angle)
-    final = BeamSplitter(0, 1, chain.final_angle)
+    _, middle_coeff, (ops, arg_a, arg_b, _, labels, _) = _NESTED_MIDDLES[bit]
+    inner = _coupler_coeff(chain.inner_angle)
+    coeff = [_coupler_coeff(chain.outer_angle), *[k and inner for k in middle_coeff],
+             _coupler_coeff(chain.final_angle)]  # `k and`: a None entry stays None
     # No plan entry holds a cycle index (snapshot rows are numbered in
     # ``rows`` alone), so each column of the one-cycle plan, [outer coupler,
     # checkpoint | inner block | inner coupler, checkpoint, discard | final
     # coupler], gives the chain's by repeating its inner block, then its cycle.
-    plan = _lower(_cycles(outer, inner, _LEG_MARKS, bit, final), 3)
     columns = []
-    for c in plan[:4]:
+    for c in (ops, arg_a, arg_b, coeff):
         column = c[:2] + c[2:-4] * inner_cycles + c[-4:-1]
         if outer_cycles > 1:  # `* 1` would copy the one cycle again
             column = column * outer_cycles
         column.append(c[-1])  # not `+ c[-1:]`, which copies the whole column again
         columns.append(column)
     rows = _ChainRows((outer_cycles, inner_cycles))
-    build = functools.partial(_chain_elements, rows, bit, outer, inner, final)
-    return Network(3, _lowered=_Plan(*columns, plan.ledger_labels, rows), _build=build)
+    build = functools.partial(_chain_elements, rows, bit, chain)
+    return Network(3, _lowered=_Plan(*columns, labels, rows), _build=build)
 
 
 def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:

@@ -1,5 +1,6 @@
 """Element-level behavior of the propagation core."""
 
+import functools
 import math
 import pickle
 from collections.abc import Mapping
@@ -515,10 +516,10 @@ class TestNetworkValidation:
                 Network(2, elements)
             assert str(excinfo.value) == message
 
-    def test_subclass_instance_is_read_once_per_network(self):
-        """Every element object other than a checkpoint is lowered once per
-        network, a subclass instance whose attributes are computed too: its
-        positions share the pair of its one read."""
+    def test_each_position_is_read_in_element_order(self):
+        """A hand-built network reads and lowers every position on its own,
+        in element order: a subclass instance whose angle drifts between
+        reads gives each of its positions its own pair."""
 
         class DriftingSplitter(BeamSplitter):
             reads = 0
@@ -533,10 +534,10 @@ class TestNetworkValidation:
                 pass
 
         drifting = DriftingSplitter(0, 1, 0.0)
-        plan = compile_network(Network(2, (drifting, Checkpoint("mid"), drifting)))
-        assert plan.coeff[0] == (math.cos(0.25), 1j * math.sin(0.25))
-        assert plan.coeff[0] is plan.coeff[2]
-        assert DriftingSplitter.reads == 1
+        plan = compile_network(Network(2, (drifting, Checkpoint("mid"), drifting, drifting)))
+        assert DriftingSplitter.reads == 3
+        assert [plan.coeff[i] for i in (0, 2, 3)] == [
+            (math.cos(0.25 * n), 1j * math.sin(0.25 * n)) for n in (1, 2, 3)]
 
     def test_a_checkpoint_that_is_also_a_coupler_is_a_checkpoint(self):
         class CheckpointSplitter(Checkpoint, BeamSplitter):
@@ -585,18 +586,25 @@ class TestNetworkValidation:
 
 
 class TestPlanKeyword:
-    """``Network(m, elements, _lowered=plan)`` takes a plan lowered
-    elsewhere; by default, and under ``dataclasses.replace``, the network
-    lowers its own elements."""
+    """``Network(m, _lowered=plan, _build=maker)`` takes a plan lowered
+    elsewhere together with the maker of its elements; a plan without its
+    maker is refused, and by default, and under ``dataclasses.replace``, the
+    network lowers its own elements."""
 
     def elements(self):
         return (BeamSplitter(0, 1, 0.1), Checkpoint("a"), BeamSplitter(1, 2, 0.4),
                 Blocker(2, "x"), BeamSplitter(0, 1, 0.2))
 
+    def built(self):
+        """A network given the plan of ``elements()`` and a maker of them."""
+        elements = self.elements()
+        return Network(3, _lowered=compile_network(Network(3, elements)),
+                       _build=functools.partial(tuple, elements))
+
     def test_lowered_is_a_keyword_only_argument_not_a_field(self):
         elements = self.elements()
         plain = Network(3, elements)
-        given = Network(3, elements, _lowered=compile_network(plain))
+        given = self.built()
         assert [f.name for f in fields(Network)] == ["mode_count", "elements", "_plan"]
         assert given == plain and repr(given) == repr(plain) == repr(Network(3, elements))
         with pytest.raises(TypeError):
@@ -604,10 +612,20 @@ class TestPlanKeyword:
         with pytest.raises(TypeError):
             Network(3, elements, _plan=compile_network(plain))
 
+    def test_a_plan_without_its_maker_is_refused(self):
+        """No path takes a plan alone: ``_lowered`` without ``_build`` is
+        refused, not ignored, whatever the elements."""
+        elements = self.elements()
+        plan = compile_network(Network(3, elements))
+        for args in ((3, elements), (3,), (2, elements)):
+            with pytest.raises(TypeError, match="_lowered only with _build"):
+                Network(*args, _lowered=plan)
+
     def test_a_given_plan_is_the_networks_plan(self):
         elements = self.elements()
         plan = compile_network(Network(3, elements))
-        assert compile_network(Network(3, elements, _lowered=plan)) is plan
+        network = Network(3, _lowered=plan, _build=lambda: elements)
+        assert compile_network(network) is plan
 
     def test_no_plan_lowers_the_elements(self):
         elements = self.elements()
@@ -617,7 +635,7 @@ class TestPlanKeyword:
 
     def test_replace_lowers_the_new_elements_and_checks_the_mode_count(self):
         elements = self.elements()
-        network = Network(3, elements, _lowered=compile_network(Network(3, elements)))
+        network = self.built()
         other = (BeamSplitter(0, 2, 0.3), Checkpoint("b"), Discard(1, "y"))
         replaced = replace(network, elements=other)
         assert compile_network(replaced) == core._lower(other, 3)

@@ -481,8 +481,9 @@ def reference_lowering(elements):
 @PROPERTY
 @given(shared_element_networks())
 def test_plan_is_the_element_by_element_lowering(network):
-    """The plan stored at construction, lowered once per distinct element
-    object, equals lowering every position on its own."""
+    """The plan stored at construction, of a network that repeats element
+    objects over many positions, equals a reference lowering of every
+    position on its own."""
     plan = core.compile_network(network)
     ops, arg_a, arg_b, coeff, labels, rows = reference_lowering(network.elements)
     assert list(plan.ops) == ops
@@ -547,9 +548,10 @@ def test_nested_plan_is_the_element_by_element_lowering(theta1, theta2, bit):
 @example(50, 1, None, None, None, 1)
 def test_chain_plan_is_the_element_by_element_lowering(outer, inner, outer_angle, inner_angle,
                                                        final_angle, bit):
-    """A chain's plan, the one-cycle layout lowered with its inner block
-    repeated over the inner cycles and the result over the outer cycles, is
-    the lowering of its elements one by one."""
+    """A chain's plan, its bit's open nested plan with the chain's three
+    coefficient pairs spliced in, its inner block repeated over the inner
+    cycles and the result over the outer cycles, is the lowering of its
+    elements one by one."""
     chain = ChainConfig(outer, inner, outer_angle, inner_angle, final_angle)
     network = build_chain_network(chain, bit)
     assert plan_columns(core.compile_network(network)) == plan_columns(

@@ -15,6 +15,7 @@ from cfoptics import (
     NestedConfig,
     ProtocolOutcome,
     UndecidableDecodingError,
+    build_chain_network,
     build_nested_network,
     counterfactual_witness,
     run_bright_pulse,
@@ -161,6 +162,25 @@ class TestNestedPlans:
         assert build_nested_network(config, 0).elements[0] == core.BeamSplitter(0, 1, 0.3)
         assert made == [(0, 1, 0.3), (0, 1, 0.7)]
 
+    @pytest.mark.parametrize("bit", (0, 1))
+    def test_no_build_or_run_lowers_elements(self, monkeypatch, bit):
+        """Every protocol network is its bit's open plan, lowered once per
+        process, with its config's pairs spliced in: no nested or chain
+        build or run, and no channel evaluation, lowers an element list."""
+
+        def refused(elements, mode_count):
+            raise AssertionError("a protocol build lowered its elements")
+
+        assert "_lower" not in vars(protocols)
+        monkeypatch.setattr(core, "_lower", refused)
+        config, chain = NestedConfig(0.3, 0.7), ChainConfig(3, 4, 0.2, 0.5, 1.1)
+        for network in (build_nested_network(config, bit), build_chain_network(chain, bit)):
+            final, _ = core.propagate(network, protocols._SINGLE_PHOTON)
+            assert math.isclose(core.total_probability(final), 1.0, abs_tol=1e-12)
+        assert run_protocol(config, bit).p_d1 == channel_from_protocol(config)._rows[bit][0]
+        assert run_chain(chain, bit).bit == bit
+        run_chain(ChainConfig(20, 400), bit)
+
     def test_shared_plans_survive_many_evaluations_and_failed_builds(self):
         before = self.shared()
         for k, theta1 in enumerate(np.linspace(0.05, 1.5, 40)):
@@ -168,6 +188,7 @@ class TestNestedPlans:
             run_protocol(NestedConfig(theta1, -0.3), k % 2)
             # The detuned layout is a one-cycle chain with its own plan.
             run_chain(ChainConfig(1, 1, theta1, math.pi / 4 - 0.02, 0.7), k % 2)
+            run_chain(ChainConfig(2, 3, theta1, 0.4, -0.7), k % 2)
         with pytest.raises(DomainError):
             build_nested_network(NestedConfig(0.3, 0.7), 2)
         assert [(id(column), contents) for column, contents in self.shared()] == [

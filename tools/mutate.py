@@ -80,19 +80,6 @@ MUTANTS = (
            "return self.matrix[self._rows[name]]",
            "return self.matrix[self._rows[name]].copy()",
            ("tests/test_core.py",)),
-    Mutant("absorbers memoized by label", "core.py",
-           "entry = lowered.get(id(element))\n"
-           "        if entry is None:\n"
-           "            entry = lowered[id(element)] = _lower_element(element, mode_count, slots)",
-           "key = getattr(element, \"label\", id(element))\n"
-           "        entry = lowered.get(key)\n"
-           "        if entry is None:\n"
-           "            entry = lowered[key] = _lower_element(element, mode_count, slots)",
-           ("tests/test_properties.py",)),
-    Mutant("elements lowered at every position", "core.py",
-           "entry = lowered[id(element)] = _lower_element(element, mode_count, slots)",
-           "entry = _lower_element(element, mode_count, slots)",
-           ("tests/test_core.py",)),
     Mutant("a second compile per propagation", "core.py",
            " = compile_network(network)\n",
            " = compile_network(network)\n    compile_network(network)\n",
@@ -181,9 +168,14 @@ MUTANTS = (
            "itertools.cycle(range(2 * self.cycles[1] + 2))",
            ("tests/test_chain.py",)),
     Mutant("run path names every cycle", "protocols.py",
-           "return Network(3, _lowered=_Plan(*columns, plan.ledger_labels, rows), _build=build)",
-           "return Network(3, build(), _lowered=_Plan(*columns, plan.ledger_labels, rows))",
+           "_lowered=_Plan(*columns, labels, rows)",
+           "_lowered=_Plan(*columns, labels, dict(rows))",
            ("tests/test_chain.py",)),
+    Mutant("a plan without its maker is ignored", "core.py",
+           "        if _lowered is not None:\n"
+           "            raise TypeError(\"Network takes _lowered only with _build\")\n",
+           "",
+           ("tests/test_core.py",)),
     Mutant("a build's plan lowered again from its elements", "core.py",
            'attrs["_builder"] = mode_count, _lowered, _build',
            'attrs["_builder"] = mode_count, _lower(_build(), mode_count), _build',
@@ -217,9 +209,13 @@ MUTANTS = (
            "return (self.cycles[0] - 1) * (2 * self.cycles[1] + 2)",
            ("tests/test_chain.py",)),
     Mutant("chain ignores inner_angle", "protocols.py",
-           "BeamSplitter(1, 2, chain.inner_angle)",
-           "BeamSplitter(1, 2, chain.outer_angle)",
+           "inner = _coupler_coeff(chain.inner_angle)",
+           "inner = _coupler_coeff(chain.outer_angle)",
            ("tests/test_chain.py",)),
+    Mutant("chain splices the template's pi/4 inner pair", "protocols.py",
+           "*[k and inner for k in middle_coeff]",
+           "*middle_coeff",
+           ("tests/test_chain.py", "tests/test_properties.py")),
     Mutant("format checked by argparse again", "cli.py",
            'common.add_argument("--format", default=None,',
            'common.add_argument("--format", choices=("json", "csv"), default=None,',
