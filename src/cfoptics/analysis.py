@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
-from .core import _BuiltOnRead, _decimal, _finite_real, _integer
+from .core import _BuiltOnRead, _decimal, _finite_real, _integer, _Record
 from .errors import BracketError, DomainError
 # ``run_protocol`` stays a name of this module: perfbench wraps it here.
 from .protocols import NestedConfig, _detector_probabilities, _validate_bit, run_protocol
@@ -47,8 +46,15 @@ _HALF_PI = math.pi / 2
 _ROW_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class ChannelModel:
+def _read_only_array(channel: ChannelModel) -> numpy.ndarray:
+    import numpy as np
+
+    array = np.array(channel._rows)
+    array.flags.writeable = False
+    return array
+
+
+class ChannelModel(_Record):
     """Conditional distribution P(outcome | b) as a 2x3 row-stochastic matrix.
 
     Rows are the sender bits 0 and 1; columns are (D1, D2, none).  The six
@@ -60,7 +66,9 @@ class ChannelModel:
     and hash alike, when their six entries are, for as long as they live.
     """
 
-    p_given_b: numpy.ndarray
+    __match_args__ = ("p_given_b",)
+    p_given_b = _BuiltOnRead("p_given_b", _read_only_array)
+    _entropies = _BuiltOnRead("_entropies", lambda c: tuple(map(_entropy_bits, c._rows)))
 
     def __init__(self, p_given_b):
         try:
@@ -110,28 +118,15 @@ class ChannelModel:
         return {"_rows": self._rows}
 
 
-def _read_only_array(channel: ChannelModel) -> numpy.ndarray:
-    import numpy as np
-
-    array = np.array(channel._rows)
-    array.flags.writeable = False
-    return array
-
-
-ChannelModel.p_given_b = _BuiltOnRead("p_given_b", _read_only_array)
-ChannelModel._entropies = _BuiltOnRead("_entropies", lambda c: tuple(map(_entropy_bits, c._rows)))
-
-
-@dataclass(frozen=True)
-class InputPrior:
+class InputPrior(_Record):
     """Probability that the sender transmits b = 0."""
 
-    p0: float
+    __match_args__ = ("p0",)
 
-    def __post_init__(self):
-        if (p0 := _finite_real(self.p0)) is None or not 0.0 <= p0 <= 1.0:
+    def __init__(self, p0: float):
+        if (number := _finite_real(p0)) is None or not 0.0 <= number <= 1.0:
             raise DomainError("prior p0 must be a finite real number in [0, 1]")
-        object.__setattr__(self, "p0", p0)
+        self.__dict__["p0"] = number
 
     @property
     def p1(self) -> float:
@@ -143,13 +138,17 @@ class InputPrior:
 _UNIFORM_PRIOR = InputPrior(0.5)
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
-    theta1: float
-    theta2: float
-    objective_value: float
-    objective_name: str
-    evaluations: int
+class OptimizationResult(_Record):
+    """The best angles an :func:`optimize_angles` search found, the objective
+    there, and the channel evaluations the search used."""
+
+    __match_args__ = ("theta1", "theta2", "objective_value", "objective_name", "evaluations")
+
+    def __init__(self, theta1: float, theta2: float, objective_value: float, objective_name: str,
+                 evaluations: int):
+        attrs = self.__dict__
+        attrs["theta1"], attrs["theta2"], attrs["objective_value"] = theta1, theta2, objective_value
+        attrs["objective_name"], attrs["evaluations"] = objective_name, evaluations
 
 
 def channel_from_protocol(config: NestedConfig) -> ChannelModel:

@@ -19,12 +19,11 @@ and middleman-to-receiver legs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import AuditError, DomainError
-from .core import _integer
+from .core import _integer, _Record
 from .protocols import LEG_NAMES, _validate_bit
 
 __all__ = [
@@ -54,22 +53,34 @@ class PulseSymbol(str, Enum):
     EMPTY = "empty"
 
 
-@dataclass(frozen=True)
-class LegRecord:
+class LegRecord(_Record):
     """One message slot: which leg, whether a carrier was present, and what
     (if anything) it carried."""
 
-    bit_index: int
-    leg: str
-    carrier_present: bool
-    payload: Tuple[str, ...] = ()
+    __match_args__ = ("bit_index", "leg", "carrier_present", "payload")
+
+    def __init__(self, bit_index: int, leg: str, carrier_present: bool,
+                 payload: Tuple[str, ...] = ()):
+        attrs = self.__dict__
+        attrs["bit_index"], attrs["leg"] = bit_index, leg
+        attrs["carrier_present"], attrs["payload"] = carrier_present, payload
 
 
-@dataclass
-class CarrierLog:
-    """Ordered per-slot records of carrier presence on inter-party legs."""
+# CarrierLog's default records: each log made without records gets a new list.
+_NEW_LIST = object()
 
-    records: List[LegRecord] = field(default_factory=list)
+
+class CarrierLog(_Record):
+    """Ordered per-slot records of carrier presence on inter-party legs; the
+    one mutable record, and so unhashable."""
+
+    __match_args__ = ("records",)
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, records: List[LegRecord] = _NEW_LIST):
+        self.records = [] if records is _NEW_LIST else records
 
     def add(self, bit_index: int, leg: str, carrier_present: bool, payload=()) -> None:
         self.records.append(
@@ -77,17 +88,25 @@ class CarrierLog:
         )
 
 
-@dataclass(frozen=True)
-class BilliardRun:
-    observation: str  # "red_ball" or "nothing"
-    log: CarrierLog
-    holdings: Dict[str, Tuple[str, ...]]  # party -> token kinds held at the end
+class BilliardRun(_Record):
+    """Alice's observation (``"red_ball"`` or ``"nothing"``), the round's
+    carrier log, and per party the token kinds it holds at the end."""
+
+    __match_args__ = ("observation", "log", "holdings")
+
+    def __init__(self, observation: str, log: CarrierLog, holdings: Dict[str, Tuple[str, ...]]):
+        attrs = self.__dict__
+        attrs["observation"], attrs["log"], attrs["holdings"] = observation, log, holdings
 
 
-@dataclass(frozen=True)
-class PulseRelayRun:
-    decoded: Tuple[int, ...]
-    log: CarrierLog
+class PulseRelayRun(_Record):
+    """Alice's decoded bits and the relay's carrier log."""
+
+    __match_args__ = ("decoded", "log")
+
+    def __init__(self, decoded: Tuple[int, ...], log: CarrierLog):
+        attrs = self.__dict__
+        attrs["decoded"], attrs["log"] = decoded, log
 
 
 def run_billiard(bit: int) -> BilliardRun:

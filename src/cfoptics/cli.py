@@ -14,7 +14,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import re
@@ -333,7 +332,10 @@ def _cmd_optimize(spec: Dict[str, object]) -> Tuple[dict, dict]:
     grid = _as_int(spec.get("grid") if spec.get("grid") is not None else 32, "grid")
     refine = _as_int(spec.get("refine") if spec.get("refine") is not None else 200, "refine")
     result = optimize_angles(objective, grid_points=grid, refine_iters=refine)
-    return {"objective": objective, "grid": grid, "refine": refine}, dataclasses.asdict(result)
+    found = {"theta1": result.theta1, "theta2": result.theta2,
+             "objective_value": result.objective_value, "objective_name": result.objective_name,
+             "evaluations": result.evaluations}
+    return {"objective": objective, "grid": grid, "refine": refine}, found
 
 
 def _cmd_capacity(spec: Dict[str, object]) -> Tuple[dict, dict]:

@@ -19,7 +19,6 @@ import cmath
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import kernel
@@ -46,37 +45,91 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BeamSplitter:
+class _Record:
+    """A read-only value of the fields that ``__match_args__`` names, in order.
+
+    Two records of one class are equal, and hash alike, when their fields
+    are; a record shows as ``Type(field=value, ...)``; assigning or deleting
+    any attribute raises AttributeError.  A record type's ``__init__``
+    writes its checked fields into ``vars(self)``, and pickling and copying
+    carry that dict as they do for any class.
+    """
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _BuiltOnRead:
+    """An attribute that ``build(instance)`` makes on its first read, stored
+    on the instance under ``name``, which shadows this non-data descriptor:
+    ``Network.elements`` given ``_build``, a config's outer couplers and a
+    chain's row index (``protocols``), and a channel's ``p_given_b`` and row
+    entropies (``analysis.ChannelModel``)."""
+
+    def __init__(self, name: str, build: Callable):
+        self.name = name
+        self.build = build
+
+    def __get__(self, instance, owner=None):
+        return self if instance is None else vars(instance).setdefault(self.name, self.build(instance))
+
+
+class BeamSplitter(_Record):
     """Lossless two-mode coupler of angle ``theta`` on modes (mode_a, mode_b)."""
 
-    mode_a: int
-    mode_b: int
-    theta: float
+    __match_args__ = ("mode_a", "mode_b", "theta")
+
+    def __init__(self, mode_a: int, mode_b: int, theta: float):
+        attrs = self.__dict__
+        attrs["mode_a"], attrs["mode_b"], attrs["theta"] = mode_a, mode_b, theta
 
 
-@dataclass(frozen=True)
-class Blocker:
+class Blocker(_Record):
     """Perfect absorber on one mode; absorbed probability is booked under ``label``."""
 
-    mode: int
-    label: str
+    __match_args__ = ("mode", "label")
+
+    def __init__(self, mode: int, label: str):
+        attrs = self.__dict__
+        attrs["mode"], attrs["label"] = mode, label
 
 
-@dataclass(frozen=True)
-class Discard:
+class Discard(_Record):
     """Same mechanics as :class:`Blocker`, reserved for modes that simply
     never reach a detector (kept distinct so ledgers stay interpretable)."""
 
-    mode: int
-    label: str
+    __match_args__ = ("mode", "label")
+
+    def __init__(self, mode: int, label: str):
+        attrs = self.__dict__
+        attrs["mode"], attrs["label"] = mode, label
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(_Record):
     """Records a snapshot of all amplitudes at its position; no physical effect."""
 
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
 Element = Union[BeamSplitter, Blocker, Discard, Checkpoint]
@@ -283,30 +336,30 @@ class _Plan(NamedTuple):
     checkpoint_rows: Mapping[str, int]
 
 
-@dataclass(frozen=True, init=False)
-class Network:
+class Network(_Record):
     """Ordered element list over a fixed mode count, validated in order and
     lowered to the kernel's plan in one pass on construction, each position
     read on its own; each checkpoint takes the next snapshot row.  An object
     that is a :class:`Checkpoint` and another element type is a checkpoint.
+    Its fields are ``mode_count`` and ``elements``, a tuple; its plan is not
+    one.
 
     Every protocol network is its bit's one-cycle plan, lowered once per
     process, with its config's pairs spliced in, and a chain's plan is then
-    repeated.  A build passes that plan as ``_lowered`` (keyword only, not a
-    field) with ``_build``, a picklable callable (no closure) that makes the
-    elements on first read, by ``==``, ``hash`` and ``repr`` too; that
-    network is stored unchecked, the callable as ``_builder``, which
-    ``dataclasses.replace`` does not read.  ``_lowered`` alone is refused.
+    repeated.  A build passes that plan as ``_lowered`` (keyword only) with
+    ``_build``, a picklable callable (no closure) that makes the elements on
+    first read, by ``==``, ``hash`` and ``repr`` too; that network is stored
+    unchecked, the callable as ``_builder``.  Either keyword alone is refused.
     """
 
-    mode_count: int
-    elements: Tuple[Element, ...] = field(default_factory=tuple)
-    _plan: _Plan = field(init=False, repr=False, compare=False)
+    __match_args__ = ("mode_count", "elements")
 
     def __init__(self, mode_count: int, elements: Iterable[Element] = (), *,
                  _lowered: Optional[_Plan] = None, _build: Optional[Callable] = None):
         attrs = self.__dict__
         if _build is not None:
+            if _lowered is None:
+                raise TypeError("Network takes _build only with _lowered")
             attrs["mode_count"], attrs["_plan"], attrs["_builder"] = mode_count, _lowered, _build
             return
         if _lowered is not None:
@@ -322,23 +375,7 @@ class Network:
         attrs["mode_count"], attrs["elements"] = mode_count, elements
         attrs["_plan"] = _lower(elements, mode_count)
 
-
-class _BuiltOnRead:
-    """An attribute that ``build(instance)`` makes on its first read, stored
-    on the instance under ``name``, which shadows this non-data descriptor:
-    ``Network.elements`` given ``_build``, a config's outer couplers and a
-    chain's row index (``protocols``), and a channel's ``p_given_b`` and row
-    entropies (``analysis.ChannelModel``)."""
-
-    def __init__(self, name: str, build: Callable):
-        self.name = name
-        self.build = build
-
-    def __get__(self, instance, owner=None):
-        return self if instance is None else vars(instance).setdefault(self.name, self.build(instance))
-
-
-Network.elements = _BuiltOnRead("elements", lambda network: network._builder())
+    elements = _BuiltOnRead("elements", lambda network: network._builder())
 
 
 def _lower(elements, mode_count):

@@ -22,7 +22,6 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .core import (
@@ -40,6 +39,7 @@ from .core import (
     _integer,
     _listed_state,
     _Plan,
+    _Record,
     propagate,
 )
 from .errors import DomainError, MalformedOutcomeError, UndecidableDecodingError
@@ -78,8 +78,7 @@ def _validate_angle(name: str, value) -> float:
     return angle
 
 
-@dataclass(frozen=True, init=False)
-class NestedConfig:
+class NestedConfig(_Record):
     """Angles of the two outer couplers; the inner pair is fixed at pi/4.
 
     The layout with both inner couplers detuned to ``pi/4 + delta``, which
@@ -92,8 +91,7 @@ class NestedConfig:
     read, which only a read of a nested network's elements does.
     """
 
-    theta1: float
-    theta2: float
+    __match_args__ = ("theta1", "theta2")
 
     def __init__(self, theta1: float, theta2: float):
         theta1 = _validate_angle("theta1", theta1)
@@ -106,14 +104,15 @@ class NestedConfig:
         "_outer_couplers", lambda c: (BeamSplitter(0, 1, c.theta1), BeamSplitter(0, 1, c.theta2)))
 
 
-@dataclass(frozen=True)
-class ProtocolOutcome:
+class ProtocolOutcome(_Record):
     """Detector probabilities, absorption breakdown and leg amplitudes of one run."""
 
-    p_d1: float
-    p_d2: float
-    absorbed: Mapping[str, float]
-    legs: Mapping[str, complex]
+    __match_args__ = ("p_d1", "p_d2", "absorbed", "legs")
+
+    def __init__(self, p_d1: float, p_d2: float, absorbed: Mapping[str, float],
+                 legs: Mapping[str, complex]):
+        attrs = self.__dict__
+        attrs["p_d1"], attrs["p_d2"], attrs["absorbed"], attrs["legs"] = p_d1, p_d2, absorbed, legs
 
 
 class BrightPulseReading(NamedTuple):
@@ -298,8 +297,7 @@ def _chain_element_count(outer_cycles: int, inner_cycles: int, bit: int) -> int:
     return outer_cycles * (5 + per_inner_cycle * inner_cycles) + 1
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(_Record):
     """Chained generalization: ``outer_cycles`` outer loops, each feeding an
     inner chain of ``inner_cycles`` blockable loops.
 
@@ -318,43 +316,43 @@ class ChainConfig:
     before anything is built.
     """
 
-    outer_cycles: int
-    inner_cycles: int
-    outer_angle: Optional[float] = None
-    inner_angle: Optional[float] = None
-    final_angle: Optional[float] = None
+    __match_args__ = ("outer_cycles", "inner_cycles", "outer_angle", "inner_angle", "final_angle")
 
-    def __post_init__(self):
-        for name in ("outer_cycles", "inner_cycles"):
-            if (cycles := _integer(getattr(self, name))) is None or cycles < 1:
+    def __init__(self, outer_cycles: int, inner_cycles: int, outer_angle: Optional[float] = None,
+                 inner_angle: Optional[float] = None, final_angle: Optional[float] = None):
+        outer_cycles, inner_cycles = _integer(outer_cycles), _integer(inner_cycles)
+        for name, cycles in (("outer_cycles", outer_cycles), ("inner_cycles", inner_cycles)):
+            if cycles is None or cycles < 1:
                 raise DomainError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, cycles)
-        elements = _chain_element_count(self.outer_cycles, self.inner_cycles, 0)
+        elements = _chain_element_count(outer_cycles, inner_cycles, 0)
         if elements > MAX_CHAIN_ELEMENTS:
             raise DomainError(
-                f"a {_decimal(self.outer_cycles)} x {_decimal(self.inner_cycles)} chain needs "
+                f"a {_decimal(outer_cycles)} x {_decimal(inner_cycles)} chain needs "
                 f"{_decimal(elements)} elements per network, above the budget of "
                 f"{MAX_CHAIN_ELEMENTS}"
             )
-        if self.outer_angle is None:
-            object.__setattr__(self, "outer_angle", math.pi / (2 * (self.outer_cycles + 1)))
-        if self.inner_angle is None:
-            object.__setattr__(self, "inner_angle", math.pi / (2 * (self.inner_cycles + 1)))
-        if self.final_angle is None:
-            object.__setattr__(self, "final_angle", self.outer_angle)
-        for name in ("outer_angle", "inner_angle", "final_angle"):
-            object.__setattr__(self, name, _validate_angle(name, getattr(self, name)))
+        if outer_angle is None:
+            outer_angle = math.pi / (2 * (outer_cycles + 1))
+        if inner_angle is None:
+            inner_angle = math.pi / (2 * (inner_cycles + 1))
+        attrs = self.__dict__
+        attrs["outer_cycles"], attrs["inner_cycles"] = outer_cycles, inner_cycles
+        attrs["outer_angle"] = outer_angle = _validate_angle("outer_angle", outer_angle)
+        attrs["inner_angle"] = _validate_angle("inner_angle", inner_angle)
+        attrs["final_angle"] = (outer_angle if final_angle is None
+                                else _validate_angle("final_angle", final_angle))
 
 
-@dataclass(frozen=True)
-class ChainOutcome:
+class ChainOutcome(_Record):
     """Detector and witness statistics of one chained run."""
 
-    bit: int
-    p_d1: float
-    p_d2: float
-    absorbed: Mapping[str, float]
-    leg_peaks: Mapping[str, float]
+    __match_args__ = ("bit", "p_d1", "p_d2", "absorbed", "leg_peaks")
+
+    def __init__(self, bit: int, p_d1: float, p_d2: float, absorbed: Mapping[str, float],
+                 leg_peaks: Mapping[str, float]):
+        attrs = self.__dict__
+        attrs["bit"], attrs["p_d1"], attrs["p_d2"] = bit, p_d1, p_d2
+        attrs["absorbed"], attrs["leg_peaks"] = absorbed, leg_peaks
 
     @property
     def p_correct(self) -> float:
@@ -362,13 +360,16 @@ class ChainOutcome:
         return self.p_d2 if self.bit == 0 else self.p_d1
 
 
-@dataclass(eq=False)
 class _ChainRows(Mapping):
     """A chain network's checkpoint name -> snapshot row index, in row order:
     its length is counted, its names are made on first read; it holds no
     :class:`Checkpoint`."""
 
-    cycles: Tuple[int, int]  # (outer_cycles, inner_cycles)
+    def __init__(self, cycles: Tuple[int, int]):
+        self.cycles = cycles  # (outer_cycles, inner_cycles)
+
+    def __repr__(self):
+        return f"_ChainRows(cycles={self.cycles!r})"
 
     def names(self) -> Iterator[List[str]]:
         """Per outer cycle, its checkpoint names in element order."""

@@ -103,9 +103,8 @@ def fold_elements(state, elements):
     bit.  An absorber adds ``|z|^2`` to its label's ledger entry and empties
     the mode; ``propagate`` sums a label's absorptions from 0.0 before adding
     the input's entry, so ledgers agree bit for bit when the input's is
-    empty.  Fields are read at every position; the kernel reads each element
-    object once per network, which agrees wherever fields do not change
-    between reads.
+    empty.  Fields are read at every position, as ``Network`` reads them
+    when it lowers a hand-built network; the kernel reads only the plan.
 
     Returns ``(final, checkpoints)`` like ``propagate``: ``final`` has the
     ``amplitudes`` (complex128) and ``absorbed`` of the output state, and

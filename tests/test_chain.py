@@ -1,7 +1,6 @@
 """Chained-network generalization against an independent matrix-product oracle."""
 
 import copy
-import dataclasses
 import gc
 import itertools
 import math
@@ -39,9 +38,13 @@ SCHEDULE = ((2, 4), (5, 25), (10, 100), (20, 400))
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True)
 
 
+ELEMENT_FIELDS = {BeamSplitter: ("mode_a", "mode_b", "theta"), Blocker: ("mode", "label"),
+                  Discard: ("mode", "label"), Checkpoint: ("name",)}
+
+
 def full_signature(element):
     """Element class and every field, checkpoint indices included."""
-    return (type(element),) + dataclasses.astuple(element)
+    return (type(element),) + tuple(getattr(element, name) for name in ELEMENT_FIELDS[type(element)])
 
 
 def reference_chain_signatures(chain, bit):
@@ -233,21 +236,23 @@ class TestChainLayout:
                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
             copies += [copy.copy(network), copy.deepcopy(network)]
             assert all(("elements" in vars(c)) is read for c in copies)
-            copies += [dataclasses.replace(network), network]
+            copies += [Network(network.mode_count, network.elements), network]
             for other in copies:
                 assert_acts_as(other, eager)
 
     @pytest.mark.parametrize("read", (False, True), ids=("unread", "read"))
     def test_a_replaced_chain_network_has_the_given_elements(self, read):
-        """``dataclasses.replace`` of a chain network with other elements,
-        its own read or not, is the network ``Network`` makes of those."""
+        """A chain network's mode count with other elements, its own read
+        or not, makes the network of those elements, and the chain network
+        still acts as its eager equal."""
         network = build_chain_network(ChainConfig(3, 4), 0)
         if read:
             assert network.elements
         other = Network(3, build_chain_network(ChainConfig(2, 3), 1).elements)
-        replaced = dataclasses.replace(network, elements=other.elements)
+        replaced = Network(network.mode_count, other.elements)
         assert replaced.elements == other.elements
         assert_acts_as(replaced, other)
+        assert_acts_as(network, Network(3, build_chain_network(ChainConfig(3, 4), 0).elements))
 
 
 class TestReduction:

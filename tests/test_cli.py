@@ -812,19 +812,24 @@ class TestReadmeDocuments:
 
 class TestNoNumpyOnTheRunPath:
     def test_no_readme_command_loads_numpy(self):
-        """numpy is imported only where an array is built: in a fresh
-        interpreter, importing the package and running each README command
-        through ``main`` leaves it unloaded."""
+        """numpy is imported only where an array is built, and the records
+        need neither ``dataclasses`` nor the ``inspect`` it imports: in a
+        fresh interpreter, importing the package and running each README
+        command through ``main`` loads none of the three.  Only modules that
+        the package adds count, so a site hook that loads one does not."""
         script = (
             "import contextlib, io, json, sys\n"
+            "before = set(sys.modules)\n"
             "import cfoptics\n"
             "from cfoptics import cli\n"
-            "report = [['import', 0, 'numpy' in sys.modules]]\n"
+            "def added():\n"
+            "    return sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before))\n"
+            "report = [['import', 0, added()]]\n"
             "for name, argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "        code = cli.main(argv)\n"
-            "    report.append([name, code, 'numpy' in sys.modules])\n"
+            "    report.append([name, code, added()])\n"
             "print(json.dumps(report))\n"
         )
         commands = [[name, list(argv)] for name, (argv, _) in sorted(README_DOCUMENTS.items())]
@@ -832,7 +837,7 @@ class TestNoNumpyOnTheRunPath:
                                    capture_output=True, text=True)
         assert completed.returncode == 0, completed.stderr
         assert json.loads(completed.stdout) == [
-            ["import", 0, False], *([name, 0, False] for name, _ in commands)]
+            ["import", 0, []], *([name, 0, []] for name, _ in commands)]
 
 
 class TestSubprocessContract:

@@ -1,24 +1,34 @@
 """Element-level behavior of the propagation core."""
 
+import copy
 import functools
 import math
 import pickle
 from collections.abc import Mapping
-from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from cfoptics import (
     BeamSplitter,
+    BilliardRun,
     Blocker,
+    CarrierLog,
     ChainConfig,
+    ChainOutcome,
+    ChannelModel,
     Checkpoint,
     Discard,
+    InputPrior,
     InvalidNetworkError,
+    LegRecord,
     ModeState,
     NestedConfig,
     Network,
+    OptimizationResult,
+    ProtocolOutcome,
+    PulseRelayRun,
     apply_beam_splitter,
     apply_blocker,
     build_chain_network,
@@ -587,9 +597,10 @@ class TestNetworkValidation:
 
 class TestPlanKeyword:
     """``Network(m, _lowered=plan, _build=maker)`` takes a plan lowered
-    elsewhere together with the maker of its elements; a plan without its
-    maker is refused, and by default, and under ``dataclasses.replace``, the
-    network lowers its own elements."""
+    elsewhere together with the maker of its elements; either one without
+    the other is refused, and by default, as when a network is made again
+    from another's mode count and elements, the network lowers its own
+    elements."""
 
     def elements(self):
         return (BeamSplitter(0, 1, 0.1), Checkpoint("a"), BeamSplitter(1, 2, 0.4),
@@ -605,7 +616,7 @@ class TestPlanKeyword:
         elements = self.elements()
         plain = Network(3, elements)
         given = self.built()
-        assert [f.name for f in fields(Network)] == ["mode_count", "elements", "_plan"]
+        assert Network.__match_args__ == ("mode_count", "elements")
         assert given == plain and repr(given) == repr(plain) == repr(Network(3, elements))
         with pytest.raises(TypeError):
             Network(3, elements, compile_network(plain))
@@ -621,6 +632,14 @@ class TestPlanKeyword:
             with pytest.raises(TypeError, match="_lowered only with _build"):
                 Network(*args, _lowered=plan)
 
+    def test_a_maker_without_its_plan_is_refused(self):
+        """``_build`` without ``_lowered`` is refused too, rather than made
+        a network with no plan that fails only when propagated."""
+        elements = self.elements()
+        for args in ((3, elements), (3,), (2, elements)):
+            with pytest.raises(TypeError, match="_build only with _lowered"):
+                Network(*args, _build=functools.partial(tuple, elements))
+
     def test_a_given_plan_is_the_networks_plan(self):
         elements = self.elements()
         plan = compile_network(Network(3, elements))
@@ -634,15 +653,17 @@ class TestPlanKeyword:
             Network(2, elements, _lowered=None)
 
     def test_replace_lowers_the_new_elements_and_checks_the_mode_count(self):
+        """A built network's mode count with other elements, or its elements
+        with another mode count, makes a network that lowers and checks them."""
         elements = self.elements()
         network = self.built()
         other = (BeamSplitter(0, 2, 0.3), Checkpoint("b"), Discard(1, "y"))
-        replaced = replace(network, elements=other)
+        replaced = Network(network.mode_count, other)
         assert compile_network(replaced) == core._lower(other, 3)
         assert compile_network(replaced) != compile_network(network)
         with pytest.raises(InvalidNetworkError, match="out of range for 2 modes"):
-            replace(network, mode_count=2)
-        assert compile_network(replace(network, mode_count=4)) == core._lower(elements, 4)
+            Network(2, network.elements)
+        assert compile_network(Network(4, network.elements)) == core._lower(elements, 4)
 
     def test_a_build_makes_the_elements_on_first_read(self):
         elements = self.elements()
@@ -654,20 +675,22 @@ class TestPlanKeyword:
     @pytest.mark.parametrize("bit", (0, 1))
     @pytest.mark.parametrize("build", ("nested", "chain"))
     def test_a_protocol_network_is_the_network_of_its_elements(self, build, bit):
-        """Compared, hashed, shown, pickled or replaced, a nested or chain
-        network is ``Network(m, elements)`` of its own elements, and its
-        plan is the one its build made."""
+        """Compared, hashed, shown, pickled, copied or made again from its
+        mode count and elements, a nested or chain network is
+        ``Network(m, elements)`` of its own elements, and its plan is the
+        one its build made."""
         made = (build_nested_network(NestedConfig(0.3, -0.7), bit) if build == "nested"
                 else build_chain_network(ChainConfig(2, 3, 0.2, 0.5, 1.1), bit))
         plan = compile_network(made)
         eager = Network(made.mode_count, made.elements)
         assert made == eager and hash(made) == hash(eager) and repr(made) == repr(eager)
         assert compile_network(eager) == plan
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            copied = pickle.loads(pickle.dumps(made, protocol))
+        copies = [pickle.loads(pickle.dumps(made, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in copies + [copy.copy(made), copy.deepcopy(made)]:
             assert copied == eager and compile_network(copied) == plan
-        replaced = replace(made)
-        assert replaced == eager and compile_network(replaced) == plan
+        remade = Network(made.mode_count, made.elements)
+        assert remade == eager and compile_network(remade) == plan
 
 
 class TestModeState:
@@ -723,3 +746,144 @@ class TestModeState:
         with pytest.raises(InvalidNetworkError):
             ModeState(np.zeros(bound + 1))
         assert Network(bound, ()).mode_count == bound == core.MAX_MODES
+
+
+class Record(NamedTuple):
+    """A public record type and one record of it: its fields by name in
+    order, another value per field, its exact repr, and whether it hashes
+    (False: ``hash`` raises TypeError, as a field is unhashable)."""
+
+    type: type
+    fields: dict
+    others: tuple
+    text: str
+    hashable: bool
+
+
+LEG = LegRecord(0, "charlie_to_bob", True, ("blue_ball",))
+LEG_TEXT = "LegRecord(bit_index=0, leg='charlie_to_bob', carrier_present=True, payload=('blue_ball',))"
+RECORDS = {
+    "BeamSplitter": Record(
+        BeamSplitter, {"mode_a": 0, "mode_b": 1, "theta": 0.25}, (2, 2, 0.5),
+        "BeamSplitter(mode_a=0, mode_b=1, theta=0.25)", True),
+    "Blocker": Record(Blocker, {"mode": 2, "label": "bob"}, (1, "x"), "Blocker(mode=2, label='bob')", True),
+    "Discard": Record(Discard, {"mode": 2, "label": "bob"}, (1, "x"), "Discard(mode=2, label='bob')", True),
+    "Checkpoint": Record(Checkpoint, {"name": "a"}, ("b",), "Checkpoint(name='a')", True),
+    "Network": Record(
+        Network, {"mode_count": 3, "elements": (BeamSplitter(0, 1, 0.25), Checkpoint("a"))},
+        (4, (Checkpoint("a"),)),
+        "Network(mode_count=3, elements=(BeamSplitter(mode_a=0, mode_b=1, theta=0.25), "
+        "Checkpoint(name='a')))", True),
+    "NestedConfig": Record(
+        NestedConfig, {"theta1": 0.25, "theta2": 0.5}, (0.5, 0.25),
+        "NestedConfig(theta1=0.25, theta2=0.5)", True),
+    "ChainConfig": Record(
+        ChainConfig,
+        {"outer_cycles": 2, "inner_cycles": 3, "outer_angle": 0.25, "inner_angle": 0.5,
+         "final_angle": 0.75},
+        (3, 2, 0.5, 0.25, 0.125),
+        "ChainConfig(outer_cycles=2, inner_cycles=3, outer_angle=0.25, inner_angle=0.5, "
+        "final_angle=0.75)", True),
+    "ProtocolOutcome": Record(
+        ProtocolOutcome,
+        {"p_d1": 0.5, "p_d2": 0.25, "absorbed": {"bob": 0.25}, "legs": {"alice_to_charlie": 1j}},
+        (0.25, 0.5, {"discard": 0.25}, {"alice_to_charlie": 0j}),
+        "ProtocolOutcome(p_d1=0.5, p_d2=0.25, absorbed={'bob': 0.25}, "
+        "legs={'alice_to_charlie': 1j})", False),
+    "ChainOutcome": Record(
+        ChainOutcome,
+        {"bit": 1, "p_d1": 0.5, "p_d2": 0.25, "absorbed": {"bob": 0.25},
+         "leg_peaks": {"bob_to_charlie": 0.0}},
+        (0, 0.25, 0.5, {"bob": 0.5}, {"bob_to_charlie": 0.5}),
+        "ChainOutcome(bit=1, p_d1=0.5, p_d2=0.25, absorbed={'bob': 0.25}, "
+        "leg_peaks={'bob_to_charlie': 0.0})", False),
+    "ChannelModel": Record(
+        ChannelModel, {"p_given_b": ((0.25, 0.5, 0.25), (0.125, 0.75, 0.125))},
+        (((0.5, 0.25, 0.25), (0.125, 0.75, 0.125)),),
+        "ChannelModel(p_given_b=array([[0.25 , 0.5  , 0.25 ],\n"
+        "       [0.125, 0.75 , 0.125]]))", True),
+    "InputPrior": Record(InputPrior, {"p0": 0.25}, (0.75,), "InputPrior(p0=0.25)", True),
+    "OptimizationResult": Record(
+        OptimizationResult,
+        {"theta1": 0.25, "theta2": 0.5, "objective_value": 0.75, "objective_name": "min-success",
+         "evaluations": 7},
+        (0.5, 0.25, 0.5, "mutual-info-uniform", 8),
+        "OptimizationResult(theta1=0.25, theta2=0.5, objective_value=0.75, "
+        "objective_name='min-success', evaluations=7)", True),
+    "LegRecord": Record(
+        LegRecord,
+        {"bit_index": 0, "leg": "charlie_to_bob", "carrier_present": True, "payload": ("blue_ball",)},
+        (1, "bob_to_charlie", False, ()), LEG_TEXT, True),
+    "CarrierLog": Record(CarrierLog, {"records": [LEG]}, ([],), f"CarrierLog(records=[{LEG_TEXT}])",
+                         False),
+    "BilliardRun": Record(
+        BilliardRun,
+        {"observation": "red_ball", "log": CarrierLog([LEG]), "holdings": {"alice": ("red_ball",)}},
+        ("nothing", CarrierLog(), {"alice": ()}),
+        f"BilliardRun(observation='red_ball', log=CarrierLog(records=[{LEG_TEXT}]), "
+        "holdings={'alice': ('red_ball',)})", False),
+    "PulseRelayRun": Record(
+        PulseRelayRun, {"decoded": (1, 0), "log": CarrierLog([LEG])}, ((0, 1), CarrierLog()),
+        f"PulseRelayRun(decoded=(1, 0), log=CarrierLog(records=[{LEG_TEXT}]))", False),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestRecordContract:
+    """Every public record type compares, hashes, shows, refuses writes and
+    copies by its fields, in order.  ``CarrierLog``, whose records a relay
+    appends to, is the one record that is mutable, and it is unhashable."""
+
+    @staticmethod
+    def made(name):
+        """Two records of the case, each of its own copy of the field values."""
+        case = RECORDS[name]
+        return case, case.type(**copy.deepcopy(case.fields)), case.type(**copy.deepcopy(case.fields))
+
+    def test_records_are_equal_exactly_when_their_fields_are(self, name):
+        case, record, twin = self.made(name)
+        assert record == twin and not record != twin
+        for index, field in enumerate(case.fields):
+            changed = case.type(**dict(case.fields, **{field: case.others[index]}))
+            assert record != changed and not record == changed, field
+        subclass = type("Sub" + name, (case.type,), {})(**case.fields)
+        assert record != subclass and record != tuple(case.fields.values())
+
+    def test_equal_records_hash_alike(self, name):
+        case, record, twin = self.made(name)
+        if case.hashable:
+            assert hash(record) == hash(twin)
+        else:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        if case.type is CarrierLog:
+            assert CarrierLog.__hash__ is None
+
+    def test_repr_shows_every_field_in_order(self, name):
+        case, record, _ = self.made(name)
+        assert repr(record) == case.text
+
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        case, record, twin = self.made(name)
+        if case.type is CarrierLog:
+            record.records = []
+            assert record.records == []
+            return
+        for index, field in enumerate(case.fields):
+            with pytest.raises(AttributeError):
+                setattr(record, field, case.others[index])
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == twin and repr(record) == case.text and not hasattr(record, "extra")
+
+    def test_pickle_copy_and_deepcopy_give_an_equal_record(self, name):
+        case, record, _ = self.made(name)
+        copies = [pickle.loads(pickle.dumps(record, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(record), copy.deepcopy(record)]
+        for other in copies:
+            assert type(other) is case.type and other == record and repr(other) == case.text
+            if case.hashable:
+                assert hash(other) == hash(record)

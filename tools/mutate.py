@@ -176,6 +176,23 @@ MUTANTS = (
            "            raise TypeError(\"Network takes _lowered only with _build\")\n",
            "",
            ("tests/test_core.py",)),
+    Mutant("a maker without its plan is accepted", "core.py",
+           "            if _lowered is None:\n"
+           "                raise TypeError(\"Network takes _build only with _lowered\")\n",
+           "",
+           ("tests/test_core.py",)),
+    Mutant("record == ignores the last field", "core.py",
+           "return self._values() == other._values()",
+           "return self._values()[:-1] == other._values()[:-1]",
+           ("tests/test_core.py",)),
+    Mutant("record assignment allowed", "core.py",
+           'raise AttributeError(f"cannot assign to field {name!r}")',
+           "object.__setattr__(self, name, value)",
+           ("tests/test_core.py",)),
+    Mutant("record repr drops a field", "core.py",
+           "for name in self.__match_args__)\n        return",
+           "for name in self.__match_args__[:-1])\n        return",
+           ("tests/test_core.py",)),
     Mutant("a build's plan lowered again from its elements", "core.py",
            'attrs["_builder"] = mode_count, _lowered, _build',
            'attrs["_builder"] = mode_count, _lower(_build(), mode_count), _build',
