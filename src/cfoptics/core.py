@@ -325,7 +325,10 @@ class _Plan(NamedTuple):
     entry holds a per-cycle value, a chain's plan is then repeated.
     ``checkpoint_rows`` is a read-only mapping (a chain's names its rows on
     first read).  A plan is read-only, so networks may share
-    its lists and its ``checkpoint_rows``.
+    its lists and its ``checkpoint_rows``.  ``program`` is None in a plan
+    that :func:`_lower` makes; a protocol build sets it to its bit's
+    ``(run, outer_cycles, inner_cycles)``, which the kernel runs in place of
+    its loop (:func:`cfoptics.kernel.compile_cycles`).
     """
 
     ops: List[int]
@@ -334,6 +337,7 @@ class _Plan(NamedTuple):
     coeff: List[Optional[Tuple[complex, complex]]]
     ledger_labels: Tuple[str, ...]
     checkpoint_rows: Mapping[str, int]
+    program: Optional[Tuple[Callable, int, int]] = None
 
 
 class Network(_Record):
@@ -486,10 +490,10 @@ def propagate(network: Network, state: ModeState):
     mode_count = network.mode_count
     if len(amps) != mode_count:
         raise InvalidNetworkError(f"state has {len(amps)} modes, network expects {mode_count}")
-    ops, arg_a, arg_b, coeff, labels, rows = compile_network(network)
+    ops, arg_a, arg_b, coeff, labels, rows, program = compile_network(network)
     absorbed = [0.0] * len(labels)
     snaps = Snapshots(rows, mode_count)
-    kernel.run_plan(ops, arg_a, arg_b, coeff, amps, absorbed, snaps)
+    kernel.run_plan(ops, arg_a, arg_b, coeff, amps, absorbed, snaps, program)
     if state.absorbed:
         ledger = dict(state.absorbed)
         for label, value in zip(labels, absorbed):

@@ -24,6 +24,7 @@ import math
 import numbers
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
+from . import kernel
 from .core import (
     BeamSplitter,
     Blocker,
@@ -156,6 +157,26 @@ _OPEN_NESTED = tuple(Network(3, _cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MA
                                       BeamSplitter(0, 1, 0.0))) for bit in (0, 1))
 # Per bit, what every build shares: the elements and pairs between the outer couplers, the plan.
 _NESTED_MIDDLES = tuple((n.elements[1:-1], n._plan.coeff[1:-1], n._plan) for n in _OPEN_NESTED)
+# How a chain tiles a one-cycle plan: its head [outer coupler, checkpoint],
+# its inner block, repeated over the inner cycles, and its tail [inner
+# coupler, checkpoint, discard] make one outer cycle; its last entry, the
+# final coupler, closes the chain.
+_TILING = (slice(None, 2), slice(2, -4), slice(-4, -1))
+
+
+def _program(bit: int):
+    """Bit ``bit``'s kernel program, generated from its one-cycle plan and
+    named as a module global, so a plan that holds it pickles."""
+    template = _OPEN_NESTED[bit]
+    run = kernel.compile_cycles(template._plan, template.mode_count, _TILING)
+    run.__module__ = __name__
+    run.__name__ = run.__qualname__ = f"_program_{bit}"
+    return run
+
+
+_program_0, _program_1 = _PROGRAMS = _program(0), _program(1)
+# A nested network runs its bit's program over one cycle at each level.
+_NESTED_PROGRAMS = tuple((run, 1, 1) for run in _PROGRAMS)
 
 # Every run starts from one excitation in mode 0.  The state holds a list,
 # as a propagated one does, and ``propagate`` copies its input list and
@@ -186,10 +207,11 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
     """
     bit = _validate_bit(bit)
     first_coeff, last_coeff = config._outer_coeff
-    _, middle_coeff, (ops, arg_a, arg_b, _, labels, rows) = _NESTED_MIDDLES[bit]
+    _, middle_coeff, (ops, arg_a, arg_b, _, labels, rows, _) = _NESTED_MIDDLES[bit]
     coeff = [first_coeff, *middle_coeff, last_coeff]
     # tuple.__new__ makes the same _Plan without its Python-level __new__.
-    return Network(3, _lowered=tuple.__new__(_Plan, (ops, arg_a, arg_b, coeff, labels, rows)),
+    plan = tuple.__new__(_Plan, (ops, arg_a, arg_b, coeff, labels, rows, _NESTED_PROGRAMS[bit]))
+    return Network(3, _lowered=plan,
                    _build=functools.partial(_nested_elements, config, bit))
 
 
@@ -283,11 +305,11 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 
 # Work budget of one chained network, in elements.  A run's memory and time
 # grow linearly with its element count.  At its largest shape, 1 x 124,998,
-# run_chain takes 0.26 s at b = 0 and 0.14 s at b = 1, at 47 MB peak RSS;
-# 50 x 2000 takes 0.19 s and 0.13 s at 39 MB (medians of 25 and 9 pairs,
-# each pair in a fresh process on a shared 2-vCPU Intel Xeon; the fastest
-# pairs took about 0.7 times as long; peak RSS of five such processes, with
-# numpy not loaded).  It is 15 times the 32,101 elements of a 20 x 400 chain.
+# run_chain takes 0.10 s at b = 0 and 0.08 s at b = 1, at 46 MB peak RSS;
+# 50 x 2000 takes 0.06 s and 0.05 s at 38 MB (medians of 15 pairs, each pair
+# in a fresh process on a shared 2-vCPU Intel Xeon, Python 3.11; the fastest
+# pairs took about 0.9 times as long; peak RSS of those processes, with numpy
+# not loaded).  It is 15 times the 32,101 elements of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
 
 
@@ -423,24 +445,25 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     """
     bit = _validate_bit(bit)
     outer_cycles, inner_cycles = chain.outer_cycles, chain.inner_cycles
-    _, middle_coeff, (ops, arg_a, arg_b, _, labels, _) = _NESTED_MIDDLES[bit]
+    _, middle_coeff, (ops, arg_a, arg_b, _, labels, _, _) = _NESTED_MIDDLES[bit]
     inner = _coupler_coeff(chain.inner_angle)
     coeff = [_coupler_coeff(chain.outer_angle), *[k and inner for k in middle_coeff],
              _coupler_coeff(chain.final_angle)]  # `k and`: a None entry stays None
     # No plan entry holds a cycle index (snapshot rows are numbered in
-    # ``rows`` alone), so each column of the one-cycle plan, [outer coupler,
-    # checkpoint | inner block | inner coupler, checkpoint, discard | final
-    # coupler], gives the chain's by repeating its inner block, then its cycle.
+    # ``rows`` alone), so each column of the one-cycle plan gives the chain's
+    # by repeating its inner block, then its cycle, as ``_TILING`` states.
+    head, block, tail = _TILING
     columns = []
     for c in (ops, arg_a, arg_b, coeff):
-        column = c[:2] + c[2:-4] * inner_cycles + c[-4:-1]
+        column = c[head] + c[block] * inner_cycles + c[tail]
         if outer_cycles > 1:  # `* 1` would copy the one cycle again
             column = column * outer_cycles
         column.append(c[-1])  # not `+ c[-1:]`, which copies the whole column again
         columns.append(column)
     rows = _ChainRows((outer_cycles, inner_cycles))
     build = functools.partial(_chain_elements, rows, bit, chain)
-    return Network(3, _lowered=_Plan(*columns, labels, rows), _build=build)
+    program = _PROGRAMS[bit], outer_cycles, inner_cycles
+    return Network(3, _lowered=_Plan(*columns, labels, rows, program), _build=build)
 
 
 def run_chain(chain: ChainConfig, bit: int) -> ChainOutcome:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfoptics import core, protocols
+from cfoptics import core, kernel, protocols
 from cfoptics import (
     BeamSplitter,
     Blocker,
@@ -65,10 +65,13 @@ def reference_chain_signatures(chain, bit):
 
 
 def assert_acts_as(network, eager):
-    """``network`` equals, hashes, shows, compiles and propagates as ``eager``."""
+    """``network`` equals, hashes, shows, compiles and propagates as
+    ``eager``: its plan is ``eager``'s but for the kernel program that a
+    chain build attaches, which a network of elements has not."""
     assert network == eager and eager == network
     assert hash(network) == hash(eager) and repr(network) == repr(eager)
-    assert core.compile_network(network) == core.compile_network(eager)
+    assert core.compile_network(network)._replace(program=None) == core.compile_network(eager)
+    assert core.compile_network(eager).program is None
     state = ModeState.single_photon(3)
     (final, checkpoints), (eager_final, eager_checkpoints) = (
         propagate(network, state), propagate(eager, state))
@@ -236,6 +239,8 @@ class TestChainLayout:
                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
             copies += [copy.copy(network), copy.deepcopy(network)]
             assert all(("elements" in vars(c)) is read for c in copies)
+            assert all(core.compile_network(c).program == (protocols._PROGRAMS[bit], 3, 4)
+                       for c in copies + [network])
             copies += [Network(network.mode_count, network.elements), network]
             for other in copies:
                 assert_acts_as(other, eager)
@@ -391,3 +396,76 @@ class TestChainWitnesses:
                 + outcome.absorbed["discard"]
             )
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def kernel_results(network, interpret=False):
+    """The repr of the flat snapshots, final amplitudes and ledger of one
+    propagation of a protocol network: through its plan's program, or with
+    ``interpret`` through the kernel's loop on the same plan, the program
+    dropped."""
+    if interpret:
+        network = Network(3, _lowered=network._plan._replace(program=None), _build=network._builder)
+    final, checkpoints = propagate(network, protocols._SINGLE_PHOTON)
+    return repr(checkpoints.flat), repr(final._values), repr(final.absorbed)
+
+
+class TestKernelProgram:
+    """A protocol plan's program does what the kernel's loop does on the
+    same plan, bit for bit, and the plan holds what the program relies on."""
+
+    @pytest.mark.parametrize("cycles", ((20, 400), (50, 2000)))
+    @pytest.mark.parametrize("bit", (0, 1))
+    def test_deep_chains_run_as_the_loop_runs_them(self, cycles, bit):
+        network = build_chain_network(ChainConfig(*cycles), bit)
+        assert network._plan.program == (protocols._PROGRAMS[bit], *cycles)
+        assert kernel_results(network) == kernel_results(network, interpret=True)
+
+    def test_a_program_runs_in_place_of_the_loop(self):
+        """The kernel hands a plan's program the coefficients, the lists and
+        the cycle counts, and reads no other column."""
+        calls = []
+        coeff, amps, absorbed, snaps = [None], [1 + 0j], [0.0], core.Snapshots({}, 1)
+        kernel.run_plan(None, None, None, coeff, amps, absorbed, snaps,
+                        (lambda *args: calls.append(args), 2, 3))
+        assert calls == [(coeff, amps, absorbed, snaps, 2, 3)]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(1, 6), st.integers(1, 40), ANGLES, ANGLES, ANGLES, st.sampled_from((0, 1)))
+    def test_a_repeated_pair_is_the_first_copy(self, outer, inner, outer_angle, inner_angle,
+                                               final_angle, bit):
+        """Each entry of a chain's plan is, object for object, the entry at
+        the template position it repeats, which is the one the program reads:
+        the head's and the inner block's first copy, the tail's last."""
+        chain = ChainConfig(outer, inner, outer_angle, inner_angle, final_angle)
+        plan = build_chain_network(chain, bit)._plan
+        template = protocols._OPEN_NESTED[bit]._plan
+        positions = range(len(template.ops))
+        head, block, tail = (list(positions[part]) for part in protocols._TILING)
+        tiled = (head + block * inner + tail) * outer + [positions[-1]]
+        assert [template.ops[p] for p in tiled] == plan.ops
+        first = {}
+        for entry, position in zip(plan.coeff, tiled):
+            assert entry is first.setdefault(position, entry)
+
+
+# Angles that any draw may take, with the quarter and half turns that make a
+# coupler's sine or cosine exactly 0 or 1.
+EDGE_ANGLES = st.one_of(st.sampled_from((0.0, math.pi / 2, -math.pi / 2, math.pi)), ANGLES)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(st.integers(1, 6), st.integers(1, 40), EDGE_ANGLES, EDGE_ANGLES, EDGE_ANGLES,
+       st.sampled_from((0, 1)), st.booleans())
+@example(6, 40, math.pi, math.pi / 2, -math.pi / 2, 0, False)
+@example(6, 40, 0.0, math.pi, math.pi / 2, 1, False)
+@example(1, 1, -math.pi / 2, math.pi / 4, 0.0, 0, True)
+@example(1, 1, math.pi, math.pi / 4, math.pi / 2, 1, True)
+def test_a_program_runs_as_the_loop(outer, inner, first_angle, inner_angle, last_angle, bit,
+                                    nested):
+    """Every protocol network, nested or chained, runs through its program
+    to the loop's snapshots, amplitudes and ledger, by repr."""
+    network = (build_nested_network(NestedConfig(first_angle, last_angle), bit) if nested else
+               build_chain_network(ChainConfig(outer, inner, first_angle, inner_angle, last_angle),
+                                   bit))
+    assert network._plan.program is not None
+    assert kernel_results(network) == kernel_results(network, interpret=True)

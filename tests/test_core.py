@@ -36,7 +36,7 @@ from cfoptics import (
     propagate,
     total_probability,
 )
-from cfoptics import core, kernel
+from cfoptics import core, kernel, protocols
 from cfoptics.core import compile_network
 from helpers import fold_elements
 
@@ -678,19 +678,22 @@ class TestPlanKeyword:
         """Compared, hashed, shown, pickled, copied or made again from its
         mode count and elements, a nested or chain network is
         ``Network(m, elements)`` of its own elements, and its plan is the
-        one its build made."""
+        one its build made, its bit's kernel program included; made again,
+        it has that plan without the program."""
         made = (build_nested_network(NestedConfig(0.3, -0.7), bit) if build == "nested"
                 else build_chain_network(ChainConfig(2, 3, 0.2, 0.5, 1.1), bit))
         plan = compile_network(made)
+        cycles = (1, 1) if build == "nested" else (2, 3)
+        assert plan.program == (protocols._PROGRAMS[bit], *cycles)
         eager = Network(made.mode_count, made.elements)
         assert made == eager and hash(made) == hash(eager) and repr(made) == repr(eager)
-        assert compile_network(eager) == plan
+        assert compile_network(eager) == plan._replace(program=None)
         copies = [pickle.loads(pickle.dumps(made, protocol))
                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for copied in copies + [copy.copy(made), copy.deepcopy(made)]:
             assert copied == eager and compile_network(copied) == plan
         remade = Network(made.mode_count, made.elements)
-        assert remade == eager and compile_network(remade) == plan
+        assert remade == eager and compile_network(remade) == plan._replace(program=None)
 
 
 class TestModeState:

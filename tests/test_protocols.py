@@ -1,5 +1,6 @@
 """Protocol runs against the closed-form final states and leg witnesses."""
 
+import hashlib
 import math
 from decimal import Decimal
 
@@ -22,11 +23,25 @@ from cfoptics import (
     run_chain,
     run_protocol,
 )
-from cfoptics import analysis, core, kernel, protocols
+from cfoptics import analysis, cli, core, kernel, protocols
 from cfoptics.analysis import balanced_theta2, channel_from_protocol
 from helpers import closed_form_final, random_config_angles
+from test_cli import README_DOCUMENTS
 
 RNG = np.random.default_rng(421)
+
+
+def program_checked(run_plan, received):
+    """``run_plan`` refusing a call without a kernel program, whose
+    programs are appended to ``received``."""
+
+    def checked(*args):
+        assert len(args) == 8 and args[7] is not None, "a protocol network reached the loop"
+        received.append(args[7])
+        return run_plan(*args)
+
+    return checked
+
 
 THETA1 = 0.25
 THETA2 = balanced_theta2(THETA1)
@@ -116,7 +131,8 @@ class TestNestedPlans:
             assert network.elements[-1] is config._outer_couplers[1]
             kept = [a is b for a, b in zip(network.elements, base.elements)]
             assert kept.count(False) == 2
-            assert plan == core._lower(network.elements, 3)
+            assert plan._replace(program=None) == core._lower(network.elements, 3)
+            assert plan.program == (protocols._PROGRAMS[bit], 1, 1) and shared.program is None
             lowered = [a is not b for a, b in zip(plan.coeff, shared.coeff)]
             assert lowered.count(True) == 2 and lowered[0] and lowered[-1]
             assert all(getattr(plan, name) is getattr(shared, name) for name in (
@@ -180,6 +196,33 @@ class TestNestedPlans:
         assert run_protocol(config, bit).p_d1 == channel_from_protocol(config)._rows[bit][0]
         assert run_chain(chain, bit).bit == bit
         run_chain(ChainConfig(20, 400), bit)
+
+    @pytest.mark.parametrize("bit", (0, 1))
+    def test_every_protocol_run_takes_its_program(self, monkeypatch, bit):
+        """Every nested and chain network reaches the kernel with its bit's
+        program and its cycle counts: no run or channel evaluation sends a
+        protocol network through the interpreter loop."""
+        received = []
+        monkeypatch.setattr(kernel, "run_plan", program_checked(kernel.run_plan, received))
+        config = NestedConfig(0.3, 0.7)
+        run_protocol(config, bit)
+        channel_from_protocol(config)
+        run_chain(ChainConfig(3, 4), bit)
+        run_chain(ChainConfig(20, 400), bit)
+        programs = protocols._PROGRAMS
+        assert received == [(programs[bit], 1, 1), (programs[0], 1, 1), (programs[1], 1, 1),
+                            (programs[bit], 3, 4), (programs[bit], 20, 400)]
+
+    @pytest.mark.parametrize("name", sorted(set(README_DOCUMENTS) - {"classical"}))
+    def test_every_readme_command_runs_programs(self, name, monkeypatch, capsys):
+        """Each README command that propagates runs every network through
+        its program (``classical`` propagates none)."""
+        received = []
+        monkeypatch.setattr(kernel, "run_plan", program_checked(kernel.run_plan, received))
+        argv, digest = README_DOCUMENTS[name]
+        assert cli.main(list(argv)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert received and all(program[0] in protocols._PROGRAMS for program in received)
 
     def test_shared_plans_survive_many_evaluations_and_failed_builds(self):
         before = self.shared()

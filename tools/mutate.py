@@ -118,11 +118,39 @@ MUTANTS = (
     Mutant("blocker leaves its mode lit", "kernel.py",
            "amps[a] = 0j",
            "amps[a] = za",
-           ("tests/test_acceptance.py",)),
+           ("tests/test_core.py",)),
     Mutant("absorber books its real part twice", "kernel.py",
-           "re * re + im * im",
-           "re * re + re * re",
+           "absorbed[b] += re * re + im * im",
+           "absorbed[b] += re * re + re * re",
+           ("tests/test_core.py",)),
+    Mutant("program swaps a cosine and a sine", "kernel.py",
+           'f"c{i} * z{a} + s{i} * z{b}, ',
+           'f"s{i} * z{a} + c{i} * z{b}, ',
            ("tests/test_acceptance.py",)),
+    Mutant("program drops a merged snapshot", "kernel.py",
+           "', '.join(modes * len(list(run)))",
+           "', '.join(modes)",
+           ("tests/test_chain.py",)),
+    Mutant("program writes the ledger to the wrong slots", "kernel.py",
+           'f"    absorbed[:] = {slots},"',
+           'f"    absorbed[::-1] = {slots},"',
+           ("tests/test_protocols.py",)),
+    Mutant("program reads the final pair at its template position", "kernel.py",
+           'emit((size - 1,), " " * 4, size)',
+           'emit((size - 1,), " " * 4, 0)',
+           ("tests/test_chain.py",)),
+    Mutant("program repeats its inner block over the outer cycles", "kernel.py",
+           "for _ in range(inner_cycles):",
+           "for _ in range(outer_cycles):",
+           ("tests/test_chain.py",)),
+    Mutant("kernel ignores the program", "kernel.py",
+           "    if program is not None:\n",
+           "    if False:\n",
+           ("tests/test_chain.py",)),
+    Mutant("chain build attaches no program", "protocols.py",
+           "program = _PROGRAMS[bit], outer_cycles, inner_cycles",
+           "program = None",
+           ("tests/test_protocols.py",)),
     Mutant("leg zero test turned around", "protocols.py",
            "if not any(column):",
            "if any(column):",
@@ -152,24 +180,24 @@ MUTANTS = (
            "if outer_cycles > 2:",
            ("tests/test_properties.py",)),
     Mutant("closing coupler repeated in every cycle", "protocols.py",
-           "c[2:-4] * inner_cycles + c[-4:-1]\n",
-           "c[2:-4] * inner_cycles + c[-4:]\n",
+           "slice(-4, -1))",
+           "slice(-4, None))",
            ("tests/test_properties.py",)),
     Mutant("one inner cycle too few repeated", "protocols.py",
-           "c[2:-4] * inner_cycles",
-           "c[2:-4] * (inner_cycles - 1)",
+           "c[block] * inner_cycles",
+           "c[block] * (inner_cycles - 1)",
            ("tests/test_properties.py",)),
     Mutant("closing inner coupler inside the inner block", "protocols.py",
-           "c[2:-4] * inner_cycles",
-           "c[2:-3] * inner_cycles",
+           "slice(2, -4)",
+           "slice(2, -3)",
            ("tests/test_properties.py",)),
     Mutant("chain rows restart each cycle", "protocols.py",
            "itertools.count()",
            "itertools.cycle(range(2 * self.cycles[1] + 2))",
            ("tests/test_chain.py",)),
     Mutant("run path names every cycle", "protocols.py",
-           "_lowered=_Plan(*columns, labels, rows)",
-           "_lowered=_Plan(*columns, labels, dict(rows))",
+           "_lowered=_Plan(*columns, labels, rows, program)",
+           "_lowered=_Plan(*columns, labels, dict(rows), program)",
            ("tests/test_chain.py",)),
     Mutant("a plan without its maker is ignored", "core.py",
            "        if _lowered is not None:\n"
