@@ -455,13 +455,14 @@ def _build_parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argume
     common.add_argument("--format", default=None, help="output format, json (the default) or csv")
     common.add_argument("--out", default=None, metavar="PATH", help="write the document to PATH instead of stdout")
     common.add_argument("--config", default=None, metavar="PATH", help="JSON document with the same keys as the flags; flags override")
+    angles = argparse.ArgumentParser(add_help=False)
+    angles.add_argument("--theta1", default=None, help="opening outer-coupler angle (radians)")
+    angles.add_argument("--theta2", default=None, help="closing outer-coupler angle (radians)")
+    angles.add_argument("--balanced", action="store_const", const=True, default=None, help="derive theta2 from theta1 via the balance condition")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    simulate = sub.add_parser("simulate", parents=[common], help="one protocol run at fixed angles and sender bit")
-    simulate.add_argument("--theta1", default=None, help="opening outer-coupler angle (radians)")
-    simulate.add_argument("--theta2", default=None, help="closing outer-coupler angle (radians)")
-    simulate.add_argument("--balanced", action="store_const", const=True, default=None, help="derive theta2 from theta1 via the balance condition")
+    simulate = sub.add_parser("simulate", parents=[common, angles], help="one protocol run at fixed angles and sender bit")
     simulate.add_argument("--bit", default=None, help="sender bit (0 blocks the emitter arm, 1 leaves it open)")
 
     sweep = sub.add_parser("sweep", parents=[common], help="tabulate the channel over a theta1 range")
@@ -475,10 +476,7 @@ def _build_parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argume
     optimize.add_argument("--grid", default=None, help="grid points per axis (default 32)")
     optimize.add_argument("--refine", default=None, help="refinement iterations (default 200)")
 
-    cap = sub.add_parser("capacity", parents=[common], help="capacity of the induced channel at fixed angles")
-    cap.add_argument("--theta1", default=None)
-    cap.add_argument("--theta2", default=None)
-    cap.add_argument("--balanced", action="store_const", const=True, default=None)
+    cap = sub.add_parser("capacity", parents=[common, angles], help="capacity of the induced channel at fixed angles")
     cap.add_argument("--tol", default=None, help="capacity search tolerance (default 1e-10)")
 
     classical = sub.add_parser("classical", parents=[common], help="run both classical relays over a bit string")

@@ -80,9 +80,9 @@ class _Record:
 class _BuiltOnRead:
     """An attribute that ``build(instance)`` makes on its first read, stored
     on the instance under ``name``, which shadows this non-data descriptor:
-    ``Network.elements`` given ``_build``, a config's outer couplers and a
-    chain's row index (``protocols``), and a channel's ``p_given_b`` and row
-    entropies (``analysis.ChannelModel``)."""
+    ``Network.elements`` given ``_build``, a chain's row index
+    (``protocols``), and a channel's ``p_given_b`` and row entropies
+    (``analysis.ChannelModel``)."""
 
     def __init__(self, name: str, build: Callable):
         self.name = name
@@ -320,15 +320,12 @@ class _Plan(NamedTuple):
     spares the kernel a float-by-complex multiply, and None for every other
     element.  Ledger slots and snapshot rows (``checkpoint_rows``: name ->
     row, the only place rows are numbered) follow plan order; a snapshot
-    entry's arguments are 0.  Every protocol network is its bit's one-cycle
-    plan, lowered once per process, with its config's pairs spliced in; as no
-    entry holds a per-cycle value, a chain's plan is then repeated.
-    ``checkpoint_rows`` is a read-only mapping (a chain's names its rows on
-    first read).  A plan is read-only, so networks may share
-    its lists and its ``checkpoint_rows``.  ``program`` is None in a plan
-    that :func:`_lower` makes; a protocol build sets it to its bit's
-    ``(run, outer_cycles, inner_cycles)``, which the kernel runs in place of
-    its loop (:func:`cfoptics.kernel.compile_cycles`).
+    entry's arguments are 0.  ``checkpoint_rows`` is a read-only mapping,
+    which may name its rows on first read.  A plan is read-only, so networks
+    may share its lists and its ``checkpoint_rows``.  ``program`` is None in
+    a plan that :func:`_lower` makes; a plan tiled from a one-cycle template
+    may set it to ``(run, outer_cycles, inner_cycles)``, which the kernel
+    runs in place of its loop (:func:`cfoptics.kernel.compile_cycles`).
     """
 
     ops: List[int]
@@ -348,12 +345,11 @@ class Network(_Record):
     Its fields are ``mode_count`` and ``elements``, a tuple; its plan is not
     one.
 
-    Every protocol network is its bit's one-cycle plan, lowered once per
-    process, with its config's pairs spliced in, and a chain's plan is then
-    repeated.  A build passes that plan as ``_lowered`` (keyword only) with
-    ``_build``, a picklable callable (no closure) that makes the elements on
-    first read, by ``==``, ``hash`` and ``repr`` too; that network is stored
-    unchecked, the callable as ``_builder``.  Either keyword alone is refused.
+    A build that has its plan already passes it as ``_lowered`` (keyword
+    only) with ``_build``, a picklable callable (no closure) that makes the
+    elements on first read, by ``==``, ``hash`` and ``repr`` too; that
+    network is stored unchecked, the callable as ``_builder``.  Either
+    keyword alone is refused.
     """
 
     __match_args__ = ("mode_count", "elements")

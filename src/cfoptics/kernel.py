@@ -7,17 +7,14 @@ flat list.  No array is made here.
 
 A plan runs in one of two forms.  The interpreter loop of :func:`run_plan`
 reads every entry of any plan and is the reference.  A plan tiled from a
-one-cycle template, as every protocol network's is, also carries a program:
-the straight-line Python that :func:`compile_cycles` generated once from the
-template, which does the loop's operations, in the same order, on local
-variables.
+one-cycle template may also carry a program: the straight-line Python
+that :func:`compile_cycles` generated once from the template, which does
+the loop's operations, in the same order, on local variables.
 """
 
 import itertools
 
-# Opcodes.  A network is lowered to its plan once, when it is built: every
-# protocol network is its bit's one-cycle plan, lowered once per process, with
-# its config's pairs spliced in, and a chain's plan is then repeated.
+# Opcodes.
 OP_SPLIT = 0  # two-mode coupler: args = (mode_a, mode_b), coeff = (complex(cos t), 1j * sin t)
 OP_ABSORB = 1  # perfect absorber: args = (mode, ledger_slot), coeff None
 OP_SNAPSHOT = 2  # amplitude snapshot: args = (unused, unused), coeff None; rows in plan order

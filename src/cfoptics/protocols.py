@@ -87,9 +87,7 @@ class NestedConfig(_Record):
     one-cycle chain ``ChainConfig(1, 1, theta1, pi/4 + delta, theta2)``.
 
     A config makes the kernel coefficient pairs of its two outer couplers,
-    which both bit networks of an evaluation share.  Their
-    :class:`BeamSplitter` objects, ``_outer_couplers``, are made on first
-    read, which only a read of a nested network's elements does.
+    which both bit networks of an evaluation share.
     """
 
     __match_args__ = ("theta1", "theta2")
@@ -100,9 +98,6 @@ class NestedConfig(_Record):
         attrs = self.__dict__
         attrs["theta1"], attrs["theta2"] = theta1, theta2
         attrs["_outer_coeff"] = _coupler_coeff(theta1), _coupler_coeff(theta2)
-
-    _outer_couplers = _BuiltOnRead(
-        "_outer_couplers", lambda c: (BeamSplitter(0, 1, c.theta1), BeamSplitter(0, 1, c.theta2)))
 
 
 class ProtocolOutcome(_Record):
@@ -122,41 +117,36 @@ class BrightPulseReading(NamedTuple):
     decoded: int
 
 
-# Elements are frozen, so Bob's blocker and the discard serve every layout.
-_BOB_BLOCKER = Blocker(2, "bob")
+# Bob's block, the layout's one per-bit datum: his blocker at b = 0, nothing
+# at b = 1.  Elements are frozen, so they and the discard serve every layout.
+_BLOCKS = ((Blocker(2, "bob"),), ())
 _DISCARD = Discard(2, "discard")
 
 
-def _cycles(outer, inner, marks, bit: int, final) -> Tuple[Element, ...]:
-    """Elements of the blockable nested layout, in the order that
+def _cycles(outer, inner, marks, block, final) -> Tuple[Element, ...]:
+    """Elements of the nested layout with Bob's ``block``, in the order that
     :func:`build_chain_network` states, with one outer cycle per tuple of
     ``marks``: its checkpoints in element order, which is snapshot-row order,
     sliced as :func:`_leg_columns` slices the rows; ``final`` closes it."""
-    step = 4 if bit == 0 else 3
-    run = [inner] * (step * (len(marks[0]) // 2 - 1))
-    if bit == 0:
-        run[2::4] = [_BOB_BLOCKER] * (len(run) // 4)
     elements = []
     for cycle in marks:
-        run[1::step] = cycle[1:-1:2]
-        run[step - 1::step] = cycle[2:-1:2]
         elements += (outer, cycle[0])
-        elements += run
+        for there, back in zip(cycle[1:-1:2], cycle[2:-1:2]):
+            elements += (inner, there, *block, back)
         elements += (inner, cycle[-1], _DISCARD)
     elements.append(final)
     return tuple(elements)
 
 
-# The nested layout at each bit with open outer couplers, the one-cycle case
-# of :func:`_cycles`, built once per process: every nested build shares its
-# leg checkpoints, inner coupler, blocker and discard and its plan lists, and
-# every chain build its plan's opcode, argument and label lists.
+# Every protocol network is its bit's one-cycle plan, lowered once per
+# process from the open layout below, with its config's coupler pairs
+# spliced in; a chain's plan is then tiled (:func:`build_chain_network`).
+# A network's elements are made only when read; a nested network's share
+# the layout's leg checkpoints, inner coupler, blocker and discard.
 _LEG_MARKS = [tuple(map(Checkpoint, LEG_NAMES))]
 _INNER = BeamSplitter(1, 2, math.pi / 4)
-_OPEN_NESTED = tuple(Network(3, _cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MARKS, bit,
-                                      BeamSplitter(0, 1, 0.0))) for bit in (0, 1))
-# Per bit, what every build shares: the elements and pairs between the outer couplers, the plan.
-_NESTED_MIDDLES = tuple((n.elements[1:-1], n._plan.coeff[1:-1], n._plan) for n in _OPEN_NESTED)
+_OPEN_NESTED = tuple(Network(3, _cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MARKS, block,
+                                      BeamSplitter(0, 1, 0.0))) for block in _BLOCKS)
 # How a chain tiles a one-cycle plan: its head [outer coupler, checkpoint],
 # its inner block, repeated over the inner cycles, and its tail [inner
 # coupler, checkpoint, discard] make one outer cycle; its last entry, the
@@ -175,8 +165,10 @@ def _program(bit: int):
 
 
 _program_0, _program_1 = _PROGRAMS = _program(0), _program(1)
-# A nested network runs its bit's program over one cycle at each level.
-_NESTED_PROGRAMS = tuple((run, 1, 1) for run in _PROGRAMS)
+# Per bit, what builds share: the pairs between the outer couplers, the plan
+# and a nested network's program, its bit's over one cycle at each level.
+_SHARED = tuple((n._plan.coeff[1:-1], n._plan, (run, 1, 1))
+                for n, run in zip(_OPEN_NESTED, _PROGRAMS))
 
 # Every run starts from one excitation in mode 0.  The state holds a list,
 # as a propagated one does, and ``propagate`` copies its input list and
@@ -187,8 +179,8 @@ _SINGLE_PHOTON = _listed_state([1 + 0j, 0j, 0j], {})
 
 def _nested_elements(config: NestedConfig, bit: int) -> Tuple[Element, ...]:
     """A nested network's elements: its bit's open layout between ``config``'s outer couplers."""
-    first, last = config._outer_couplers
-    return (first, *_NESTED_MIDDLES[bit][0], last)
+    return (BeamSplitter(0, 1, config.theta1), *_OPEN_NESTED[bit].elements[1:-1],
+            BeamSplitter(0, 1, config.theta2))
 
 
 def build_nested_network(config: NestedConfig, bit: int) -> Network:
@@ -207,10 +199,10 @@ def build_nested_network(config: NestedConfig, bit: int) -> Network:
     """
     bit = _validate_bit(bit)
     first_coeff, last_coeff = config._outer_coeff
-    _, middle_coeff, (ops, arg_a, arg_b, _, labels, rows, _) = _NESTED_MIDDLES[bit]
+    middle_coeff, (ops, arg_a, arg_b, _, labels, rows, _), program = _SHARED[bit]
     coeff = [first_coeff, *middle_coeff, last_coeff]
     # tuple.__new__ makes the same _Plan without its Python-level __new__.
-    plan = tuple.__new__(_Plan, (ops, arg_a, arg_b, coeff, labels, rows, _NESTED_PROGRAMS[bit]))
+    plan = tuple.__new__(_Plan, (ops, arg_a, arg_b, coeff, labels, rows, program))
     return Network(3, _lowered=plan,
                    _build=functools.partial(_nested_elements, config, bit))
 
@@ -315,8 +307,7 @@ MAX_CHAIN_ELEMENTS = 500_000
 
 def _chain_element_count(outer_cycles: int, inner_cycles: int, bit: int) -> int:
     """Length of ``build_chain_network`` for these cycle counts and bit."""
-    per_inner_cycle = 4 if bit == 0 else 3
-    return outer_cycles * (5 + per_inner_cycle * inner_cycles) + 1
+    return outer_cycles * (5 + (3 + len(_BLOCKS[bit])) * inner_cycles) + 1
 
 
 class ChainConfig(_Record):
@@ -396,12 +387,10 @@ class _ChainRows(Mapping):
     def names(self) -> Iterator[List[str]]:
         """Per outer cycle, its checkpoint names in element order."""
         to_charlie, to_bob, from_bob, to_alice = LEG_NAMES
-        ends = [f".{j}]" for j in range(1, self.cycles[1] + 1)]  # so a name is one concatenation
         for k in range(1, self.cycles[0] + 1):
-            there, back = f"{to_bob}[{k}", f"{from_bob}[{k}"
             names = [f"{to_charlie}[{k}]"]
-            for end in ends:
-                names += (there + end, back + end)
+            for j in range(1, self.cycles[1] + 1):
+                names += (f"{to_bob}[{k}.{j}]", f"{from_bob}[{k}.{j}]")
             names.append(f"{to_alice}[{k}]")
             yield names
 
@@ -421,7 +410,7 @@ class _ChainRows(Mapping):
 def _chain_elements(rows, bit: int, chain: ChainConfig) -> Tuple[Element, ...]:
     """A chain network's elements: couplers at ``chain``'s angles, checkpoints named by ``rows``."""
     return _cycles(BeamSplitter(0, 1, chain.outer_angle), BeamSplitter(1, 2, chain.inner_angle),
-                   [tuple(map(Checkpoint, names)) for names in rows.names()], bit,
+                   [tuple(map(Checkpoint, names)) for names in rows.names()], _BLOCKS[bit],
                    BeamSplitter(0, 1, chain.final_angle))
 
 
@@ -445,7 +434,7 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     """
     bit = _validate_bit(bit)
     outer_cycles, inner_cycles = chain.outer_cycles, chain.inner_cycles
-    _, middle_coeff, (ops, arg_a, arg_b, _, labels, _, _) = _NESTED_MIDDLES[bit]
+    middle_coeff, (ops, arg_a, arg_b, _, labels, _, _), _ = _SHARED[bit]
     inner = _coupler_coeff(chain.inner_angle)
     coeff = [_coupler_coeff(chain.outer_angle), *[k and inner for k in middle_coeff],
              _coupler_coeff(chain.final_angle)]  # `k and`: a None entry stays None

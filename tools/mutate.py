@@ -48,10 +48,6 @@ MUTANTS = (
            "first_coeff, last_coeff = config._outer_coeff",
            "last_coeff, first_coeff = config._outer_coeff",
            ("tests/test_protocols.py",)),
-    Mutant("config makes its couplers eagerly", "protocols.py",
-           "_coupler_coeff(theta1), _coupler_coeff(theta2)\n",
-           "_coupler_coeff(theta1), _coupler_coeff(theta2)\n        self._outer_couplers\n",
-           ("tests/test_protocols.py",)),
     Mutant("channel array left writable", "analysis.py",
            "    array.flags.writeable = False\n",
            "",
@@ -191,6 +187,18 @@ MUTANTS = (
            "slice(2, -4)",
            "slice(2, -3)",
            ("tests/test_properties.py",)),
+    Mutant("Bob's block placed after its checkpoint", "protocols.py",
+           "elements += (inner, there, *block, back)",
+           "elements += (inner, there, back, *block)",
+           ("tests/test_chain.py",)),
+    Mutant("the discard dropped from each cycle", "protocols.py",
+           "elements += (inner, cycle[-1], _DISCARD)",
+           "elements += (inner, cycle[-1])",
+           ("tests/test_chain.py",)),
+    Mutant("the open bit given the blocker", "protocols.py",
+           '_BLOCKS = ((Blocker(2, "bob"),), ())',
+           '_BLOCKS = ((Blocker(2, "bob"),), (Blocker(2, "bob"),))',
+           ("tests/test_chain.py",)),
     Mutant("chain rows restart each cycle", "protocols.py",
            "itertools.count()",
            "itertools.cycle(range(2 * self.cycles[1] + 2))",
