@@ -297,11 +297,11 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 
 # Work budget of one chained network, in elements.  A run's memory and time
 # grow linearly with its element count.  At its largest shape, 1 x 124,998,
-# run_chain takes 0.10 s at b = 0 and 0.08 s at b = 1, at 46 MB peak RSS;
-# 50 x 2000 takes 0.06 s and 0.05 s at 38 MB (medians of 15 pairs, each pair
+# run_chain takes 0.085 s at b = 0 and 0.079 s at b = 1, at 46 MB peak RSS;
+# 50 x 2000 takes 0.054 s and 0.044 s at 38 MB (medians of 15 pairs, each pair
 # in a fresh process on a shared 2-vCPU Intel Xeon, Python 3.11; the fastest
-# pairs took about 0.9 times as long; peak RSS of those processes, with numpy
-# not loaded).  It is 15 times the 32,101 elements of a 20 x 400 chain.
+# pairs took about 0.95 times as long; peak RSS of those processes, with
+# numpy not loaded).  It is 15 times the 32,101 elements of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
 
 

@@ -398,14 +398,14 @@ class TestChainWitnesses:
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def kernel_results(network, interpret=False):
+def kernel_results(network, interpret=False, state=protocols._SINGLE_PHOTON):
     """The repr of the flat snapshots, final amplitudes and ledger of one
-    propagation of a protocol network: through its plan's program, or with
-    ``interpret`` through the kernel's loop on the same plan, the program
-    dropped."""
+    propagation of a protocol network from ``state``: through its plan's
+    program, or with ``interpret`` through the kernel's loop on the same
+    plan, the program dropped."""
     if interpret:
         network = Network(3, _lowered=network._plan._replace(program=None), _build=network._builder)
-    final, checkpoints = propagate(network, protocols._SINGLE_PHOTON)
+    final, checkpoints = propagate(network, state)
     return repr(checkpoints.flat), repr(final._values), repr(final.absorbed)
 
 
@@ -451,21 +451,40 @@ class TestKernelProgram:
 # Angles that any draw may take, with the quarter and half turns that make a
 # coupler's sine or cosine exactly 0 or 1.
 EDGE_ANGLES = st.one_of(st.sampled_from((0.0, math.pi / 2, -math.pi / 2, math.pi)), ANGLES)
+# Parts of an input amplitude: signed zeros, which the sums of a coupler
+# keep or drop by the signs of its constant terms, halves, whose products
+# with the edge angles' sines and cosines leave such zeros in place, and
+# any finite value.
+PARTS = st.one_of(st.sampled_from((0.0, -0.0, 0.5, -0.5)), st.floats(-1.0, 1.0))
+# Input states with a non-zero amplitude on every mode, Bob's mode 2
+# included, so that a program which takes his mode for 0j before his
+# blocker has acted fails; some carry an input ledger.
+STATES = st.builds(ModeState, st.lists(st.builds(complex, PARTS, PARTS).filter(bool),
+                                       min_size=3, max_size=3),
+                   st.one_of(st.none(), st.dictionaries(st.sampled_from(("bob", "discard", "x")),
+                                                        st.floats(0.0, 1.0), min_size=1)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
 @given(st.integers(1, 6), st.integers(1, 40), EDGE_ANGLES, EDGE_ANGLES, EDGE_ANGLES,
-       st.sampled_from((0, 1)), st.booleans())
-@example(6, 40, math.pi, math.pi / 2, -math.pi / 2, 0, False)
-@example(6, 40, 0.0, math.pi, math.pi / 2, 1, False)
-@example(1, 1, -math.pi / 2, math.pi / 4, 0.0, 0, True)
-@example(1, 1, math.pi, math.pi / 4, math.pi / 2, 1, True)
+       st.sampled_from((0, 1)), st.booleans(), STATES)
+@example(6, 40, math.pi, math.pi / 2, -math.pi / 2, 0, False, protocols._SINGLE_PHOTON)
+@example(6, 40, 0.0, math.pi, math.pi / 2, 1, False, protocols._SINGLE_PHOTON)
+@example(1, 1, -math.pi / 2, math.pi / 4, 0.0, 0, True, protocols._SINGLE_PHOTON)
+@example(1, 1, math.pi, math.pi / 4, math.pi / 2, 1, True, protocols._SINGLE_PHOTON)
+# At b = 0 the closing inner coupler, at 2 rad, meets Bob's mode as 0j.  Its
+# cosine is negative: c * 0j has the real part -0.0 and js * 0j has 0.0, and
+# only the latter turns the -0.0 real part of c * z1 into 0.0.
+@example(1, 1, -math.pi / 2, 2.0, -2.0, 0, False,
+         ModeState([complex(-0.5, 0.0), complex(-0.0, 0.5), complex(0.5, 0.0)]))
 def test_a_program_runs_as_the_loop(outer, inner, first_angle, inner_angle, last_angle, bit,
-                                    nested):
+                                    nested, state):
     """Every protocol network, nested or chained, runs through its program
-    to the loop's snapshots, amplitudes and ledger, by repr."""
+    to the loop's snapshots, amplitudes and ledger, by repr, from any input
+    state."""
     network = (build_nested_network(NestedConfig(first_angle, last_angle), bit) if nested else
                build_chain_network(ChainConfig(outer, inner, first_angle, inner_angle, last_angle),
                                    bit))
     assert network._plan.program is not None
-    assert kernel_results(network) == kernel_results(network, interpret=True)
+    assert (kernel_results(network, state=state)
+            == kernel_results(network, interpret=True, state=state))

@@ -120,24 +120,36 @@ MUTANTS = (
            "absorbed[b] += re * re + re * re",
            ("tests/test_core.py",)),
     Mutant("program swaps a cosine and a sine", "kernel.py",
-           'f"c{i} * z{a} + s{i} * z{b}, ',
-           'f"s{i} * z{a} + c{i} * z{b}, ',
+           "{product('c', i, a, known)} + {product('s', i, b, known)}, ",
+           "{product('s', i, a, known)} + {product('c', i, b, known)}, ",
            ("tests/test_acceptance.py",)),
     Mutant("program drops a merged snapshot", "kernel.py",
-           "', '.join(modes * len(list(run)))",
-           "', '.join(modes)",
+           "row += (",
+           "row = (",
+           ("tests/test_chain.py",)),
+    Mutant("merged record reads the absorbed mode before it is zeroed", "kernel.py",
+           '"0j" if m in known else f"z{m}"',
+           'f"z{m}"',
            ("tests/test_chain.py",)),
     Mutant("program writes the ledger to the wrong slots", "kernel.py",
            'f"    absorbed[:] = {slots},"',
            'f"    absorbed[::-1] = {slots},"',
            ("tests/test_protocols.py",)),
     Mutant("program reads the final pair at its template position", "kernel.py",
-           'emit((size - 1,), " " * 4, size)',
-           'emit((size - 1,), " " * 4, 0)',
+           'emit((size - 1,), " " * 4, size, known)',
+           'emit((size - 1,), " " * 4, 0, known)',
            ("tests/test_chain.py",)),
     Mutant("program repeats its inner block over the outer cycles", "kernel.py",
-           "for _ in range(inner_cycles):",
-           "for _ in range(outer_cycles):",
+           'count = "inner_cycles"',
+           'count = "outer_cycles"',
+           ("tests/test_chain.py",)),
+    Mutant("program folds Bob's mode from the first inner cycle", "kernel.py",
+           '        opening += first\n        known, count = peeled, "inner_cycles - 1"\n',
+           "        known = peeled\n",
+           ("tests/test_chain.py",)),
+    Mutant("folded constant takes the cosine for the sine", "kernel.py",
+           '"    {k}{i}z = {k}{i} * 0j"',
+           '"    {k}{i}z = c{i} * 0j"',
            ("tests/test_chain.py",)),
     Mutant("kernel ignores the program", "kernel.py",
            "    if program is not None:\n",
