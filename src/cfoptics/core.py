@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import kernel
@@ -80,9 +80,9 @@ class _Record:
 class _BuiltOnRead:
     """An attribute that ``build(instance)`` makes on its first read, stored
     on the instance under ``name``, which shadows this non-data descriptor:
-    ``Network.elements`` given ``_build``, a chain's row index
-    (``protocols``), and a channel's ``p_given_b`` and row entropies
-    (``analysis.ChannelModel``)."""
+    ``Network.elements`` given ``_build``, a chain's row index and tiled
+    plan columns (``protocols``), and a channel's ``p_given_b`` and row
+    entropies (``analysis.ChannelModel``)."""
 
     def __init__(self, name: str, build: Callable):
         self.name = name
@@ -314,24 +314,27 @@ def _lower_element(element, mode_count, slots):
 class _Plan(NamedTuple):
     """Element plan consumed by the propagation kernel.
 
-    ``ops``, ``arg_a``, ``arg_b`` and ``coeff`` are parallel lists, one
-    entry per element.  ``coeff`` holds each coupler's :func:`_coupler_coeff`
-    pair ``(complex(cos theta), 1j * sin theta)``, whose complex cosine
-    spares the kernel a float-by-complex multiply, and None for every other
-    element.  Ledger slots and snapshot rows (``checkpoint_rows``: name ->
-    row, the only place rows are numbered) follow plan order; a snapshot
+    ``ops``, ``arg_a``, ``arg_b`` and ``coeff`` are parallel sequences, one
+    entry per element: lists, or a chain's columns, each counted and
+    indexed from its one-cycle template and tiled to a list only when
+    iterated, sliced or compared (``protocols._ChainColumn``).  ``coeff``
+    holds each coupler's :func:`_coupler_coeff` pair ``(complex(cos theta),
+    1j * sin theta)``, whose complex cosine spares the kernel a
+    float-by-complex multiply, and None for every other element.  Ledger
+    slots and snapshot rows (``checkpoint_rows``: name -> row, the only
+    place rows are numbered) follow plan order; a snapshot
     entry's arguments are 0.  ``checkpoint_rows`` is a read-only mapping,
     which may name its rows on first read.  A plan is read-only, so networks
-    may share its lists and its ``checkpoint_rows``.  ``program`` is None in
+    may share its columns and its ``checkpoint_rows``.  ``program`` is None in
     a plan that :func:`_lower` makes; a plan tiled from a one-cycle template
     may set it to ``(run, outer_cycles, inner_cycles)``, which the kernel
     runs in place of its loop (:func:`cfoptics.kernel.compile_cycles`).
     """
 
-    ops: List[int]
-    arg_a: List[int]
-    arg_b: List[int]
-    coeff: List[Optional[Tuple[complex, complex]]]
+    ops: Sequence[int]
+    arg_a: Sequence[int]
+    arg_b: Sequence[int]
+    coeff: Sequence[Optional[Tuple[complex, complex]]]
     ledger_labels: Tuple[str, ...]
     checkpoint_rows: Mapping[str, int]
     program: Optional[Tuple[Callable, int, int]] = None

@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 import numbers
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernel
 from .core import (
@@ -140,7 +140,7 @@ def _cycles(outer, inner, marks, block, final) -> Tuple[Element, ...]:
 
 # Every protocol network is its bit's one-cycle plan, lowered once per
 # process from the open layout below, with its config's coupler pairs
-# spliced in; a chain's plan is then tiled (:func:`build_chain_network`).
+# spliced in; a chain's plan columns then tile it (:class:`_ChainColumn`).
 # A network's elements are made only when read; a nested network's share
 # the layout's leg checkpoints, inner coupler, blocker and discard.
 _LEG_MARKS = [tuple(map(Checkpoint, LEG_NAMES))]
@@ -150,7 +150,9 @@ _OPEN_NESTED = tuple(Network(3, _cycles(BeamSplitter(0, 1, 0.0), _INNER, _LEG_MA
 # How a chain tiles a one-cycle plan: its head [outer coupler, checkpoint],
 # its inner block, repeated over the inner cycles, and its tail [inner
 # coupler, checkpoint, discard] make one outer cycle; its last entry, the
-# final coupler, closes the chain.
+# final coupler, closes the chain.  A chain's plan column is where the tiling
+# happens (:class:`_ChainColumn`): by arithmetic for its length and an entry,
+# as a list only when something iterates it.
 _TILING = (slice(None, 2), slice(2, -4), slice(-4, -1))
 
 
@@ -297,11 +299,11 @@ def run_bright_pulse(config: NestedConfig, bit: int, intensity: float) -> Bright
 
 # Work budget of one chained network, in elements.  A run's memory and time
 # grow linearly with its element count.  At its largest shape, 1 x 124,998,
-# run_chain takes 0.085 s at b = 0 and 0.079 s at b = 1, at 46 MB peak RSS;
-# 50 x 2000 takes 0.054 s and 0.044 s at 38 MB (medians of 15 pairs, each pair
+# run_chain takes 0.051 s at b = 0 and 0.045 s at b = 1, at 31 MB peak RSS;
+# 50 x 2000 takes 0.040 s and 0.036 s at 28 MB (medians of 15 pairs, each pair
 # in a fresh process on a shared 2-vCPU Intel Xeon, Python 3.11; the fastest
-# pairs took about 0.95 times as long; peak RSS of those processes, with
-# numpy not loaded).  It is 15 times the 32,101 elements of a 20 x 400 chain.
+# pairs took about 0.97 times as long, and noisier sessions of the same pairs
+# up to 1.6 times; peak RSS of those processes, with numpy not loaded).  It is 15 times the 32,101 elements of a 20 x 400 chain.
 MAX_CHAIN_ELEMENTS = 500_000
 
 
@@ -407,6 +409,59 @@ class _ChainRows(Mapping):
         return self.cycles[0] * (2 * self.cycles[1] + 2)
 
 
+class _ChainColumn(Sequence):
+    """A chain plan's column: ``template``, a column of its bit's one-cycle
+    plan, tiled over ``cycles`` ``(outer_cycles, inner_cycles)`` as
+    ``_TILING`` states.  Its length and the entry at an int index are
+    counted from the template, so the program's reads of its pairs tile
+    nothing; iteration, a slice and ``==`` read the tiled list, made on
+    first read and kept."""
+
+    def __init__(self, template: list, cycles: Tuple[int, int]):
+        self.template, self.cycles = template, cycles
+
+    def _tile(self) -> list:
+        c, (outer_cycles, inner_cycles) = self.template, self.cycles
+        head, block, tail = _TILING
+        column = c[head] + c[block] * inner_cycles + c[tail]
+        if outer_cycles > 1:  # `* 1` would copy the one cycle again
+            column = column * outer_cycles
+        column.append(c[-1])  # not `+ c[-1:]`, which copies the whole column again
+        return column
+
+    _tiled = _BuiltOnRead("_tiled", _tile)
+
+    def _parts(self) -> List[range]:
+        """The template positions of the head, the inner block and the tail."""
+        return [range(len(self.template))[part] for part in _TILING]
+
+    def __len__(self):
+        head, block, tail = self._parts()
+        return self.cycles[0] * (len(head) + len(block) * self.cycles[1] + len(tail)) + 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._tiled[index]
+        size = len(self)
+        index = range(size)[index]  # from the start; IndexError out of range
+        if index == size - 1:
+            return self.template[-1]
+        head, block, tail = self._parts()
+        repeated = len(block) * self.cycles[1]
+        index %= len(head) + repeated + len(tail)  # its place in its outer cycle
+        if index < len(head):
+            return self.template[head[index]]
+        if (index := index - len(head)) < repeated:
+            return self.template[block[index % len(block)]]
+        return self.template[tail[index - repeated]]
+
+    def __iter__(self):
+        return iter(self._tiled)
+
+    def __eq__(self, other):
+        return self._tiled == other
+
+
 def _chain_elements(rows, bit: int, chain: ChainConfig) -> Tuple[Element, ...]:
     """A chain network's elements: couplers at ``chain``'s angles, checkpoints named by ``rows``."""
     return _cycles(BeamSplitter(0, 1, chain.outer_angle), BeamSplitter(1, 2, chain.inner_angle),
@@ -429,8 +484,8 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     ``bob_to_charlie[k.j]``; then the inner coupler,
     ``charlie_to_alice[k]`` and the discard.  The final coupler closes the
     network.  Its plan is its bit's open nested plan with ``chain``'s pairs
-    spliced in, repeated at both levels; its elements are built, and its
-    rows named, when first read.
+    spliced in, repeated at both levels by its columns; its elements are
+    built, its rows named and its columns tiled to lists when first read.
     """
     bit = _validate_bit(bit)
     outer_cycles, inner_cycles = chain.outer_cycles, chain.inner_cycles
@@ -439,16 +494,8 @@ def build_chain_network(chain: ChainConfig, bit: int) -> Network:
     coeff = [_coupler_coeff(chain.outer_angle), *[k and inner for k in middle_coeff],
              _coupler_coeff(chain.final_angle)]  # `k and`: a None entry stays None
     # No plan entry holds a cycle index (snapshot rows are numbered in
-    # ``rows`` alone), so each column of the one-cycle plan gives the chain's
-    # by repeating its inner block, then its cycle, as ``_TILING`` states.
-    head, block, tail = _TILING
-    columns = []
-    for c in (ops, arg_a, arg_b, coeff):
-        column = c[head] + c[block] * inner_cycles + c[tail]
-        if outer_cycles > 1:  # `* 1` would copy the one cycle again
-            column = column * outer_cycles
-        column.append(c[-1])  # not `+ c[-1:]`, which copies the whole column again
-        columns.append(column)
+    # ``rows`` alone), so each column of the one-cycle plan, tiled, is the chain's.
+    columns = [_ChainColumn(c, (outer_cycles, inner_cycles)) for c in (ops, arg_a, arg_b, coeff)]
     rows = _ChainRows((outer_cycles, inner_cycles))
     build = functools.partial(_chain_elements, rows, bit, chain)
     program = _PROGRAMS[bit], outer_cycles, inner_cycles

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -223,6 +224,28 @@ class TestChainLayout:
             assert all((checkpoints[name] == checkpoints.matrix[row]).all()
                        for name, row in lowered.items())
 
+    @pytest.mark.parametrize("bit", (0, 1))
+    def test_a_build_allocates_per_template_not_per_element(self, bit, monkeypatch):
+        """A 20 x 400 build allocates for its one-cycle template, not an
+        entry per element (the four columns of 32,101 entries tiled as lists
+        take about 1 MB), and a run tiles none of its columns: the program
+        reads its pairs by index."""
+        chain, networks = ChainConfig(20, 400), []
+        tracemalloc.start()
+        try:
+            build_chain_network(chain, bit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        original_build = protocols.build_chain_network
+        monkeypatch.setattr(protocols, "build_chain_network",
+                            lambda *args: networks.append(original_build(*args)) or networks[-1])
+        run_chain(chain, bit)
+        columns = networks[0]._plan[:4]
+        assert [len(column) for column in columns] == [_chain_element_count(20, 400, bit)] * 4
+        assert not any("_tiled" in vars(column) for column in columns)
+
     @pytest.mark.parametrize("read", (False, True), ids=("unread", "read"))
     def test_a_chain_network_acts_as_its_eager_equal(self, read):
         """Copied, pickled, replaced, compared, hashed or shown, a chain
@@ -435,7 +458,9 @@ class TestKernelProgram:
                                                final_angle, bit):
         """Each entry of a chain's plan is, object for object, the entry at
         the template position it repeats, which is the one the program reads:
-        the head's and the inner block's first copy, the tail's last."""
+        the head's and the inner block's first copy, the tail's last.  Each
+        column, counted and indexed from its template and iterated or sliced
+        as its tiled list, is that eager tiling at every index."""
         chain = ChainConfig(outer, inner, outer_angle, inner_angle, final_angle)
         plan = build_chain_network(chain, bit)._plan
         template = protocols._OPEN_NESTED[bit]._plan
@@ -446,6 +471,17 @@ class TestKernelProgram:
         first = {}
         for entry, position in zip(plan.coeff, tiled):
             assert entry is first.setdefault(position, entry)
+        size = len(tiled)
+        for column, source in zip(plan[:4], (*template[:3], first)):
+            eager = [source[p] for p in tiled]
+            assert len(column) == size
+            assert all(column[i] is eager[i] for i in range(-size, size))
+            for index in (size, -size - 1):
+                with pytest.raises(IndexError):
+                    column[index]
+            for part in (slice(None), slice(3, -5), slice(-7, None, 3), slice(None, None, -2)):
+                assert column[part] == eager[part]
+            assert list(column) == eager
 
 
 # Angles that any draw may take, with the quarter and half turns that make a

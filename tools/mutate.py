@@ -199,6 +199,18 @@ MUTANTS = (
            "slice(2, -4)",
            "slice(2, -3)",
            ("tests/test_properties.py",)),
+    Mutant("tiled length drops the final coupler", "protocols.py",
+           "* self.cycles[1] + len(tail)) + 1",
+           "* self.cycles[1] + len(tail))",
+           ("tests/test_chain.py",)),
+    Mutant("tiled index maps a tail position into the inner block", "protocols.py",
+           "return self.template[tail[index - repeated]]",
+           "return self.template[block[index % len(block)]]",
+           ("tests/test_chain.py",)),
+    Mutant("a negative index counts from the template's end", "protocols.py",
+           "index = range(size)[index]",
+           "index = index if index >= 0 else range(len(self.template))[index]",
+           ("tests/test_chain.py",)),
     Mutant("Bob's block placed after its checkpoint", "protocols.py",
            "elements += (inner, there, *block, back)",
            "elements += (inner, there, back, *block)",
